@@ -10,7 +10,6 @@ from .core import (
     DEFAULT_PRIME,
     FieldParams,
     Matrix,
-    RankProfile,
     canonical_bytes,
     is_probable_prime,
     mat_mul_mod,
@@ -80,7 +79,6 @@ __all__ = [
     "MpfKapError",
     "ParameterError",
     "ProtocolError",
-    "RankProfile",
     "RdmpfRoundPrivate",
     "RdmpfSession",
     "RdmpfSetup",

@@ -22,7 +22,16 @@ from .errors import (
     SerializationError,
     TransportError,
 )
-from .kem import KemContext, KemMessage, auth_tag, kem_decapsulate, kem_encapsulate, kem_initiate
+from .kem import (
+    KEY_BYTES,
+    NONCE_BYTES,
+    KemContext,
+    KemMessage,
+    auth_tag,
+    kem_decapsulate,
+    kem_encapsulate,
+    kem_initiate,
+)
 from .rdmpf import RdmpfSession, RdmpfSetup
 from .rmpf import RmpfSession, RmpfSetup
 from .transport import DEFAULT_TIMEOUT, open_transport
@@ -41,9 +50,6 @@ EXIT_PROTOCOL = 3
 EXIT_TRANSPORT = 4
 
 SEED_ENV = "MPFKAP_SEED"
-
-NONCE_LEN = 64
-ENCAP_LEN = 64
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,10 +181,7 @@ def _cmd_handshake(args) -> int:
     rng = _session_rng(args, ps)
     transport = open_transport(args.transport, args.role, args.timeout)
     try:
-        if isinstance(setup, RmpfSetup):
-            key_bytes = _handshake_rmpf(setup, rng, transport, args.role, inject)
-        else:
-            key_bytes = _handshake_rdmpf(setup, rng, transport, args.role, inject)
+        key_bytes = _handshake(setup, rng, transport, args.role, inject)
     except ProtocolError as exc:
         _report_error(transport, exc)
         raise
@@ -190,10 +193,23 @@ def _cmd_handshake(args) -> int:
     return EXIT_OK
 
 
-def _handshake_rmpf(setup: RmpfSetup, rng, transport, role: str, inject: dict) -> bytes:
-    session = RmpfSession(setup, rng)
-    session.generate_token(inject.get("lambda"), inject.get("omega"))
-    payload = encode_token_list([session.token])
+def _handshake(
+    setup: RmpfSetup | RdmpfSetup, rng, transport, role: str, inject: dict
+) -> bytes:
+    """Exchange one token list (alice sends first) and return the key bytes."""
+    if isinstance(setup, RmpfSetup):
+        session = RmpfSession(setup, rng)
+        tokens = [session.generate_token(inject.get("lambda"), inject.get("omega"))]
+    else:
+        session = RdmpfSession(setup, rng)
+        injected = None
+        if inject:
+            ls, rs = inject.get("rand_l"), inject.get("rand_r")
+            if ls is None or rs is None or len(ls) != len(rs):
+                raise ParameterError("rdmpf injection needs matching rand_l and rand_r lists")
+            injected = list(zip(ls, rs))
+        tokens = session.generate_tokens(injected)
+    payload = encode_token_list(tokens)
     if role == "alice":
         transport.send("token-list", payload)
         peer_payload = transport.recv("token-list")
@@ -201,29 +217,12 @@ def _handshake_rmpf(setup: RmpfSetup, rng, transport, role: str, inject: dict) -
         peer_payload = transport.recv("token-list")
         transport.send("token-list", payload)
     peer_mats = decode_token_list(peer_payload, setup.params.p)
-    if len(peer_mats) != 1:
-        raise ProtocolError(f"expected one token matrix, peer sent {len(peer_mats)}")
-    return encode_matrix(session.derive_key(peer_mats[0]))
-
-
-def _handshake_rdmpf(setup: RdmpfSetup, rng, transport, role: str, inject: dict) -> bytes:
-    session = RdmpfSession(setup, rng)
-    injected = None
-    if "rand_l" in inject or "rand_r" in inject:
-        ls = inject.get("rand_l")
-        rs = inject.get("rand_r")
-        if ls is None or rs is None or len(ls) != len(rs):
-            raise ParameterError("rdmpf injection needs matching rand_l and rand_r lists")
-        injected = list(zip(ls, rs))
-    session.generate_tokens(injected)
-    payload = encode_token_list(session.tokens)
-    if role == "alice":
-        transport.send("token-list", payload)
-        peer_payload = transport.recv("token-list")
-    else:
-        peer_payload = transport.recv("token-list")
-        transport.send("token-list", payload)
-    peer_mats = decode_token_list(peer_payload, setup.params.p)
+    if len(peer_mats) != len(tokens):
+        raise ProtocolError(
+            f"peer sent {len(peer_mats)} token matrices, expected {len(tokens)}"
+        )
+    if isinstance(session, RmpfSession):
+        return encode_matrix(session.derive_key(peer_mats[0]))
     return session.derive(peer_mats).digest
 
 
@@ -238,8 +237,8 @@ def _cmd_kem(args) -> int:
     rng = _session_rng(args, ps)
     with open(args.eta0, "rb") as fh:
         eta0 = fh.read()
-    if len(eta0) != NONCE_LEN:
-        raise ParameterError(f"eta0 file must hold {NONCE_LEN} bytes, got {len(eta0)}")
+    if len(eta0) != NONCE_BYTES:
+        raise ParameterError(f"eta0 file must hold {NONCE_BYTES} bytes, got {len(eta0)}")
     ctx = KemContext(eta0, auth_tag(args.auth_a), auth_tag(args.auth_b))
 
     transport = open_transport(args.transport, args.role, args.timeout)
@@ -265,12 +264,12 @@ def _cmd_kem(args) -> int:
 
 
 def _parse_encap_payload(payload: bytes) -> KemMessage:
-    if len(payload) < ENCAP_LEN + NONCE_LEN:
+    if len(payload) < KEY_BYTES + NONCE_BYTES:
         raise ProtocolError(f"encapsulation message truncated at {len(payload)} bytes")
     return KemMessage(
-        encap=payload[:ENCAP_LEN],
-        eta_m=payload[ENCAP_LEN : ENCAP_LEN + NONCE_LEN],
-        close_a=payload[ENCAP_LEN + NONCE_LEN :],
+        encap=payload[:KEY_BYTES],
+        eta_m=payload[KEY_BYTES : KEY_BYTES + NONCE_BYTES],
+        close_a=payload[KEY_BYTES + NONCE_BYTES :],
     )
 
 

@@ -163,14 +163,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} mod {self.modulus}, {list(self.entries)})"
 
 
-@dataclass(frozen=True, slots=True)
-class RankProfile:
-    """Rank over Z_p plus the positions of exactly repeated rows."""
-
-    rank: int
-    duplicate_row_pairs: tuple[tuple[int, int], ...]
-
-
 def mat_scalar_mul_mod(s: int, m: Matrix, modulus: int) -> Matrix:
     """Entry-wise s * M reduced mod modulus."""
     flat = tuple(s * e % modulus for e in m.entries)
@@ -208,8 +200,8 @@ def mat_pow_mod(m: Matrix, e: int, modulus: int) -> Matrix:
     return result
 
 
-def rank_mod_p(m: Matrix, p: int) -> RankProfile:
-    """Gaussian elimination over the field Z_p."""
+def rank_mod_p(m: Matrix, p: int) -> int:
+    """Rank of m over the field Z_p, by Gaussian elimination."""
     if not is_probable_prime(p):
         raise ParameterError(f"rank is only defined over a prime modulus, got {p}")
     work = [[e % p for e in m.row(i)] for i in range(m.rows)]
@@ -227,13 +219,7 @@ def rank_mod_p(m: Matrix, p: int) -> RankProfile:
         rank += 1
         if rank == m.rows:
             break
-    dups = tuple(
-        (i, j)
-        for i in range(m.rows)
-        for j in range(i + 1, m.rows)
-        if m.row(i) == m.row(j)
-    )
-    return RankProfile(rank, dups)
+    return rank
 
 
 def sample_matrix(
@@ -242,7 +228,6 @@ def sample_matrix(
     modulus: int,
     rng: random.Random,
     mode: str = "general",
-    dependent_row: str = "duplicate",
 ) -> Matrix:
     """Draw a random matrix from the injected randomness source.
 
@@ -250,9 +235,7 @@ def sample_matrix(
       general        uniform entries in [0, modulus)
       unit_entries   uniform entries in [1, modulus), so no zero bases
       rank_deficient sample (rows-1) x cols with unit entries, then insert
-                     one dependent row at a random position: a duplicate of
-                     an existing row, or (dependent_row="combination") a
-                     random modular combination of two rows
+                     a duplicate of one of those rows at a random position
     """
     if mode == "general":
         flat = tuple(rng.randrange(modulus) for _ in range(rows * cols))
@@ -264,17 +247,7 @@ def sample_matrix(
         if rows < 2:
             raise ParameterError("rank_deficient mode needs at least 2 rows")
         base = [[rng.randrange(1, modulus) for _ in range(cols)] for _ in range(rows - 1)]
-        if dependent_row == "duplicate":
-            extra = list(base[rng.randrange(rows - 1)])
-        elif dependent_row == "combination":
-            if rows < 3:
-                raise ParameterError("combination mode needs at least 3 rows")
-            i, j = rng.sample(range(rows - 1), 2)
-            c1 = rng.randrange(modulus)
-            c2 = rng.randrange(modulus)
-            extra = [(c1 * x + c2 * y) % modulus for x, y in zip(base[i], base[j])]
-        else:
-            raise ParameterError(f"unknown dependent_row mode {dependent_row!r}")
+        extra = list(base[rng.randrange(rows - 1)])
         base.insert(rng.randrange(rows), extra)
         return Matrix.from_rows(base, modulus)
     raise ParameterError(f"unknown sampling mode {mode!r}")

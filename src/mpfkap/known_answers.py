@@ -352,8 +352,8 @@ def check_rdmpf_vectors() -> list[tuple[str, bool]]:
             (f"rdmpf round {idx} token B", bob.tokens[idx - 1].to_rows() == vec.token_b)
         )
 
-    key_a = alice.derive(bob.token_values())
-    key_b = bob.derive(alice.token_values())
+    key_a = alice.derive(bob.tokens)
+    key_b = bob.derive(alice.tokens)
     for idx, vec in enumerate(RDMPF_ROUND_VECTORS, start=1):
         results.append(
             (f"rdmpf round {idx} key A", alice.keys[idx - 1].to_rows() == vec.key)

@@ -23,12 +23,13 @@ from .core import (
     Matrix,
     canonical_bytes,
     mat_pow_mod,
+    mat_scalar_mul_mod,
     matrix_values,
-    mod_pow,
     rank_mod_p,
     sample_matrix,
 )
 from .errors import DegenerateSetupError, ParameterError, ProtocolError, RestartRequired
+from .rmpf import mpf_double
 
 RESTART_CAP = 64
 
@@ -43,7 +44,8 @@ def rdmpf(xe: Matrix, w: Matrix, ye: Matrix, p: int, sigma: int = 1) -> Matrix:
     """Double action with conventional inner products in the exponents.
 
     Q[i][j] = prod_{k,l} w[k][l] ** (sigma * xe[i][k] * ye[l][j] mod p-1),
-    everything square of the same dimension.
+    everything square of the same dimension.  Folding sigma into xe mod
+    p-1 leaves exactly the rmpf double action.
     """
     dim = w.rows
     for m in (xe, w, ye):
@@ -51,27 +53,8 @@ def rdmpf(xe: Matrix, w: Matrix, ye: Matrix, p: int, sigma: int = 1) -> Matrix:
             raise ParameterError(
                 f"all matrices must be {dim}x{dim}, got {m.rows}x{m.cols}"
             )
-    if w.modulus != p:
-        raise ParameterError(f"base matrix modulus {w.modulus} does not match p={p}")
     em = p - 1
-    sig = sigma % em
-    wr = w.to_rows()
-    xr = xe.to_rows()
-    ycols = [[ye.at(l, j) for l in range(dim)] for j in range(dim)]
-    flat = []
-    for i in range(dim):
-        xi = xr[i]
-        sx = [sig * v % em for v in xi]
-        for j in range(dim):
-            yj = ycols[j]
-            acc = 1
-            for k in range(dim):
-                sxk = sx[k]
-                wk = wr[k]
-                for l in range(dim):
-                    acc = acc * mod_pow(wk[l], sxk * yj[l] % em, p) % p
-            flat.append(acc)
-    return Matrix(dim, dim, tuple(flat), p)
+    return mpf_double(mat_scalar_mul_mod(sigma, xe, em), w, ye, p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,10 +77,10 @@ class RdmpfSetup:
                 raise ParameterError(f"{name} must be {dim}x{dim}")
             if m.modulus != p:
                 raise ParameterError(f"{name} modulus {m.modulus} does not match p={p}")
-        if rank_mod_p(self.w, p).rank != dim:
+        if rank_mod_p(self.w, p) != dim:
             raise ParameterError("nucleus matrix w must have full rank over Z_p")
         for name, m in (("base_xu", self.base_xu), ("base_yv", self.base_yv)):
-            if rank_mod_p(m, p).rank >= dim:
+            if rank_mod_p(m, p) >= dim:
                 raise ParameterError(f"{name} must be rank-deficient over Z_p")
         if self.exp_max < 2:
             raise ParameterError(f"exp_max must be >= 2, got {self.exp_max}")
@@ -156,7 +139,7 @@ def generate_setup(
     params = FieldParams(p)
     while True:
         w = sample_matrix(dim, dim, p, rng, mode="unit_entries")
-        if rank_mod_p(w, p).rank == dim:
+        if rank_mod_p(w, p) == dim:
             break
     base_xu = sample_rank_deficient_base(dim, params, rng)
     base_yv = sample_rank_deficient_base(dim, params, rng)
@@ -267,8 +250,8 @@ def parse_token_list(
 class RdmpfSession:
     """One party's state machine: round privates, token list, derived keys.
 
-    Usage: generate_tokens(), ship token_values() to the peer, then
-    derive() on the peer's list.  Rounds inside one session are strictly
+    Usage: generate_tokens(), ship tokens to the peer, then derive() on
+    the peer's token matrices.  Rounds inside one session are strictly
     sequential; distinct sessions are independent.
     """
 
@@ -312,43 +295,22 @@ class RdmpfSession:
         return list(self._keys)
 
     def token_values(self) -> list[int]:
-        """Own token list, flattened for the single exchange message."""
+        """Own token list, flattened for the KEM's masked exchange."""
         return matrix_values(self.tokens)
 
-    def derive(
-        self,
-        peer_tokens: Sequence[Token] | Sequence[int],
-        digest_source: str = "keys",
-    ) -> SessionKey:
-        """Parse the peer list round-by-round and consolidate the session key.
-
-        digest_source picks what gets hashed: "keys" (round keys, the
-        default and the only reading under which both parties agree) or
-        "tokens_and_keys" (own tokens followed by round keys).
-        """
+    def derive(self, peer_tokens: Sequence[Token]) -> SessionKey:
+        """Apply each round's private to the peer's token and hash the round keys."""
         if not self._privates:
             raise ProtocolError("generate_tokens must run before derive")
-        if peer_tokens and isinstance(peer_tokens[0], Matrix):
-            mats = list(peer_tokens)
-            if len(mats) != self.setup.rounds:
-                raise ProtocolError(
-                    f"peer sent {len(mats)} round tokens, expected {self.setup.rounds}"
-                )
-            for m in mats:
-                if (m.rows, m.cols) != (self.setup.dim, self.setup.dim):
-                    raise ProtocolError("peer round token has wrong dimensions")
-        else:
-            mats = parse_token_list(
-                list(peer_tokens), self.setup.dim, self.setup.rounds, self.setup.params.p
+        if len(peer_tokens) != self.setup.rounds:
+            raise ProtocolError(
+                f"peer sent {len(peer_tokens)} round tokens, expected {self.setup.rounds}"
             )
         self._keys = [
-            round_key(priv, tok, self.setup) for priv, tok in zip(self._privates, mats)
+            round_key(priv, tok, self.setup)
+            for priv, tok in zip(self._privates, peer_tokens)
         ]
-        if digest_source == "keys":
-            return session_digest(self._keys)
-        if digest_source == "tokens_and_keys":
-            return session_digest(self._tokens + self._keys)
-        raise ParameterError(f"unknown digest_source {digest_source!r}")
+        return session_digest(self._keys)
 
     @property
     def transcript(self) -> SessionTranscript:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .core import FieldParams, Matrix, mat_scalar_mul_mod, mod_pow
-from .errors import DegenerateSetupError, ParameterError, RestartRequired
+from .errors import DegenerateSetupError, ParameterError, ProtocolError, RestartRequired
 
 # Redraw cap before a setup is declared unusable.
 RESTART_CAP = 64
@@ -32,18 +32,15 @@ def _check_same_shape(*mats: Matrix) -> tuple[int, int]:
     return rows, cols
 
 
-def mpf_left(xe: Matrix, w: Matrix, r: int | None = None) -> Matrix:
+def mpf_left(xe: Matrix, w: Matrix) -> Matrix:
     """Left exponential action: C[i][j] = prod_k w[k][j] ** xe[i][k] mod p.
 
-    The product index k runs through [0, r); r defaults to the column
-    count.  Exponent entries are taken mod p-1.
+    The product index k runs over the column count.  Exponent entries are
+    taken mod p-1.
     """
     rows, cols = _check_same_shape(xe, w)
     p = w.modulus
     em = p - 1
-    r = cols if r is None else r
-    if r > min(rows, cols):
-        raise ParameterError(f"index bound {r} exceeds matrix dimensions {rows}x{cols}")
     wr = w.to_rows()
     xr = xe.to_rows()
     flat = []
@@ -51,20 +48,17 @@ def mpf_left(xe: Matrix, w: Matrix, r: int | None = None) -> Matrix:
         xi = xr[i]
         for j in range(cols):
             acc = 1
-            for k in range(r):
+            for k in range(cols):
                 acc = acc * mod_pow(wr[k][j], xi[k] % em, p) % p
             flat.append(acc)
     return Matrix(rows, cols, tuple(flat), p)
 
 
-def mpf_right(w: Matrix, ye: Matrix, r: int | None = None) -> Matrix:
+def mpf_right(w: Matrix, ye: Matrix) -> Matrix:
     """Right exponential action: D[i][j] = prod_l w[i][l] ** ye[l][j] mod p."""
     rows, cols = _check_same_shape(w, ye)
     p = w.modulus
     em = p - 1
-    r = cols if r is None else r
-    if r > min(rows, cols):
-        raise ParameterError(f"index bound {r} exceeds matrix dimensions {rows}x{cols}")
     wr = w.to_rows()
     yr = ye.to_rows()
     flat = []
@@ -72,39 +66,38 @@ def mpf_right(w: Matrix, ye: Matrix, r: int | None = None) -> Matrix:
         wi = wr[i]
         for j in range(cols):
             acc = 1
-            for l in range(r):
+            for l in range(cols):
                 acc = acc * mod_pow(wi[l], yr[l][j] % em, p) % p
             flat.append(acc)
     return Matrix(rows, cols, tuple(flat), p)
 
 
-def mpf_double(xe: Matrix, w: Matrix, ye: Matrix, p: int, r: int | None = None) -> Matrix:
-    """Double-sided action: Q[i][j] = prod_{k,l < r} w[k][l] ** (xe[i][k] * ye[l][j]).
+def mpf_double(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
+    """Double-sided action: Q[i][j] = prod_{k,l < n} w[k][l] ** (xe[i][k] * ye[l][j]).
 
-    Exponent products are reduced mod p-1 before use.  Only the top-left
-    r x r block of w is exponentiated; r defaults to the column count.
+    n is the column count, so on a rectangular m x n setup only the top
+    n x n block of w is exponentiated.  Exponent products are reduced mod
+    p-1 before use.  This is the one direct double-action loop; rdmpf
+    runs through it as well.
     """
     rows, cols = _check_same_shape(xe, w, ye)
     if w.modulus != p:
         raise ParameterError(f"base matrix modulus {w.modulus} does not match p={p}")
     em = p - 1
-    r = cols if r is None else r
-    if r > min(rows, cols):
-        raise ParameterError(f"index bound {r} exceeds matrix dimensions {rows}x{cols}")
     wr = w.to_rows()
     xr = xe.to_rows()
-    # column j of ye, truncated to the first r rows
-    ycols = [[ye.at(l, j) for l in range(r)] for j in range(cols)]
+    # column j of ye, truncated to the first cols rows
+    ycols = [[ye.at(l, j) for l in range(cols)] for j in range(cols)]
     flat = []
     for i in range(rows):
         xi = xr[i]
         for j in range(cols):
             yj = ycols[j]
             acc = 1
-            for k in range(r):
+            for k in range(cols):
                 xik = xi[k]
                 wk = wr[k]
-                for l in range(r):
+                for l in range(cols):
                     acc = acc * mod_pow(wk[l], xik * yj[l] % em, p) % p
             flat.append(acc)
     return Matrix(rows, cols, tuple(flat), p)
@@ -192,12 +185,12 @@ def keygen(
 def derive_key(priv: RmpfPrivate, peer_token: Token, setup: RmpfSetup) -> Matrix:
     """Apply the private action to the peer token; equals the peer's key."""
     if (peer_token.rows, peer_token.cols) != (setup.rows, setup.cols):
-        raise ParameterError(
+        raise ProtocolError(
             f"peer token is {peer_token.rows}x{peer_token.cols}, "
             f"expected {setup.rows}x{setup.cols}"
         )
     if peer_token.modulus != setup.params.p:
-        raise ParameterError("peer token modulus does not match the setup prime")
+        raise ProtocolError("peer token modulus does not match the setup prime")
     if peer_token.has_zero_entry():
         raise RestartRequired("peer token contains a zero entry; session must restart")
     return mpf_double(priv.a, peer_token, priv.b, setup.params.p)

@@ -151,8 +151,19 @@ class ParamSet:
         if missing:
             raise ParameterError(f"parameter set lacks matrices: {missing}")
         if self.protocol == "rmpf":
-            return RmpfSetup(params, mats["base"], mats["x"], mats["y"])
+            base = mats["base"]
+            if (self.rows, self.cols) != (base.rows, base.cols):
+                raise ParameterError(
+                    f"parameter set declares {self.rows}x{self.cols}, "
+                    f"matrices are {base.rows}x{base.cols}"
+                )
+            return RmpfSetup(params, base, mats["x"], mats["y"])
         if self.protocol == "rdmpf":
+            if self.dim != mats["w"].rows:
+                raise ParameterError(
+                    f"parameter set declares dim {self.dim}, matrices are "
+                    f"{mats['w'].rows}x{mats['w'].cols}"
+                )
             if self.exp_max is None or self.rounds is None:
                 raise ParameterError("rdmpf parameter set needs exp_max and rounds")
             return RdmpfSetup(
@@ -298,7 +309,7 @@ def generate_paramset(
             raise ParameterError("rdmpf needs dim, exp_max, and rounds")
         while True:
             w = sample_matrix(dim, dim, p, rng, mode="unit_entries")
-            if rank_mod_p(w, p).rank == dim:
+            if rank_mod_p(w, p) == dim:
                 break
         mats = {
             "w": w,

@@ -41,7 +41,11 @@ class SeqRng:
 
 
 def oracle_rdmpf(xe, w, ye, p, sigma):
-    # independent route: builtin pow, exponents never reduced mod p-1
+    """Independent route: builtin pow, exponents never reduced mod p-1.
+
+    Exponents live mod p-1, so a zero base raised to a multiple of p-1
+    is 0**0 = 1.
+    """
     dim = w.rows
     out = []
     for i in range(dim):
@@ -50,7 +54,10 @@ def oracle_rdmpf(xe, w, ye, p, sigma):
             acc = 1
             for k in range(dim):
                 for l in range(dim):
-                    acc = acc * pow(w.at(k, l), sigma * xe.at(i, k) * ye.at(l, j), p) % p
+                    e = sigma * xe.at(i, k) * ye.at(l, j)
+                    base = w.at(k, l)
+                    term = pow(base, e, p) if base else int(e % (p - 1) == 0)
+                    acc = acc * term % p
             row.append(acc)
         out.append(row)
     return out
@@ -105,14 +112,19 @@ class TestRdmpfFunction:
             rdmpf(x, w, x, 7)
 
     def test_symbolic_expansion_via_oracle(self):
-        # on dim 2 the exponent of w[k][l] in Q[i][j] is sigma*x[i][k]*y[l][j]
+        # the exponent of w[k][l] in Q[i][j] is sigma*x[i][k]*y[l][j]; the
+        # inputs cover 1x1, zero entries in w, sigma >= p-1 and p near 2^64
         rng = random.Random(31)
-        for _ in range(100):
-            w = sample_matrix(2, 2, 7, rng, mode="unit_entries")
-            x = rand_exponents(2, 6, rng)
-            y = rand_exponents(2, 6, rng)
-            sigma = rng.randrange(12)
-            assert rdmpf(x, w, y, 7, sigma).to_rows() == oracle_rdmpf(x, w, y, 7, sigma)
+        for p in (7, 65537, 2**64 - 59):
+            for _ in range(100 if p == 7 else 15):
+                dim = rng.choice((1, 2, 3))
+                flat = list(sample_matrix(dim, dim, p, rng, mode="general").entries)
+                flat[rng.randrange(len(flat))] = 0
+                w = Matrix(dim, dim, tuple(flat), p)
+                x = rand_exponents(dim, p - 1, rng)
+                y = rand_exponents(dim, p - 1, rng)
+                sigma = rng.randrange(3 * p)
+                assert rdmpf(x, w, y, p, sigma).to_rows() == oracle_rdmpf(x, w, y, p, sigma)
 
     def test_sigma_one_is_plain(self):
         rng = random.Random(32)
@@ -152,9 +164,9 @@ class TestSetupValidation:
     def test_generate_setup_structure(self):
         rng = random.Random(33)
         setup = generate_setup(4, 65537, 500, 2, rng)
-        assert rank_mod_p(setup.w, 65537).rank == 4
-        assert rank_mod_p(setup.base_xu, 65537).rank < 4
-        assert rank_mod_p(setup.base_yv, 65537).rank < 4
+        assert rank_mod_p(setup.w, 65537) == 4
+        assert rank_mod_p(setup.base_xu, 65537) < 4
+        assert rank_mod_p(setup.base_yv, 65537) < 4
 
     def test_floor_warnings(self):
         warnings = ka.rdmpf_setup().floor_warnings()
@@ -226,8 +238,8 @@ class TestSession:
         bob = RdmpfSession(setup, SeqRng([]))
         alice.generate_tokens([(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS])
         bob.generate_tokens([(v.rand_u, v.rand_v) for v in ka.RDMPF_ROUND_VECTORS])
-        key_a = alice.derive(bob.token_values())
-        key_b = bob.derive(alice.token_values())
+        key_a = alice.derive(bob.tokens)
+        key_b = bob.derive(alice.tokens)
         assert key_a == key_b
         ta, tb = alice.transcript, bob.transcript
         assert (ta.token_list[0], ta.token_list[-1]) == ka.TOKEN_LIST_A_ENDS
@@ -242,7 +254,7 @@ class TestSession:
         bob = RdmpfSession(setup, SeqRng([]))
         alice.generate_tokens([(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS])
         bob.generate_tokens([(v.rand_u, v.rand_v) for v in ka.RDMPF_ROUND_VECTORS])
-        assert alice.derive(bob.token_values()).hex() == ka.PINNED_SESSION_DIGEST_HEX
+        assert alice.derive(bob.tokens).hex() == ka.PINNED_SESSION_DIGEST_HEX
 
     def test_seeded_loopback(self):
         rng = random.Random(35)
@@ -304,26 +316,14 @@ class TestSession:
         tampered = [Matrix.from_rows(flipped, 65537)] + keys[1:]
         assert session_digest(tampered) != digest
 
-    def test_digest_source_flag(self):
-        setup = ka.rdmpf_setup()
-        alice = RdmpfSession(setup, SeqRng([]))
-        bob = RdmpfSession(setup, SeqRng([]))
-        alice.generate_tokens([(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS])
-        bob.generate_tokens([(v.rand_u, v.rand_v) for v in ka.RDMPF_ROUND_VECTORS])
-        keys_a = alice.derive(bob.token_values(), digest_source="keys")
-        alt_a = alice.derive(bob.token_values(), digest_source="tokens_and_keys")
-        alt_b = bob.derive(alice.token_values(), digest_source="tokens_and_keys")
-        assert alt_a != keys_a
-        # the literal alternative folds each side's own tokens in, so the
-        # two parties no longer agree; that is why "keys" is the default
-        assert alt_a != alt_b
-
     def test_peer_list_length_checked(self):
         setup = ka.rdmpf_setup()
         alice = RdmpfSession(setup, SeqRng([]))
         alice.generate_tokens([(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS])
         with pytest.raises(ProtocolError):
-            alice.derive([1, 2, 3])
+            alice.derive(alice.tokens[:1])
+        with pytest.raises(ProtocolError):
+            alice.derive([Matrix.identity(4, ka.P)] * ka.RDMPF_ROUNDS)
 
     def test_parse_token_list_validates(self):
         with pytest.raises(ProtocolError):
@@ -337,4 +337,4 @@ class TestSession:
         setup = ka.rdmpf_setup()
         sess = RdmpfSession(setup, SeqRng([]))
         with pytest.raises(ProtocolError):
-            sess.derive([0] * 50)
+            sess.derive([Matrix.identity(5, ka.P)] * ka.RDMPF_ROUNDS)

@@ -6,6 +6,7 @@ from mpfkap import (
     FieldParams,
     Matrix,
     ParameterError,
+    ProtocolError,
     RestartRequired,
     RmpfSession,
     RmpfSetup,
@@ -22,7 +23,11 @@ from mpfkap import known_answers as ka
 
 
 def direct_double(xe, w, ye, p, r):
-    """Independent oracle: builtin pow, exponent products left unreduced."""
+    """Independent oracle: builtin pow, exponent products left unreduced.
+
+    Exponents live mod p-1, so a zero base raised to a multiple of p-1
+    is 0**0 = 1.
+    """
     out = []
     for i in range(xe.rows):
         row = []
@@ -30,7 +35,10 @@ def direct_double(xe, w, ye, p, r):
             acc = 1
             for k in range(r):
                 for l in range(r):
-                    acc = acc * pow(w.at(k, l), xe.at(i, k) * ye.at(l, j), p) % p
+                    e = xe.at(i, k) * ye.at(l, j)
+                    base = w.at(k, l)
+                    term = pow(base, e, p) if base else int(e % (p - 1) == 0)
+                    acc = acc * term % p
             row.append(acc)
         out.append(row)
     return out
@@ -124,13 +132,20 @@ class TestDoubleAction:
         assert mpf_double(y, w, z, 7).to_rows() == [[1, 1], [1, 1]]
 
     def test_against_oracle(self):
+        # square and rectangular shapes down to 1x1, zero entries in w,
+        # and p up to 2^64-59
         rng = random.Random(12)
-        for _ in range(200):
-            n = rng.choice((2, 3))
-            w = sample_matrix(n, n, 7, rng, mode="unit_entries")
-            x = rand_exponents(n, n, 6, rng)
-            y = rand_exponents(n, n, 6, rng)
-            assert mpf_double(x, w, y, 7).to_rows() == direct_double(x, w, y, 7, n)
+        for p in (7, 65537, 2**64 - 59):
+            for _ in range(150 if p == 7 else 25):
+                rows = rng.choice((1, 2, 3))
+                cols = rng.randrange(1, rows + 1)
+                w = sample_matrix(rows, cols, p, rng, mode="general")
+                flat = list(w.entries)
+                flat[rng.randrange(len(flat))] = 0
+                w = Matrix(rows, cols, tuple(flat), p)
+                x = rand_exponents(rows, cols, p - 1, rng)
+                y = rand_exponents(rows, cols, p - 1, rng)
+                assert mpf_double(x, w, y, p).to_rows() == direct_double(x, w, y, p, cols)
 
     def test_modulus_mismatch(self):
         w = Matrix.from_rows([[2, 3], [4, 5]], 7)
@@ -201,8 +216,10 @@ class TestProtocolRun:
     def test_peer_token_shape_checked(self):
         setup = rand_setup(3, 2, 7, random.Random(16))
         priv, _ = keygen(setup, random.Random(1))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ProtocolError):
             derive_key(priv, Matrix.from_rows([[1, 2], [3, 4]], 7), setup)
+        with pytest.raises(ProtocolError):
+            derive_key(priv, Matrix.from_rows([[1, 2], [3, 4], [5, 6]], 11), setup)
 
     def test_agreement_smoke(self):
         rng = random.Random(17)

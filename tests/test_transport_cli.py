@@ -1,3 +1,4 @@
+import hashlib
 import socket
 
 import pytest
@@ -54,6 +55,26 @@ class TestSetupCommand:
         assert r.returncode == 0
         assert "order of 100" in r.stderr
         assert "2^64" in r.stderr
+
+    def test_setup_bytes_pinned(self, tmp_path):
+        # SHA-256 of both output files for fixed seeds: setup sampling and
+        # both parameter-file formats must not drift
+        pinned = {
+            "rmpf": (["--rows", "5", "--cols", "3", "--seed", "123"],
+                     "bd4ae03409fc51c50f4a1bb6ca56e55144fd0df020c3efdaaf793875231bab6d",
+                     "c704accbb9fbb9f891fc230d86ef96e32f5cc1e1c0cf175de4681c03611ffdce"),
+            "rdmpf": (["--dim", "3", "--rounds", "2", "--seed", "4"],
+                      "35b4bb3975a650e82bbb2e115b49b40cb2df18141e347fd6914065f65f8ad8a9",
+                      "a6593a8dfc2b3803be2c28e5b25be5f187c55e199f8b212cc2d8ce66e4fc5fa2"),
+        }
+        for protocol, (args, json_sha, bin_sha) in pinned.items():
+            out = tmp_path / f"{protocol}.json"
+            r = run_cli(["setup", "--protocol", protocol, "--p", "65537", *args,
+                         "--out", str(out)])
+            assert r.returncode == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
+            bin_bytes = (tmp_path / f"{protocol}.bin").read_bytes()
+            assert hashlib.sha256(bin_bytes).hexdigest() == bin_sha
 
     def test_setup_loadable(self, tmp_path):
         out = tmp_path / "p.json"
@@ -206,25 +227,29 @@ class TestKemCommand:
 
 
     def test_mismatched_round_counts_protocol_error(self, tmp_path):
-        # the same matrices under two different round counts: the peer
-        # list length check must fail deterministically with exit 3
-        one = tmp_path / "one.json"
-        assert run_cli(["setup", "--protocol", "rdmpf", "--dim", "3", "--rounds", "1",
-                        "--seed", "4", "--out", str(one)]).returncode == 0
-        ps = load_paramset(str(one))
-        ps.rounds = 2
-        two = tmp_path / "two.json"
-        two.write_text(ps.to_json())
-        xch = tmp_path / "xch"
-        xch.mkdir()
-        bob = spawn_cli(["handshake", "--role", "bob", "--params", str(one),
-                         "--transport", f"file:{xch}", "--out", str(tmp_path / "b.key"),
-                         "--test-mode", "--timeout", "5"])
-        alice = run_cli(["handshake", "--role", "alice", "--params", str(two),
-                         "--transport", f"file:{xch}", "--out", str(tmp_path / "a.key"),
-                         "--test-mode", "--timeout", "5"])
-        rc = {alice.returncode, bob.wait(60)}
-        assert 3 in rc
+        # the same seed under two different round counts (rdmpf) or row
+        # counts (rmpf): the peer list check must fail with exit 3 on a side
+        cases = {
+            "rdmpf-rounds": (["--protocol", "rdmpf", "--dim", "3", "--rounds", "1"],
+                             ["--protocol", "rdmpf", "--dim", "3", "--rounds", "2"]),
+            "rmpf-shape": (["--protocol", "rmpf", "--rows", "5", "--cols", "3"],
+                           ["--protocol", "rmpf", "--rows", "6", "--cols", "3"]),
+        }
+        for name, (bob_setup, alice_setup) in cases.items():
+            one, two = tmp_path / f"{name}-1.json", tmp_path / f"{name}-2.json"
+            for setup_args, out in ((bob_setup, one), (alice_setup, two)):
+                r = run_cli(["setup", *setup_args, "--seed", "4", "--out", str(out)])
+                assert r.returncode == 0
+            xch = tmp_path / f"{name}-xch"
+            xch.mkdir()
+            bob = spawn_cli(["handshake", "--role", "bob", "--params", str(one),
+                             "--transport", f"file:{xch}", "--out", str(tmp_path / "b.key"),
+                             "--test-mode", "--timeout", "5"])
+            alice = run_cli(["handshake", "--role", "alice", "--params", str(two),
+                             "--transport", f"file:{xch}", "--out", str(tmp_path / "a.key"),
+                             "--test-mode", "--timeout", "5"])
+            rc = {alice.returncode, bob.wait(60)}
+            assert 3 in rc and 2 not in rc, (name, rc)
 
     def test_env_seed_overrides(self, tmp_path):
         import os

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -140,6 +141,16 @@ class TestParamSet:
         ps = ParamSet(protocol="rmpf", p=65537, rows=3, cols=2, matrices={})
         with pytest.raises(ParameterError):
             ps.build_setup()
+
+    def test_declared_dims_must_match_matrices(self):
+        rng = random.Random(57)
+        rm = generate_paramset("rmpf", 65537, rng, rows=4, cols=2)
+        rd = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=100, rounds=1)
+        for ps, bad in ((rm, {"rows": 5}), (rm, {"cols": 3}), (rd, {"dim": 7})):
+            ps = dataclasses.replace(ps, **bad)
+            for loaded in (ParamSet.from_json(ps.to_json()), ParamSet.from_frame(ps.to_frame())):
+                with pytest.raises(ParameterError, match="declares"):
+                    loaded.build_setup()
 
     def test_bad_json_rejected(self):
         with pytest.raises(ParameterError):
