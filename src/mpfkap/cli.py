@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_setup(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
-    ps = generate_paramset(
+    ps, setup = generate_paramset(
         args.protocol,
         args.p,
         rng,
@@ -132,7 +132,7 @@ def _cmd_setup(args) -> int:
         sigma=args.sigma,
         seed=args.seed,
     )
-    for warning in ps.build_setup().floor_warnings():
+    for warning in setup.floor_warnings():
         print(f"warning: {warning}", file=sys.stderr)
     json_path, bin_path = save_paramset(ps, args.out)
     print(f"wrote {json_path} and {bin_path}")

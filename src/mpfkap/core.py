@@ -28,19 +28,16 @@ _sysrand = random.SystemRandom()
 
 
 def mod_pow(base: int, exp: int, m: int) -> int:
-    """Square-and-multiply base**exp mod m.  0**0 is defined as 1."""
+    """base**exp mod m by builtin pow.  0**0 is defined as 1.
+
+    The guard rejects what builtin pow would accept with another meaning:
+    a negative exponent (a modular inverse) and a modulus below 2.
+    """
     if m < 2:
         raise ParameterError(f"modulus must be >= 2, got {m}")
     if exp < 0:
         raise ParameterError(f"exponent must be non-negative, got {exp}")
-    result = 1 % m
-    acc = base % m
-    while exp:
-        if exp & 1:
-            result = result * acc % m
-        acc = acc * acc % m
-        exp >>= 1
-    return result
+    return pow(base, exp, m)
 
 
 def is_probable_prime(n: int) -> bool:

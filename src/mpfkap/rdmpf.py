@@ -29,7 +29,7 @@ from .core import (
     sample_matrix,
 )
 from .errors import DegenerateSetupError, ParameterError, ProtocolError, RestartRequired
-from .rmpf import mpf_double
+from .rmpf import double_action, mpf_double
 
 RESTART_CAP = 64
 
@@ -45,7 +45,8 @@ def rdmpf(xe: Matrix, w: Matrix, ye: Matrix, p: int, sigma: int = 1) -> Matrix:
 
     Q[i][j] = prod_{k,l} w[k][l] ** (sigma * xe[i][k] * ye[l][j] mod p-1),
     everything square of the same dimension.  Folding sigma into xe mod
-    p-1 leaves exactly the rmpf double action.
+    p-1 leaves exactly the rmpf double action.  This is the direct
+    reference; the protocol rounds run _round_action.
     """
     dim = w.rows
     for m in (xe, w, ye):
@@ -156,6 +157,12 @@ class RdmpfRoundPrivate:
     r: Matrix  # base_yv ** rand_r mod p-1
 
 
+def _round_action(priv: RdmpfRoundPrivate, w: Matrix, setup: RdmpfSetup) -> Matrix:
+    """rdmpf(priv.l, w, priv.r, p, sigma), evaluated by the factored kernel."""
+    xe = mat_scalar_mul_mod(setup.sigma, priv.l, setup.params.exp_modulus)
+    return double_action(xe, w, priv.r, setup.params.p)
+
+
 def round_keygen(
     setup: RdmpfSetup,
     rng: random.Random,
@@ -168,7 +175,6 @@ def round_keygen(
     after RESTART_CAP attempts the setup is declared degenerate.
     Explicit rand_l/rand_r replay a known transcript without restarts.
     """
-    p = setup.params.p
     em = setup.params.exp_modulus
     injected = rand_l is not None or rand_r is not None
     for _ in range(RESTART_CAP):
@@ -180,7 +186,7 @@ def round_keygen(
             mat_pow_mod(setup.base_xu, cur_l, em),
             mat_pow_mod(setup.base_yv, cur_r, em),
         )
-        token = rdmpf(priv.l, setup.w, priv.r, p, setup.sigma)
+        token = _round_action(priv, setup.w, setup)
         if injected or not token.has_zero_entry():
             return priv, token
     raise DegenerateSetupError(f"no zero-free token after {RESTART_CAP} draws")
@@ -197,7 +203,7 @@ def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> 
         raise ProtocolError("peer token modulus does not match the setup prime")
     if peer_token.has_zero_entry():
         raise RestartRequired("peer round token contains a zero entry")
-    return rdmpf(priv.l, peer_token, priv.r, setup.params.p, setup.sigma)
+    return _round_action(priv, peer_token, setup)
 
 
 @dataclass(frozen=True, slots=True)

@@ -119,7 +119,7 @@ class TcpTransport:
         try:
             header = _read_exact(conn, HEADER_LEN)
             length = int.from_bytes(header[6:10], "big")
-            data = header + _read_exact(conn, length)
+            data = bytes(header + _read_exact(conn, length))
         except socket.timeout as exc:
             raise TransportError("timed out waiting for a frame") from exc
         except OSError as exc:
@@ -137,13 +137,16 @@ class TcpTransport:
         self._listener = None
 
 
-def _read_exact(conn: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
-        if not chunk:
+def _read_exact(conn: socket.socket, n: int) -> bytearray:
+    """Fill an n-byte buffer in place, however the peer splits its sends."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = conn.recv_into(view[got:])
+        if not k:
             raise TransportError("connection closed mid-frame")
-        buf += chunk
+        got += k
     return buf
 
 

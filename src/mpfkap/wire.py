@@ -293,8 +293,11 @@ def generate_paramset(
     rounds: int | None = None,
     sigma: int = 1,
     seed: int | None = None,
-) -> ParamSet:
-    """Sample public matrices for the requested protocol and validate them."""
+) -> tuple[ParamSet, RmpfSetup | RdmpfSetup]:
+    """Sample public matrices for the requested protocol and validate them.
+
+    Returns the parameter set and the setup that validated it.
+    """
     params = FieldParams(p)
     if protocol == "rmpf":
         if rows is None or cols is None:
@@ -328,8 +331,7 @@ def generate_paramset(
         )
     else:
         raise ParameterError(f"unknown protocol {protocol!r}")
-    ps.build_setup()  # validate before anything gets written
-    return ps
+    return ps, ps.build_setup()
 
 
 def save_paramset(ps: ParamSet, path: str) -> tuple[str, str]:

@@ -219,6 +219,44 @@ class TestRoundOperations:
         with pytest.raises(DegenerateSetupError):
             round_keygen(setup, rng)
 
+    def test_rounds_match_oracle(self):
+        # token and key run the factored kernel with sigma folded into xe;
+        # sigma >= p-1 must wrap exactly as in the direct form
+        rng = random.Random(35)
+        for p in (65537, 2**64 - 59):
+            for dim in (2, 3, 4):
+                sigma = rng.randrange(p - 1, 3 * p)
+                setup = generate_setup(dim, p, 1000, 1, rng, sigma=sigma)
+                priv_a, token_a = round_keygen(setup, rng)
+                priv_b, token_b = round_keygen(setup, rng)
+                assert token_a.to_rows() == oracle_rdmpf(priv_a.l, setup.w, priv_a.r, p, sigma)
+                key = round_key(priv_a, token_b, setup)
+                assert key.to_rows() == oracle_rdmpf(priv_a.l, token_b, priv_a.r, p, sigma)
+                assert key == round_key(priv_b, token_a, setup)
+
+    def test_zero_in_w_rounds_match_oracle(self):
+        # a zero in w sends the token to the direct form.  These bases have
+        # powers mod 6 such as 2 and 3, whose product 0 mod 6 makes
+        # 0 ** (x*y) = 1 where the split form would give 0.
+        setup = RdmpfSetup(
+            FieldParams(7),
+            Matrix.from_rows(ZERO_W, 7),
+            Matrix.from_rows([[2, 3], [2, 3]], 7),
+            Matrix.from_rows([[3, 4], [3, 4]], 7),
+            exp_max=12,
+            rounds=1,
+        )
+        for l in range(1, 13):
+            for r in range(1, 13):
+                priv, token = round_keygen(setup, SeqRng([]), l, r)
+                assert token.to_rows() == oracle_rdmpf(priv.l, setup.w, priv.r, 7, 1)
+        # keys still agree when the tokens are zero-free
+        setup = zero_entry_setup()
+        priv_a, token_a = round_keygen(setup, SeqRng([]), 1, 2)
+        priv_b, token_b = round_keygen(setup, SeqRng([]), 5, 7)
+        assert not token_a.has_zero_entry() and not token_b.has_zero_entry()
+        assert round_key(priv_a, token_b, setup) == round_key(priv_b, token_a, setup)
+
     def test_private_commutation(self):
         # powers of a shared base commute mod p-1; this is what makes
         # the round keys agree

@@ -20,6 +20,7 @@ from mpfkap import (
     sample_matrix,
 )
 from mpfkap import known_answers as ka
+from mpfkap.rmpf import double_action
 
 
 def direct_double(xe, w, ye, p, r):
@@ -48,6 +49,12 @@ def rand_exponents(rows, cols, em, rng):
     return Matrix.from_rows(
         [[rng.randrange(em) for _ in range(cols)] for _ in range(rows)], em
     )
+
+
+def edge_exponents(rows, cols, p, rng):
+    """Exponents mod p-1 with the extreme entries 0 and p-2 mixed in."""
+    flat = [rng.choice((0, p - 2, rng.randrange(p - 1))) for _ in range(rows * cols)]
+    return Matrix(rows, cols, tuple(flat), p - 1)
 
 
 def rand_setup(rows, cols, p, rng):
@@ -152,6 +159,69 @@ class TestDoubleAction:
         x = rand_exponents(2, 2, 6, random.Random(1))
         with pytest.raises(ParameterError):
             mpf_double(x, w, x, 11)
+
+
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """Count the calls the factored kernel hands to the direct mpf_double."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return mpf_double(*args)
+
+    monkeypatch.setattr("mpfkap.rmpf.mpf_double", spy)
+    return calls
+
+
+KERNEL_PRIMES = (7, 65537, 2**64 - 59)
+KERNEL_SHAPES = ((1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (4, 2), (5, 3))
+
+
+class TestFactoredKernel:
+    def test_against_direct(self, direct_calls):
+        rng = random.Random(14)
+        for p in KERNEL_PRIMES:
+            for rows, cols in KERNEL_SHAPES:
+                for _ in range(12 if p == 7 else 3):
+                    w = sample_matrix(rows, cols, p, rng, mode="unit_entries")
+                    x = edge_exponents(rows, cols, p, rng)
+                    y = edge_exponents(rows, cols, p, rng)
+                    got = double_action(x, w, y, p)
+                    assert got.to_rows() == direct_double(x, w, y, p, cols)
+                    assert got == mpf_double(x, w, y, p)
+        assert not direct_calls
+
+    def test_zero_in_read_block_goes_direct(self, direct_calls):
+        # 0 ** (2*3 mod 6) is 1, but the split form gives (0 ** 3) ** 2 = 0
+        w = Matrix.from_rows([[0]], 7)
+        x = Matrix.from_rows([[2]], 6)
+        y = Matrix.from_rows([[3]], 6)
+        assert double_action(x, w, y, 7).to_rows() == [[1]]
+        rng = random.Random(15)
+        for p in KERNEL_PRIMES:
+            for rows, cols in KERNEL_SHAPES:
+                flat = list(sample_matrix(rows, cols, p, rng, mode="unit_entries").entries)
+                flat[rng.randrange(cols * cols)] = 0
+                w = Matrix(rows, cols, tuple(flat), p)
+                x = edge_exponents(rows, cols, p, rng)
+                y = edge_exponents(rows, cols, p, rng)
+                assert double_action(x, w, y, p).to_rows() == direct_double(x, w, y, p, cols)
+        assert len(direct_calls) == 1 + len(KERNEL_PRIMES) * len(KERNEL_SHAPES)
+
+    def test_zero_below_read_block_ignored(self, direct_calls):
+        rng = random.Random(16)
+        for p in KERNEL_PRIMES:
+            for rows, cols in ((2, 1), (4, 2), (5, 3)):
+                w = sample_matrix(rows, cols, p, rng, mode="unit_entries")
+                x = edge_exponents(rows, cols, p, rng)
+                y = edge_exponents(rows, cols, p, rng)
+                flat = list(w.entries)
+                flat[rng.randrange(cols * cols, rows * cols)] = 0
+                w_zero = Matrix(rows, cols, tuple(flat), p)
+                got = double_action(x, w_zero, y, p)
+                assert got == double_action(x, w, y, p) == mpf_double(x, w_zero, y, p)
+        assert not direct_calls
 
 
 class TestSetupValidation:

@@ -1,13 +1,15 @@
 import hashlib
 import socket
+import threading
+import time
 
 import pytest
 
 from conftest import run_cli, spawn_cli, write_known_rmpf_params
 from mpfkap import Matrix, TransportError
 from mpfkap import known_answers as ka
-from mpfkap.transport import open_transport
-from mpfkap.wire import encode_matrix, load_paramset
+from mpfkap.transport import TcpTransport, open_transport
+from mpfkap.wire import ParamSet, encode_frame, encode_matrix, load_paramset, save_paramset
 
 
 def free_port():
@@ -30,6 +32,46 @@ class TestTransportParsing:
     def test_missing_directory(self):
         with pytest.raises(TransportError):
             open_transport("file:/definitely/not/a/dir", "alice")
+
+
+class TestTcpFraming:
+    @staticmethod
+    def bob_and_peer():
+        bob = TcpTransport("127.0.0.1", 0, "bob", timeout=10)
+        peer = socket.create_connection(bob._listener.getsockname(), timeout=10)
+        peer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return bob, peer
+
+    def test_frame_in_one_byte_chunks(self):
+        payload = encode_matrix(Matrix.from_rows([[1, 2], [3, 4]], 7))
+        frame = encode_frame("token-list", payload)
+        bob, peer = self.bob_and_peer()
+
+        def drip():
+            for i in range(len(frame)):
+                peer.sendall(frame[i : i + 1])
+                time.sleep(0.002)
+
+        sender = threading.Thread(target=drip)
+        sender.start()
+        try:
+            assert bob.recv("token-list") == payload
+        finally:
+            sender.join(10)
+            peer.close()
+            bob.close()
+        assert not sender.is_alive()
+
+    def test_peer_closes_mid_payload(self):
+        frame = encode_frame("token-list", bytes(40))
+        bob, peer = self.bob_and_peer()
+        try:
+            peer.sendall(frame[:25])
+            peer.close()
+            with pytest.raises(TransportError, match="closed mid-frame"):
+                bob.recv("token-list")
+        finally:
+            bob.close()
 
 
 class TestSetupCommand:
@@ -155,6 +197,26 @@ class TestHandshakeCommand:
         a = (tmp_path / "a.key").read_bytes()
         assert a == (tmp_path / "b.key").read_bytes()
         assert len(a) == 64
+
+
+    def test_rdmpf_zero_in_w_agrees(self, tmp_path):
+        # a parameter file may carry a zero in w; the token action then
+        # takes the direct form, the key action the factored one
+        rows = {"w": [[1, 4], [4, 0]], "base_xu": [[6, 5], [6, 5]],
+                "base_yv": [[1, 5], [1, 5]]}
+        ps = ParamSet(protocol="rdmpf", p=7, dim=2, exp_max=12, rounds=2, seed=5,
+                      matrices={k: Matrix.from_rows(v, 7) for k, v in rows.items()})
+        params, _ = save_paramset(ps, str(tmp_path / "p.json"))
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        bob = spawn_cli(["handshake", "--role", "bob", "--params", params,
+                         "--transport", f"file:{xch}", "--out", str(tmp_path / "b.key"),
+                         "--test-mode"])
+        alice = run_cli(["handshake", "--role", "alice", "--params", params,
+                         "--transport", f"file:{xch}", "--out", str(tmp_path / "a.key"),
+                         "--test-mode"])
+        assert bob.wait(60) == 0 and alice.returncode == 0, alice.stderr
+        assert (tmp_path / "a.key").read_bytes() == (tmp_path / "b.key").read_bytes()
 
 
 class TestKemCommand:

@@ -98,7 +98,7 @@ class TestMatrixCodec:
 class TestParamSet:
     def test_rmpf_json_round_trip(self):
         rng = random.Random(52)
-        ps = generate_paramset("rmpf", 65537, rng, rows=5, cols=3, seed=11)
+        ps, _ = generate_paramset("rmpf", 65537, rng, rows=5, cols=3, seed=11)
         again = ParamSet.from_json(ps.to_json())
         assert again.protocol == "rmpf"
         assert again.p == 65537
@@ -107,7 +107,7 @@ class TestParamSet:
 
     def test_rdmpf_json_round_trip(self):
         rng = random.Random(53)
-        ps = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=500, rounds=2, sigma=5)
+        ps, _ = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=500, rounds=2, sigma=5)
         again = ParamSet.from_json(ps.to_json())
         assert (again.dim, again.exp_max, again.rounds, again.sigma) == (3, 500, 2, 5)
         assert again.matrices == ps.matrices
@@ -118,18 +118,18 @@ class TestParamSet:
             dict(rows=4, cols=2),
             dict(rows=4, cols=2, seed=3),
         ):
-            ps = generate_paramset("rmpf", 65537, rng, **kwargs)
+            ps, _ = generate_paramset("rmpf", 65537, rng, **kwargs)
             again = ParamSet.from_frame(ps.to_frame())
             assert again.matrices == ps.matrices
             assert again.seed == ps.seed
-        ps = generate_paramset("rdmpf", 997, rng, dim=3, exp_max=100, rounds=1)
+        ps, _ = generate_paramset("rdmpf", 997, rng, dim=3, exp_max=100, rounds=1)
         again = ParamSet.from_frame(ps.to_frame())
         assert again.matrices == ps.matrices
         assert (again.dim, again.exp_max, again.rounds, again.sigma) == (3, 100, 1, 1)
 
     def test_save_and_sniff_both_forms(self, tmp_path):
         rng = random.Random(55)
-        ps = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=500, rounds=1)
+        ps, _ = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=500, rounds=1)
         json_path, bin_path = save_paramset(ps, str(tmp_path / "params.json"))
         from_json = load_paramset(json_path)
         from_bin = load_paramset(bin_path)
@@ -144,8 +144,8 @@ class TestParamSet:
 
     def test_declared_dims_must_match_matrices(self):
         rng = random.Random(57)
-        rm = generate_paramset("rmpf", 65537, rng, rows=4, cols=2)
-        rd = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=100, rounds=1)
+        rm, _ = generate_paramset("rmpf", 65537, rng, rows=4, cols=2)
+        rd, _ = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=100, rounds=1)
         for ps, bad in ((rm, {"rows": 5}), (rm, {"cols": 3}), (rd, {"dim": 7})):
             ps = dataclasses.replace(ps, **bad)
             for loaded in (ParamSet.from_json(ps.to_json()), ParamSet.from_frame(ps.to_frame())):
