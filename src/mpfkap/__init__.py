@@ -21,12 +21,10 @@ from .core import (
     sample_matrix,
 )
 from .errors import (
-    DegenerateSetupError,
     FrameError,
     MpfKapError,
     ParameterError,
     ProtocolError,
-    RestartRequired,
     SerializationError,
     TransportError,
 )
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PRIME",
-    "DegenerateSetupError",
     "FieldParams",
     "FrameError",
     "KemContext",
@@ -82,7 +79,6 @@ __all__ = [
     "RdmpfRoundPrivate",
     "RdmpfSession",
     "RdmpfSetup",
-    "RestartRequired",
     "RmpfPrivate",
     "RmpfSession",
     "RmpfSetup",

@@ -81,9 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="where to write the agreed key")
     common.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     common.add_argument(
-        "--test-mode", action="store_true", help="deterministic seeding, allow --inject"
+        "--test-mode", action="store_true", help="deterministic seeding; handshake: allow --inject"
     )
-    common.add_argument(
+
+    p_hs = sub.add_parser("handshake", parents=[common], help="run one key agreement")
+    p_hs.add_argument(
         "--inject",
         action="append",
         default=[],
@@ -91,8 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inject private values (test mode only); rmpf: lambda=, omega=; "
         "rdmpf: rand_l=v1,v2,..., rand_r=v1,v2,...",
     )
-
-    p_hs = sub.add_parser("handshake", parents=[common], help="run one key agreement")
     p_hs.set_defaults(func=_cmd_handshake)
 
     p_kem = sub.add_parser("kem", parents=[common], help="run the KEM over rdmpf")
@@ -231,9 +231,6 @@ def _cmd_kem(args) -> int:
     if ps.protocol != "rdmpf":
         raise ParameterError("the KEM runs over rdmpf parameter sets")
     setup = ps.build_setup()
-    _parse_injections(args, ps.protocol)  # validates --inject gating; kem takes none
-    if args.inject:
-        raise ParameterError("the kem command does not accept injected privates")
     rng = _session_rng(args, ps)
     with open(args.eta0, "rb") as fh:
         eta0 = fh.read()

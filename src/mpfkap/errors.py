@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by every layer of the package."""
+"""Exception hierarchy shared by every layer of the package.
+
+Each class maps to one CLI exit code: ParameterError and
+SerializationError exit 2, ProtocolError and FrameError exit 3,
+TransportError exits 4.
+"""
 
 
 class MpfKapError(Exception):
@@ -6,28 +11,22 @@ class MpfKapError(Exception):
 
 
 class ParameterError(MpfKapError):
-    """Invalid dimensions, moduli, or other malformed inputs."""
+    """Invalid local inputs: dimensions, moduli, a setup with a zero entry,
+    or a setup that cannot be sampled.  Exit code 2."""
 
 
 class SerializationError(MpfKapError):
-    """A value does not fit the canonical 8-byte wire encoding."""
+    """A value does not fit the canonical 8-byte wire encoding.  Exit code 2."""
 
 
 class ProtocolError(MpfKapError):
-    """A protocol message or transcript violates the session contract."""
-
-
-class RestartRequired(ProtocolError):
-    """A degenerate (zero-containing) token was seen; the round must be redrawn."""
-
-
-class DegenerateSetupError(ProtocolError):
-    """Restart cap exceeded: the public setup cannot produce usable tokens."""
+    """A peer message or transcript violates the session contract, such as
+    a peer token of the wrong shape or with a zero entry.  Exit code 3."""
 
 
 class FrameError(ProtocolError):
-    """A wire frame failed to decode."""
+    """A wire frame failed to decode.  Exit code 3."""
 
 
 class TransportError(MpfKapError):
-    """The peer could not be reached or the exchange timed out."""
+    """The peer could not be reached or the exchange timed out.  Exit code 4."""

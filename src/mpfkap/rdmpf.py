@@ -1,11 +1,11 @@
 """Multi-round rank-deficient matrix power function (RDMPF) key agreement.
 
-Square matrices replace the rectangular setup: a full-rank nucleus W plus
-two public rank-deficient bases.  Per round, each party raises the bases
-to private exponents mod p-1 (powers of a common base commute, which is
-what makes the round keys agree) and exchanges the double action of the
-resulting pair on W.  Round keys are concatenated row-major and hashed
-with SHA3-512 into a 512-bit session key.
+Square matrices replace the rectangular setup: a full-rank, zero-free
+nucleus W plus two public rank-deficient bases.  Per round, each party
+raises the bases to private exponents mod p-1 (powers of a common base
+commute, which is what makes the round keys agree) and exchanges the
+double action of the resulting pair on W.  Round keys are concatenated
+row-major and hashed with SHA3-512 into a 512-bit session key.
 
 The whole exponent grid can be multiplied by a shared session constant
 sigma without breaking agreement; sigma = 1 is the plain protocol.
@@ -28,10 +28,8 @@ from .core import (
     rank_mod_p,
     sample_matrix,
 )
-from .errors import DegenerateSetupError, ParameterError, ProtocolError, RestartRequired
+from .errors import ParameterError, ProtocolError
 from .rmpf import double_action, mpf_double
-
-RESTART_CAP = 64
 
 # Short exponent probe used when sampling bases: reject a base whose power
 # cycle is trivially short (base**k comes straight back to the base).
@@ -78,6 +76,8 @@ class RdmpfSetup:
                 raise ParameterError(f"{name} must be {dim}x{dim}")
             if m.modulus != p:
                 raise ParameterError(f"{name} modulus {m.modulus} does not match p={p}")
+        if self.w.has_zero_entry():
+            raise ParameterError("w must have entries in [1, p-1]")
         if rank_mod_p(self.w, p) != dim:
             raise ParameterError("nucleus matrix w must have full rank over Z_p")
         for name, m in (("base_xu", self.base_xu), ("base_yv", self.base_yv)):
@@ -123,7 +123,7 @@ def sample_rank_deficient_base(
         if any(mat_pow_mod(cand, k, em) == reduced for k in _ORDER_PROBES):
             continue
         return cand
-    raise DegenerateSetupError(
+    raise ParameterError(
         f"no usable rank-deficient base found for dim={dim}, p={params.p}"
     )
 
@@ -171,25 +171,20 @@ def round_keygen(
 ) -> tuple[RdmpfRoundPrivate, Token]:
     """Draw one round's private pair and compute the public token.
 
-    A token containing a zero entry restarts the round with fresh draws;
-    after RESTART_CAP attempts the setup is declared degenerate.
-    Explicit rand_l/rand_r replay a known transcript without restarts.
+    Explicit rand_l/rand_r replay a known transcript.
     """
     em = setup.params.exp_modulus
-    injected = rand_l is not None or rand_r is not None
-    for _ in range(RESTART_CAP):
-        cur_l = rand_l if rand_l is not None else rng.randint(1, setup.exp_max)
-        cur_r = rand_r if rand_r is not None else rng.randint(1, setup.exp_max)
-        priv = RdmpfRoundPrivate(
-            cur_l,
-            cur_r,
-            mat_pow_mod(setup.base_xu, cur_l, em),
-            mat_pow_mod(setup.base_yv, cur_r, em),
-        )
-        token = _round_action(priv, setup.w, setup)
-        if injected or not token.has_zero_entry():
-            return priv, token
-    raise DegenerateSetupError(f"no zero-free token after {RESTART_CAP} draws")
+    if rand_l is None:
+        rand_l = rng.randint(1, setup.exp_max)
+    if rand_r is None:
+        rand_r = rng.randint(1, setup.exp_max)
+    priv = RdmpfRoundPrivate(
+        rand_l,
+        rand_r,
+        mat_pow_mod(setup.base_xu, rand_l, em),
+        mat_pow_mod(setup.base_yv, rand_r, em),
+    )
+    return priv, _round_action(priv, setup.w, setup)
 
 
 def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> Matrix:
@@ -202,7 +197,7 @@ def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> 
     if peer_token.modulus != setup.params.p:
         raise ProtocolError("peer token modulus does not match the setup prime")
     if peer_token.has_zero_entry():
-        raise RestartRequired("peer round token contains a zero entry")
+        raise ProtocolError("peer round token contains a zero entry")
     return _round_action(priv, peer_token, setup)
 
 

@@ -14,10 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .core import FieldParams, Matrix, mat_scalar_mul_mod, mod_pow
-from .errors import DegenerateSetupError, ParameterError, ProtocolError, RestartRequired
-
-# Redraw cap before a setup is declared unusable.
-RESTART_CAP = 64
+from .errors import ParameterError, ProtocolError
 
 Token = Matrix
 
@@ -122,13 +119,14 @@ def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
     n rows of w, the only rows the action reads; the left pass forms
     Q[i][j] = prod_k D[k][j] ** xe[i][k].  Splitting w ** (x*y) into
     (w ** y) ** x relies on Fermat reduction mod p-1, which holds for
-    units only, so a zero in the top n x n block of w (a parameter file
-    may carry one) goes to mpf_double.  D is a product of units and never
-    holds a zero.
+    units only, so a zero in the top n x n block of w is refused.  Both
+    setups are zero-free and peer tokens are checked, so protocol runs
+    never pass one.  The result is a product of units and never holds a
+    zero.
     """
     rows, cols = _check_double(xe, w, ye, p)
     if 0 in w.entries[: cols * cols]:
-        return mpf_double(xe, w, ye, p)
+        raise ParameterError("double_action needs a zero-free base block")
     em = p - 1
     ycols = [[ye.at(l, j) % em for l in range(cols)] for j in range(cols)]
     d = [[_power_product(w.row(k), yj, p) for yj in ycols] for k in range(cols)]
@@ -198,25 +196,21 @@ def keygen(
 ) -> tuple[RmpfPrivate, Token]:
     """Draw private scalars and produce the public token.
 
-    Explicit lam/omega values replay a known transcript and skip the
-    zero-token restart loop.
+    Explicit lam/omega values replay a known transcript.
     """
     p = setup.params.p
     em = setup.params.exp_modulus
-    injected = lam is not None or omega is not None
-    for _ in range(RESTART_CAP):
-        cur_lam = lam if lam is not None else rng.randrange(1, p - 1)
-        cur_omega = omega if omega is not None else rng.randrange(1, p - 1)
-        priv = RmpfPrivate(
-            cur_lam,
-            cur_omega,
-            mat_scalar_mul_mod(cur_lam, setup.x, em),
-            mat_scalar_mul_mod(cur_omega, setup.y, em),
-        )
-        token = double_action(priv.a, setup.base, priv.b, p)
-        if injected or not token.has_zero_entry():
-            return priv, token
-    raise DegenerateSetupError(f"no zero-free token after {RESTART_CAP} draws")
+    if lam is None:
+        lam = rng.randrange(1, p - 1)
+    if omega is None:
+        omega = rng.randrange(1, p - 1)
+    priv = RmpfPrivate(
+        lam,
+        omega,
+        mat_scalar_mul_mod(lam, setup.x, em),
+        mat_scalar_mul_mod(omega, setup.y, em),
+    )
+    return priv, double_action(priv.a, setup.base, priv.b, p)
 
 
 def derive_key(priv: RmpfPrivate, peer_token: Token, setup: RmpfSetup) -> Matrix:
@@ -229,7 +223,7 @@ def derive_key(priv: RmpfPrivate, peer_token: Token, setup: RmpfSetup) -> Matrix
     if peer_token.modulus != setup.params.p:
         raise ProtocolError("peer token modulus does not match the setup prime")
     if peer_token.has_zero_entry():
-        raise RestartRequired("peer token contains a zero entry; session must restart")
+        raise ProtocolError("peer token contains a zero entry")
     return double_action(priv.a, peer_token, priv.b, setup.params.p)
 
 

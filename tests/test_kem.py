@@ -196,6 +196,20 @@ class TestRoundTrip:
         with pytest.raises(ProtocolError):
             kem_decapsulate(state, truncated)
 
+    def test_zero_entry_in_close_a_rejected(self):
+        rng = random.Random(49)
+        setup = generate_setup(3, 65537, 500, 2, rng)
+        ctx = make_ctx(rng)
+        state, close_b = kem_initiate(ctx, setup, random.Random(1))
+        _, msg = kem_encapsulate(ctx, setup, close_b, random.Random(2))
+        bound = bytes(a ^ b for a, b in zip(ctx.auth_pair, msg.eta_m))
+        keystream = mask_stream(ctx.eta0, bound, len(msg.close_a))
+        plain = bytearray(a ^ b for a, b in zip(msg.close_a, keystream))
+        plain[8 * 13 : 8 * 14] = bytes(8)  # second round token, entry (1, 1)
+        close_a = bytes(a ^ b for a, b in zip(plain, keystream))
+        with pytest.raises(ProtocolError, match="zero"):
+            kem_decapsulate(state, KemMessage(msg.encap, close_a, msg.eta_m))
+
     def test_tampered_close_b_breaks_agreement(self):
         rng = random.Random(47)
         setup = generate_setup(3, 65537, 500, 1, rng)

@@ -118,6 +118,15 @@ class TestSetupCommand:
             bin_bytes = (tmp_path / f"{protocol}.bin").read_bytes()
             assert hashlib.sha256(bin_bytes).hexdigest() == bin_sha
 
+    def test_unsamplable_base_is_parameter_error(self, tmp_path):
+        # at dim 2, p=5 no sampled base passes the order screens; no peer
+        # is involved, so this is a parameter error, not a protocol error
+        r = run_cli(["setup", "--protocol", "rdmpf", "--dim", "2", "--p", "5",
+                     "--rounds", "1", "--exp-max", "10", "--seed", "1",
+                     "--out", str(tmp_path / "p.json")])
+        assert r.returncode == 2
+        assert "parameter error: no usable rank-deficient base" in r.stderr
+
     def test_setup_loadable(self, tmp_path):
         out = tmp_path / "p.json"
         r = run_cli(["setup", "--protocol", "rdmpf", "--dim", "3", "--rounds", "2",
@@ -200,8 +209,8 @@ class TestHandshakeCommand:
 
 
     def test_rdmpf_zero_in_w_agrees(self, tmp_path):
-        # a parameter file may carry a zero in w; the token action then
-        # takes the direct form, the key action the factored one
+        # a parameter file with a zero in w is refused at load, on both
+        # sides, before the transport opens: no frame reaches the directory
         rows = {"w": [[1, 4], [4, 0]], "base_xu": [[6, 5], [6, 5]],
                 "base_yv": [[1, 5], [1, 5]]}
         ps = ParamSet(protocol="rdmpf", p=7, dim=2, exp_max=12, rounds=2, seed=5,
@@ -209,14 +218,13 @@ class TestHandshakeCommand:
         params, _ = save_paramset(ps, str(tmp_path / "p.json"))
         xch = tmp_path / "xch"
         xch.mkdir()
-        bob = spawn_cli(["handshake", "--role", "bob", "--params", params,
-                         "--transport", f"file:{xch}", "--out", str(tmp_path / "b.key"),
-                         "--test-mode"])
-        alice = run_cli(["handshake", "--role", "alice", "--params", params,
-                         "--transport", f"file:{xch}", "--out", str(tmp_path / "a.key"),
-                         "--test-mode"])
-        assert bob.wait(60) == 0 and alice.returncode == 0, alice.stderr
-        assert (tmp_path / "a.key").read_bytes() == (tmp_path / "b.key").read_bytes()
+        for role in ("bob", "alice"):
+            r = run_cli(["handshake", "--role", role, "--params", params,
+                         "--transport", f"file:{xch}", "--out", str(tmp_path / f"{role}.key"),
+                         "--test-mode", "--timeout", "5"])
+            assert r.returncode == 2, (role, r.stderr)
+            assert "w must have entries" in r.stderr
+        assert not any(xch.iterdir())
 
 
 class TestKemCommand:
@@ -275,6 +283,15 @@ class TestKemCommand:
                      "--transport", f"file:{xch}", "--out", str(tmp_path / "k"),
                      "--test-mode"])
         assert r.returncode == 2
+
+    def test_kem_has_no_inject_option(self, tmp_path):
+        params, eta0 = self._setup_files(tmp_path)
+        r = run_cli(["kem", "--role", "alice", "--params", str(params),
+                     "--eta0", str(eta0), "--auth-a", "a", "--auth-b", "b",
+                     "--transport", f"file:{tmp_path}", "--out", str(tmp_path / "k"),
+                     "--test-mode", "--inject", "rand_l=1"])
+        assert r.returncode == 2
+        assert "unrecognized arguments: --inject" in r.stderr
 
     def test_kem_requires_rdmpf_params(self, tmp_path):
         params, _ = write_known_rmpf_params(tmp_path / "params.json")

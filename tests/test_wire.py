@@ -152,6 +152,17 @@ class TestParamSet:
                 with pytest.raises(ParameterError, match="declares"):
                     loaded.build_setup()
 
+    def test_zero_in_w_refused_at_load(self):
+        rng = random.Random(58)
+        ps, _ = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=100, rounds=1)
+        flat = list(ps.matrices["w"].entries)
+        flat[4] = 0
+        w = Matrix(3, 3, tuple(flat), 65537)
+        ps = dataclasses.replace(ps, matrices={**ps.matrices, "w": w})
+        for loaded in (ParamSet.from_json(ps.to_json()), ParamSet.from_frame(ps.to_frame())):
+            with pytest.raises(ParameterError, match="w must have entries"):
+                loaded.build_setup()
+
     def test_bad_json_rejected(self):
         with pytest.raises(ParameterError):
             ParamSet.from_json("{not json")
