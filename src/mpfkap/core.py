@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ParameterError, SerializationError
@@ -166,35 +167,76 @@ def mat_scalar_mul_mod(s: int, m: Matrix, modulus: int) -> Matrix:
     return Matrix(m.rows, m.cols, flat, modulus)
 
 
+def mul_rows_mod(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int
+) -> list[list[int]]:
+    """Rows of A·B mod modulus, for entries of A and B already in [0, modulus).
+
+    The only matrix-product kernel.  Each row of B is packed into one
+    integer with fixed-width slots, so row i of the product is a sum of
+    len(b) scalar-times-packed-row products, unpacked slot by slot and
+    reduced once.  A slot of 2·bitlen(modulus-1) + bitlen(len(b)) bits
+    holds len(b)·(modulus-1)^2 without carrying into the next slot; an
+    unreduced entry could overflow it silently.
+    """
+    width = 2 * (modulus - 1).bit_length() + len(b).bit_length()
+    mask = (1 << width) - 1
+    packed = []
+    for row in b:
+        acc = 0
+        for e in reversed(row):
+            acc = acc << width | e
+        packed.append(acc)
+    shifts = range(0, width * len(b[0]), width)
+    return [
+        [(s >> k & mask) % modulus for k in shifts]
+        for s in (sum(map(mul, row, packed)) for row in a)
+    ]
+
+
+def _reduced_rows(m: Matrix, modulus: int) -> list[list[int]]:
+    return [[e % modulus for e in m.row(i)] for i in range(m.rows)]
+
+
+def _from_product_rows(rows: list[list[int]], modulus: int) -> Matrix:
+    return Matrix(len(rows), len(rows[0]), tuple(e for r in rows for e in r), modulus)
+
+
 def mat_mul_mod(a: Matrix, b: Matrix, modulus: int) -> Matrix:
     """Conventional matrix product with entries reduced mod modulus."""
     if a.cols != b.rows:
         raise ParameterError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    arows = a.to_rows()
-    bcols = [[b.at(k, j) for k in range(b.rows)] for j in range(b.cols)]
-    flat = []
-    for ar in arows:
-        for bc in bcols:
-            flat.append(sum(x * y for x, y in zip(ar, bc)) % modulus)
-    return Matrix(a.rows, b.cols, tuple(flat), modulus)
+    rows = mul_rows_mod(_reduced_rows(a, modulus), _reduced_rows(b, modulus), modulus)
+    return _from_product_rows(rows, modulus)
 
 
 def mat_pow_mod(m: Matrix, e: int, modulus: int) -> Matrix:
-    """M**e mod modulus by square-and-multiply; e = 0 gives the identity."""
+    """M**e mod modulus by square-and-multiply; e = 0 gives the identity.
+
+    Right to left over the bits of e, starting at the lowest set bit and
+    stopping before the last squaring: bitlen(e) - 1 squarings and
+    popcount(e) - 1 multiplications, all on row lists.
+    """
     if not m.is_square:
         raise ParameterError(f"matrix power needs a square matrix, got {m.rows}x{m.cols}")
     if e < 0:
         raise ParameterError(f"exponent must be non-negative, got {e}")
-    result = Matrix.identity(m.rows, modulus)
-    acc = m if m.modulus == modulus else Matrix.from_rows(m.to_rows(), modulus)
-    while e:
-        if e & 1:
-            result = mat_mul_mod(result, acc, modulus)
-        acc = mat_mul_mod(acc, acc, modulus)
+    if e == 0:
+        return Matrix.identity(m.rows, modulus)
+    acc = _reduced_rows(m, modulus)
+    while not e & 1:
+        acc = mul_rows_mod(acc, acc, modulus)
         e >>= 1
-    return result
+    result = acc
+    e >>= 1
+    while e:
+        acc = mul_rows_mod(acc, acc, modulus)
+        if e & 1:
+            result = mul_rows_mod(result, acc, modulus)
+        e >>= 1
+    return _from_product_rows(result, modulus)
 
 
 def rank_mod_p(m: Matrix, p: int) -> int:

@@ -25,6 +25,7 @@ from .core import (
     mat_pow_mod,
     mat_scalar_mul_mod,
     matrix_values,
+    mul_rows_mod,
     rank_mod_p,
     sample_matrix,
 )
@@ -34,6 +35,9 @@ from .rmpf import double_action, mpf_double
 # Short exponent probe used when sampling bases: reject a base whose power
 # cycle is trivially short (base**k comes straight back to the base).
 _ORDER_PROBES = (2, 3, 5, 9, 17)
+# One addition chain 1, 2, 3, 5, 8, 9, 17 through every probe: step
+# (k, i, j) forms base**k = base**i · base**j, 6 products in all.
+_PROBE_CHAIN = ((2, 1, 1), (3, 2, 1), (5, 3, 2), (8, 5, 3), (9, 8, 1), (17, 9, 8))
 
 Token = Matrix
 
@@ -101,6 +105,14 @@ class RdmpfSetup:
         return out
 
 
+def _has_short_cycle(base: Matrix, em: int) -> bool:
+    """Whether base**k == base mod em for some k in _ORDER_PROBES."""
+    powers = {1: [[e % em for e in base.row(i)] for i in range(base.rows)]}
+    for k, i, j in _PROBE_CHAIN:
+        powers[k] = mul_rows_mod(powers[i], powers[j], em)
+    return any(powers[k] == powers[1] for k in _ORDER_PROBES)
+
+
 def sample_rank_deficient_base(
     dim: int, params: FieldParams, rng: random.Random
 ) -> Matrix:
@@ -113,14 +125,12 @@ def sample_rank_deficient_base(
     to the zero matrix and every token degenerates to all-ones.  By
     Cayley-Hamilton, base**dim mod 2 vanishing detects exactly that.
     """
-    em = params.exp_modulus
     zero_mod2 = Matrix.zeros(dim, dim, 2)
     for _ in range(4096):
         cand = sample_matrix(dim, dim, params.p, rng, mode="rank_deficient")
         if mat_pow_mod(cand, dim, 2) == zero_mod2:
             continue
-        reduced = Matrix.from_rows(cand.to_rows(), em)
-        if any(mat_pow_mod(cand, k, em) == reduced for k in _ORDER_PROBES):
+        if _has_short_cycle(cand, params.exp_modulus):
             continue
         return cand
     raise ParameterError(

@@ -18,7 +18,40 @@ from mpfkap import (
     rank_mod_p,
     sample_matrix,
 )
+from mpfkap import core
 from mpfkap import known_answers as ka
+
+
+def naive_mul(a, b, m):
+    # oracle: textbook triple loop over nested lists, one reduction per entry
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) % m for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def naive_pow(a, e, m):
+    # oracle: left-to-right square-and-multiply over naive_mul
+    result = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    for bit in bin(e)[2:]:
+        result = naive_mul(result, result, m)
+        if bit == "1":
+            result = naive_mul(result, a, m)
+    return result
+
+
+@pytest.fixture
+def product_count(monkeypatch):
+    # counts calls into the single product kernel
+    calls = []
+    kernel = core.mul_rows_mod
+
+    def counted(a, b, modulus):
+        calls.append(modulus)
+        return kernel(a, b, modulus)
+
+    monkeypatch.setattr(core, "mul_rows_mod", counted)
+    return calls
 
 
 def slow_pow(base, exp, m):
@@ -152,6 +185,54 @@ class TestMatMul:
         with pytest.raises(ParameterError):
             mat_mul_mod(a, a, 5)
 
+    # moduli around the slot-width steps: 1 bit, 3 bits, 2^16 either side
+    # of a bit-length change, and both sides of 2^64-59 (the wire floor)
+    MODULI = (2, 7, 65536, 65537, 2**64 - 60, 2**64 - 59)
+    SHAPES = ((1, 1, 1), (2, 2, 2), (8, 8, 8), (96, 8, 5))
+
+    @pytest.mark.parametrize("m", MODULI)
+    def test_against_triple_loop(self, m):
+        rng = random.Random(m)
+        for rows, inner, cols in self.SHAPES:
+            a = [[rng.randrange(m) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randrange(m) for _ in range(cols)] for _ in range(inner)]
+            got = mat_mul_mod(Matrix.from_rows(a, m), Matrix.from_rows(b, m), m)
+            assert got.to_rows() == naive_mul(a, b, m)
+
+    @pytest.mark.parametrize("m", MODULI)
+    def test_largest_entries(self, m):
+        # every entry m-1 puts the most carry into each packed slot
+        for rows, inner, cols in self.SHAPES:
+            a = Matrix.from_rows([[m - 1] * inner] * rows, m)
+            b = Matrix.from_rows([[m - 1] * cols] * inner, m)
+            assert mat_mul_mod(a, b, m).to_rows() == naive_mul(a.to_rows(), b.to_rows(), m)
+
+    def test_dim_100_at_floor_prime(self):
+        m = 2**64 - 59
+        rng = random.Random(100)
+        a = [[rng.randrange(m) for _ in range(100)] for _ in range(100)]
+        top = [[m - 1] * 100 for _ in range(100)]
+        got = mat_mul_mod(Matrix.from_rows(a, m), Matrix.from_rows(top, m), m)
+        assert got.to_rows() == naive_mul(a, top, m)
+
+    def test_operands_reduced_to_target_modulus(self):
+        # unreduced mod-7 entries overflow the 5-bit mod-2 slots: packing
+        # this matrix as is squares to wrong rows 3 and 4
+        a = Matrix.from_rows([[1, 0, 0, 1], [0, 1, 1, 0], [3, 4, 5, 6], [6, 5, 4, 3]], 7)
+        expected = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
+        assert mat_mul_mod(a, a, 2).to_rows() == expected
+        assert mat_pow_mod(a, 2, 2).to_rows() == expected
+
+    @pytest.mark.parametrize("source, target", [(2**64 - 59, 2**64 - 60), (65537, 2), (2**64 - 59, 7)])
+    def test_larger_source_modulus(self, source, target):
+        rng = random.Random(source ^ target)
+        for rows, inner, cols in self.SHAPES:
+            a = sample_matrix(rows, inner, source, rng)
+            b = sample_matrix(inner, cols, source, rng)
+            got = mat_mul_mod(a, b, target)
+            assert got.modulus == target
+            assert got.to_rows() == naive_mul(a.to_rows(), b.to_rows(), target)
+
 
 class TestMatPow:
     def test_first_power(self):
@@ -183,6 +264,44 @@ class TestMatPow:
             for _ in range(e):
                 expected = mat_mul_mod(expected, m, 11)
             assert mat_pow_mod(m, e, 11) == expected
+
+    @pytest.mark.parametrize("m", [7, 65536, 2**64 - 60])
+    def test_against_repeated_multiplication(self, m):
+        rng = random.Random(m)
+        a = sample_matrix(3, 3, m, rng)
+        expected = Matrix.identity(3, m)
+        for e in range(41):
+            assert mat_pow_mod(a, e, m) == expected
+            expected = Matrix.from_rows(naive_mul(expected.to_rows(), a.to_rows(), m), m)
+
+    def test_63_bit_exponent(self):
+        m = 2**64 - 60
+        a = sample_matrix(4, 4, m, random.Random(63))
+        e = (1 << 62) + 0x1234_5678_9ABC_DEF1
+        assert e.bit_length() == 63
+        assert mat_pow_mod(a, e, m).to_rows() == naive_pow(a.to_rows(), e, m)
+
+    @pytest.mark.parametrize("target", [2**64 - 60, 2])
+    def test_source_modulus_differs(self, target):
+        # a base sampled mod p, raised mod p-1 (private powers) and mod 2
+        # (the nilpotency screen)
+        a = sample_matrix(5, 5, 2**64 - 59, random.Random(target))
+        for e in (1, 2, 5, 40, 2**63 - 25):
+            got = mat_pow_mod(a, e, target)
+            assert got.modulus == target
+            assert got.to_rows() == naive_pow(a.to_rows(), e, target)
+
+    def test_product_count(self, product_count):
+        # bitlen(e)-1 squarings and popcount(e)-1 multiplications: no
+        # product with the identity and no unused last squaring
+        a = sample_matrix(2, 2, 65537, random.Random(1))
+        for e in [*range(1, 41), (1 << 62) + 0x1234_5678_9ABC_DEF1]:
+            product_count.clear()
+            mat_pow_mod(a, e, 65536)
+            assert len(product_count) == e.bit_length() - 1 + bin(e).count("1") - 1
+        product_count.clear()
+        assert mat_pow_mod(a, 0, 65536) == Matrix.identity(2, 65536)
+        assert product_count == []
 
     def test_powers_of_common_base_commute(self):
         rng = random.Random(8)

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -21,6 +22,9 @@ from mpfkap import (
     session_digest,
 )
 from mpfkap import known_answers as ka
+
+# the package re-exports the function rdmpf under the submodule's name
+rdmpf_module = importlib.import_module("mpfkap.rdmpf")
 
 
 class SeqRng:
@@ -168,6 +172,70 @@ class TestSetupValidation:
     def test_floor_warnings(self):
         warnings = ka.rdmpf_setup().floor_warnings()
         assert len(warnings) == 2
+
+
+def cycle_matrix(length, dim, modulus):
+    """Permutation matrix of one length-cycle: M**k == M iff k = 1 mod length."""
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][(i + 1) % length if i < length else i] = 1
+    return Matrix.from_rows(rows, modulus)
+
+
+def separate_probes(cand, em):
+    # the decision as five independent matrix powers
+    reduced = Matrix.from_rows(cand.to_rows(), em)
+    return any(mat_pow_mod(cand, k, em) == reduced for k in rdmpf_module._ORDER_PROBES)
+
+
+class TestBaseProbe:
+    def test_chain_reaches_every_probe(self):
+        reached = {1}
+        for k, i, j in rdmpf_module._PROBE_CHAIN:
+            assert k == i + j and i in reached and j in reached
+            reached.add(k)
+        assert set(rdmpf_module._ORDER_PROBES) <= reached
+        assert len(rdmpf_module._PROBE_CHAIN) == 6
+
+    def test_matches_separate_powers(self):
+        # small primes reject about a third of the candidates, so both
+        # decisions are compared
+        rng = random.Random(36)
+        decisions = []
+        for p in (5, 7, 11, 13, 65537, 2**64 - 59):
+            for _ in range(40):
+                dim = rng.randrange(2, 6)
+                cand = sample_matrix(dim, dim, p, rng, mode="rank_deficient")
+                expected = separate_probes(cand, p - 1)
+                assert rdmpf_module._has_short_cycle(cand, p - 1) == expected
+                decisions.append(expected)
+        assert len(decisions) >= 200
+        assert 0 < sum(decisions) < len(decisions)
+
+    @pytest.mark.parametrize("length, first_probe", [(2, 3), (4, 5), (8, 9), (16, 17), (3, None)])
+    def test_constructed_cycles(self, length, first_probe):
+        # a 3-cycle returns at powers 4, 7, 10, ...: no probe catches it
+        m = cycle_matrix(length, 17, 65537)
+        reduced = Matrix.from_rows(m.to_rows(), 65536)
+        hits = [k for k in rdmpf_module._ORDER_PROBES if mat_pow_mod(m, k, 65536) == reduced]
+        assert hits[:1] == ([first_probe] if first_probe else [])
+        assert rdmpf_module._has_short_cycle(m, 65536) == bool(first_probe)
+
+    def test_idempotent_projection(self):
+        # zero-free, duplicate rows, and P**2 = P mod 6
+        m = Matrix.from_rows([[3, 4], [3, 4]], 7)
+        assert mat_pow_mod(m, 2, 6) == Matrix.from_rows(m.to_rows(), 6)
+        assert rdmpf_module._has_short_cycle(m, 6)
+        assert separate_probes(m, 6)
+
+    def test_sampler_skips_short_cycles(self, monkeypatch):
+        # a permutation passes the mod-2 screen, so only the probe rejects it
+        good = Matrix.from_rows([[1, 2, 3], [1, 2, 3], [4, 5, 6]], 65537)
+        queue = [cycle_matrix(2, 3, 65537), good]
+        monkeypatch.setattr(rdmpf_module, "sample_matrix", lambda *a, **k: queue.pop(0))
+        assert not separate_probes(good, 65536)
+        assert rdmpf_module.sample_rank_deficient_base(3, FieldParams(65537), None) == good
+        assert queue == []
 
 
 class TestRoundOperations:

@@ -100,22 +100,28 @@ class TestSetupCommand:
 
     def test_setup_bytes_pinned(self, tmp_path):
         # SHA-256 of both output files for fixed seeds: setup sampling and
-        # both parameter-file formats must not drift
+        # both parameter-file formats must not drift, at a 17-bit prime
+        # and at the 64-bit wire floor
         pinned = {
-            "rmpf": (["--rows", "5", "--cols", "3", "--seed", "123"],
+            "rmpf": (["--protocol", "rmpf", "--p", "65537",
+                      "--rows", "5", "--cols", "3", "--seed", "123"],
                      "bd4ae03409fc51c50f4a1bb6ca56e55144fd0df020c3efdaaf793875231bab6d",
                      "c704accbb9fbb9f891fc230d86ef96e32f5cc1e1c0cf175de4681c03611ffdce"),
-            "rdmpf": (["--dim", "3", "--rounds", "2", "--seed", "4"],
+            "rdmpf": (["--protocol", "rdmpf", "--p", "65537",
+                       "--dim", "3", "--rounds", "2", "--seed", "4"],
                       "35b4bb3975a650e82bbb2e115b49b40cb2df18141e347fd6914065f65f8ad8a9",
                       "a6593a8dfc2b3803be2c28e5b25be5f187c55e199f8b212cc2d8ce66e4fc5fa2"),
+            "rdmpf-floor-prime": (["--protocol", "rdmpf", "--p", str(2**64 - 59),
+                                   "--dim", "24", "--rounds", "2", "--seed", "7"],
+                                  "499b773ec7c6f4c5e04cb237c34f2d0806fc6c3475e1a1e950ff0c6e068f2c00",
+                                  "aa22b2d0fdcf2509f15a3eab33c3e83d54477f4b4eba7da22bb01b29f4dae5bd"),
         }
-        for protocol, (args, json_sha, bin_sha) in pinned.items():
-            out = tmp_path / f"{protocol}.json"
-            r = run_cli(["setup", "--protocol", protocol, "--p", "65537", *args,
-                         "--out", str(out)])
+        for name, (args, json_sha, bin_sha) in pinned.items():
+            out = tmp_path / f"{name}.json"
+            r = run_cli(["setup", *args, "--out", str(out)])
             assert r.returncode == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
-            bin_bytes = (tmp_path / f"{protocol}.bin").read_bytes()
+            bin_bytes = (tmp_path / f"{name}.bin").read_bytes()
             assert hashlib.sha256(bin_bytes).hexdigest() == bin_sha
 
     def test_unsamplable_base_is_parameter_error(self, tmp_path):
