@@ -7,7 +7,6 @@ format plus CLI that let two processes run either protocol end to end.
 """
 
 from .core import (
-    DEFAULT_PRIME,
     FieldParams,
     Matrix,
     canonical_bytes,
@@ -16,7 +15,6 @@ from .core import (
     mat_pow_mod,
     mat_scalar_mul_mod,
     matrix_values,
-    mod_pow,
     rank_mod_p,
     sample_matrix,
 )
@@ -47,7 +45,6 @@ from .rdmpf import (
     SessionTranscript,
     generate_setup,
     parse_token_list,
-    rdmpf,
     round_key,
     round_keygen,
     session_digest,
@@ -66,7 +63,6 @@ from .rmpf import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_PRIME",
     "FieldParams",
     "FrameError",
     "KemContext",
@@ -101,13 +97,11 @@ __all__ = [
     "mat_pow_mod",
     "mat_scalar_mul_mod",
     "matrix_values",
-    "mod_pow",
     "mpf_double",
     "mpf_left",
     "mpf_right",
     "parse_token_list",
     "rank_mod_p",
-    "rdmpf",
     "round_key",
     "round_keygen",
     "sample_matrix",

@@ -1,14 +1,15 @@
 """Parameter-sensitivity harness for the rank-deficient double action.
 
 Each grid point times single rdmpf evaluations (setup sampling and the
-private matrix powers stay outside the timed region) and reports means
-plus ratios against a designated baseline point.  Absolute numbers are
-hardware-bound; only the ratios are meaningful.
+private matrix powers stay outside the timed region) and reports the
+median over trials plus ratios against a designated baseline point.
+Absolute numbers are hardware-bound; only the ratios are meaningful.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,18 +33,18 @@ REPORT_HEADER = (
 
 @dataclass(frozen=True, slots=True)
 class BenchRecord:
-    """Mean seconds for one evaluation at one parameter point."""
+    """Median seconds for one evaluation at one parameter point."""
 
     dim: int
     p: int
     exp_max: int
     trials: int
-    mean_s: float
+    median_s: float
 
     def __post_init__(self) -> None:
         if self.trials < 10:
             raise ParameterError(f"need at least 10 trials, got {self.trials}")
-        if self.mean_s <= 0:
+        if self.median_s <= 0:
             raise ParameterError("timings must be positive")
 
     @property
@@ -63,7 +64,7 @@ class _Workload:
         self.xe = mat_pow_mod(setup.base_xu, rng.randint(1, exp_max), em)
         self.ye = mat_pow_mod(setup.base_yv, rng.randint(1, exp_max), em)
         self.samples: list[float] = []
-        # warm-up, excluded from the mean; also sizes the per-trial
+        # warm-up, excluded from the median; also sizes the per-trial
         # repeat count so short evaluations are not lost in timer noise
         once = self._run(1)
         self.inner = max(1, int(_MIN_TRIAL_SECONDS / once) + 1) if once < _MIN_TRIAL_SECONDS else 1
@@ -87,7 +88,9 @@ def bench_rdmpf(
 
     Trials are interleaved across the grid (round-robin sweeps,
     alternating direction) so clock-speed drift over the run biases
-    every point equally and cancels out of the ratios.
+    every point equally and cancels out of the ratios.  Each point
+    reports its median trial, so one descheduled trial cannot move a
+    ratio the way it moves a mean.
     """
     if not points:
         raise ParameterError("benchmark grid is empty")
@@ -99,7 +102,7 @@ def bench_rdmpf(
         for wl in ordered:
             wl.trial()
     return [
-        BenchRecord(*wl.point, trials, sum(wl.samples) / trials) for wl in workloads
+        BenchRecord(*wl.point, trials, statistics.median(wl.samples)) for wl in workloads
     ]
 
 
@@ -107,7 +110,7 @@ def ratios_vs_baseline(
     records: Sequence[BenchRecord],
     baseline: tuple[int, int, int] | None = None,
 ) -> dict[tuple[int, int, int], float]:
-    """Per-point mean divided by the baseline point's mean."""
+    """Per-point median divided by the baseline point's median."""
     if not records:
         raise ParameterError("no benchmark records")
     if baseline is None:
@@ -116,7 +119,7 @@ def ratios_vs_baseline(
         base = next((r for r in records if r.point == baseline), None)
         if base is None:
             raise ParameterError(f"baseline row {baseline} missing from the records")
-    return {r.point: r.mean_s / base.mean_s for r in records}
+    return {r.point: r.median_s / base.median_s for r in records}
 
 
 def bench_report(
@@ -125,10 +128,10 @@ def bench_report(
 ) -> tuple[str, str]:
     """Render (csv_text, summary_text) with ratios against the baseline."""
     ratios = ratios_vs_baseline(records, baseline)
-    lines = ["dim,p,expMax,trials,mean_s,ratio_vs_baseline"]
+    lines = ["dim,p,expMax,trials,median_s,ratio_vs_baseline"]
     for r in records:
         lines.append(
-            f"{r.dim},{r.p},{r.exp_max},{r.trials},{r.mean_s:.6g},{ratios[r.point]:.4g}"
+            f"{r.dim},{r.p},{r.exp_max},{r.trials},{r.median_s:.6g},{ratios[r.point]:.4g}"
         )
     csv_text = "\n".join(lines) + "\n"
 
@@ -136,7 +139,7 @@ def bench_report(
     summary = [REPORT_HEADER, f"baseline point: dim={base_point[0]} p={base_point[1]} expMax={base_point[2]}"]
     for r in records:
         summary.append(
-            f"dim={r.dim} p={r.p} expMax={r.exp_max}: mean {r.mean_s * 1e3:.3f} ms "
+            f"dim={r.dim} p={r.p} expMax={r.exp_max}: median {r.median_s * 1e3:.3f} ms "
             f"over {r.trials} trials, ratio {ratios[r.point]:.3g}"
         )
     return csv_text, "\n".join(summary) + "\n"

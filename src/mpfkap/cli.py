@@ -14,7 +14,6 @@ import os
 import random
 import sys
 
-from . import bench as bench_mod
 from . import known_answers
 from .errors import (
     ParameterError,
@@ -278,6 +277,7 @@ def _report_error(transport, exc: Exception) -> None:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod  # only this command pays for its imports
     if args.point:
         points = []
         for spec in args.point:

@@ -16,8 +16,6 @@ from typing import Iterable, Sequence
 
 from .errors import ParameterError, SerializationError
 
-DEFAULT_PRIME = 65537
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 # Deterministic for n < 3.3e24; extra random rounds push the error
@@ -26,19 +24,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_RANDOM_ROUNDS = 40
 
 _sysrand = random.SystemRandom()
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m by builtin pow.  0**0 is defined as 1.
-
-    The guard rejects what builtin pow would accept with another meaning:
-    a negative exponent (a modular inverse) and a modulus below 2.
-    """
-    if m < 2:
-        raise ParameterError(f"modulus must be >= 2, got {m}")
-    if exp < 0:
-        raise ParameterError(f"exponent must be non-negative, got {exp}")
-    return pow(base, exp, m)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -57,7 +42,7 @@ def is_probable_prime(n: int) -> bool:
         s += 1
 
     def witness(a: int) -> bool:
-        x = mod_pow(a, d, n)
+        x = pow(a, d, n)
         if x in (1, n - 1):
             return False
         for _ in range(s - 1):
@@ -250,7 +235,7 @@ def rank_mod_p(m: Matrix, p: int) -> int:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = mod_pow(work[rank][col], p - 2, p)
+        inv = pow(work[rank][col], p - 2, p)
         for i in range(rank + 1, m.rows):
             if work[i][col]:
                 f = work[i][col] * inv % p

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import FieldParams, Matrix, mat_scalar_mul_mod, mod_pow
+from .core import FieldParams, Matrix, mat_scalar_mul_mod
 from .errors import ParameterError, ProtocolError
 
 Token = Matrix
@@ -29,44 +29,49 @@ def _check_same_shape(*mats: Matrix) -> tuple[int, int]:
     return rows, cols
 
 
-def mpf_left(xe: Matrix, w: Matrix) -> Matrix:
-    """Left exponential action: C[i][j] = prod_k w[k][j] ** xe[i][k] mod p.
+def _power_product(bases, exps, p: int) -> int:
+    acc = 1
+    for b, e in zip(bases, exps):
+        acc = acc * pow(b, e, p) % p
+    return acc
 
-    The product index k runs over the column count.  Exponent entries are
-    taken mod p-1.
+
+def _check_top_block(m: Matrix, n: int) -> None:
+    if m.cols != n or m.rows < n:
+        raise ParameterError(f"need a top {n}x{n} block, got a {m.rows}x{m.cols} matrix")
+
+
+def mpf_left(xe: Matrix, w: Matrix) -> Matrix:
+    """Left exponential action: C[i][j] = prod_{k<n} w[k][j] ** xe[i][k] mod p.
+
+    xe is r x n and the product reads the top n rows of w, which needs n
+    columns; C is r x n.  Exponent entries are taken mod p-1.
     """
-    rows, cols = _check_same_shape(xe, w)
+    n = xe.cols
+    _check_top_block(w, n)
     p = w.modulus
     em = p - 1
-    wr = w.to_rows()
-    xr = xe.to_rows()
+    wcols = [[w.at(k, j) for k in range(n)] for j in range(n)]
     flat = []
-    for i in range(rows):
-        xi = xr[i]
-        for j in range(cols):
-            acc = 1
-            for k in range(cols):
-                acc = acc * mod_pow(wr[k][j], xi[k] % em, p) % p
-            flat.append(acc)
-    return Matrix(rows, cols, tuple(flat), p)
+    for i in range(xe.rows):
+        xi = [e % em for e in xe.row(i)]
+        flat.extend(_power_product(wj, xi, p) for wj in wcols)
+    return Matrix(xe.rows, n, tuple(flat), p)
 
 
 def mpf_right(w: Matrix, ye: Matrix) -> Matrix:
-    """Right exponential action: D[i][j] = prod_l w[i][l] ** ye[l][j] mod p."""
-    rows, cols = _check_same_shape(w, ye)
+    """Right exponential action: D[i][j] = prod_{l<n} w[i][l] ** ye[l][j] mod p.
+
+    w is r x n for any r and the product reads the top n rows of ye; D
+    is r x n.  Exponent entries are taken mod p-1.
+    """
+    n = w.cols
+    _check_top_block(ye, n)
     p = w.modulus
     em = p - 1
-    wr = w.to_rows()
-    yr = ye.to_rows()
-    flat = []
-    for i in range(rows):
-        wi = wr[i]
-        for j in range(cols):
-            acc = 1
-            for l in range(cols):
-                acc = acc * mod_pow(wi[l], yr[l][j] % em, p) % p
-            flat.append(acc)
-    return Matrix(rows, cols, tuple(flat), p)
+    ycols = [[ye.at(l, j) % em for l in range(n)] for j in range(n)]
+    flat = [_power_product(w.row(i), yj, p) for i in range(w.rows) for yj in ycols]
+    return Matrix(w.rows, n, tuple(flat), p)
 
 
 def _check_double(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> tuple[int, int]:
@@ -100,23 +105,17 @@ def mpf_double(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
                 xik = xi[k]
                 wk = wr[k]
                 for l in range(cols):
-                    acc = acc * mod_pow(wk[l], xik * yj[l] % em, p) % p
+                    acc = acc * pow(wk[l], xik * yj[l] % em, p) % p
             flat.append(acc)
     return Matrix(rows, cols, tuple(flat), p)
-
-
-def _power_product(bases, exps, p: int) -> int:
-    acc = 1
-    for b, e in zip(bases, exps):
-        acc = acc * pow(b, e, p) % p
-    return acc
 
 
 def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
     """The double action of mpf_double in n^3 + m*n^2 powers instead of m*n^3.
 
-    The right pass forms D[k][j] = prod_l w[k][l] ** ye[l][j] over the top
-    n rows of w, the only rows the action reads; the left pass forms
+    It is mpf_left(xe, mpf_right(w_n, ye)), with w_n the top n x n block
+    of w, the only rows the action reads: the right pass forms
+    D[k][j] = prod_l w[k][l] ** ye[l][j] and the left pass forms
     Q[i][j] = prod_k D[k][j] ** xe[i][k].  Splitting w ** (x*y) into
     (w ** y) ** x relies on Fermat reduction mod p-1, which holds for
     units only, so a zero in the top n x n block of w is refused.  Both
@@ -124,18 +123,11 @@ def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
     never pass one.  The result is a product of units and never holds a
     zero.
     """
-    rows, cols = _check_double(xe, w, ye, p)
-    if 0 in w.entries[: cols * cols]:
+    _, n = _check_double(xe, w, ye, p)
+    block = w.entries[: n * n]
+    if 0 in block:
         raise ParameterError("double_action needs a zero-free base block")
-    em = p - 1
-    ycols = [[ye.at(l, j) % em for l in range(cols)] for j in range(cols)]
-    d = [[_power_product(w.row(k), yj, p) for yj in ycols] for k in range(cols)]
-    dcols = list(zip(*d))
-    flat = []
-    for i in range(rows):
-        xi = [e % em for e in xe.row(i)]
-        flat.extend(_power_product(dj, xi, p) for dj in dcols)
-    return Matrix(rows, cols, tuple(flat), p)
+    return mpf_left(xe, mpf_right(Matrix(n, n, block, p), ye))
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,10 +13,11 @@ setup frame.
 from __future__ import annotations
 
 import json
+import os
 import random
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     FieldParams,
@@ -122,6 +123,53 @@ def decode_token_list(data: bytes, modulus: int) -> list[Matrix]:
     return mats
 
 
+class _Layout(NamedTuple):
+    """One protocol's parameter-set fields, in file order.
+
+    fields pairs each scalar with its setup-frame struct code; the scalar
+    and matrix names are the attribute names of the protocol's setup.
+    """
+
+    fields: tuple[tuple[str, str], ...]
+    matrices: tuple[str, ...]
+
+
+_LAYOUTS = {
+    "rmpf": _Layout((("rows", "I"), ("cols", "I")), ("base", "x", "y")),
+    "rdmpf": _Layout(
+        (("dim", "I"), ("exp_max", "Q"), ("rounds", "I"), ("sigma", "Q")),
+        ("w", "base_xu", "base_yv"),
+    ),
+}
+
+
+def _pack(code: str, name: str, value: int) -> bytes:
+    try:
+        return struct.pack(">" + code, value)
+    except struct.error as exc:
+        raise ParameterError(
+            f"{name}={value} does not fit the setup frame's "
+            f"{struct.calcsize(code)}-byte field"
+        ) from exc
+
+
+def _json_int(doc: dict, name: str, default: int | None = None) -> int:
+    value = doc.get(name, default)
+    # JSON true/false load as bool, an int subclass
+    if type(value) is not int:
+        raise ParameterError(f"parameter file needs an integer {name!r}, got {value!r:.40}")
+    return value
+
+
+def _json_rows(doc: dict, name: str) -> list[list[int]]:
+    rows = doc.get(name)
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and all(type(e) is int for e in r) for r in rows
+    ):
+        raise ParameterError(f"parameter file needs matrix {name!r} as a list of integer lists")
+    return rows
+
+
 @dataclass
 class ParamSet:
     """Shared public parameters as they travel in files and setup frames."""
@@ -137,64 +185,45 @@ class ParamSet:
     matrices: dict[str, Matrix] | None = None
     seed: int | None = None  # test mode only
 
-    _RMPF_MATS = ("base", "x", "y")
-    _RDMPF_MATS = ("w", "base_xu", "base_yv")
-
-    def mat_names(self) -> tuple[str, ...]:
-        return self._RMPF_MATS if self.protocol == "rmpf" else self._RDMPF_MATS
-
     def build_setup(self) -> RmpfSetup | RdmpfSetup:
         """Instantiate (and thereby validate) the owning protocol's setup."""
+        layout = _LAYOUTS.get(self.protocol)
+        if layout is None:
+            raise ParameterError(f"unknown protocol {self.protocol!r}")
         params = FieldParams(self.p)
         mats = self.matrices or {}
-        missing = [n for n in self.mat_names() if n not in mats]
+        missing = [n for n in layout.matrices if n not in mats]
         if missing:
             raise ParameterError(f"parameter set lacks matrices: {missing}")
+        unset = [name for name, _ in layout.fields if getattr(self, name) is None]
+        if unset:
+            raise ParameterError(f"parameter set lacks {unset}")
+        ordered = [mats[n] for n in layout.matrices]
         if self.protocol == "rmpf":
-            base = mats["base"]
-            if (self.rows, self.cols) != (base.rows, base.cols):
+            setup = RmpfSetup(params, *ordered)
+        else:
+            setup = RdmpfSetup(params, *ordered, self.exp_max, self.rounds, self.sigma)
+        for name, _ in layout.fields:
+            if getattr(setup, name) != getattr(self, name):
                 raise ParameterError(
-                    f"parameter set declares {self.rows}x{self.cols}, "
-                    f"matrices are {base.rows}x{base.cols}"
+                    f"parameter set declares {name} {getattr(self, name)}, "
+                    f"matrices give {getattr(setup, name)}"
                 )
-            return RmpfSetup(params, base, mats["x"], mats["y"])
-        if self.protocol == "rdmpf":
-            if self.dim != mats["w"].rows:
-                raise ParameterError(
-                    f"parameter set declares dim {self.dim}, matrices are "
-                    f"{mats['w'].rows}x{mats['w'].cols}"
-                )
-            if self.exp_max is None or self.rounds is None:
-                raise ParameterError("rdmpf parameter set needs exp_max and rounds")
-            return RdmpfSetup(
-                params,
-                mats["w"],
-                mats["base_xu"],
-                mats["base_yv"],
-                self.exp_max,
-                self.rounds,
-                self.sigma,
-            )
-        raise ParameterError(f"unknown protocol {self.protocol!r}")
+        return setup
 
     # --- JSON form -------------------------------------------------------
 
     def to_json(self) -> str:
+        layout = _LAYOUTS[self.protocol]
         doc: dict = {
             "format": PARAMSET_FORMAT,
             "version": PARAMSET_VERSION,
             "protocol": self.protocol,
             "p": self.p,
         }
-        if self.protocol == "rmpf":
-            doc["rows"] = self.rows
-            doc["cols"] = self.cols
-        else:
-            doc["dim"] = self.dim
-            doc["exp_max"] = self.exp_max
-            doc["rounds"] = self.rounds
-            doc["sigma"] = self.sigma
-        for name in self.mat_names():
+        for name, _ in layout.fields:
+            doc[name] = getattr(self, name)
+        for name in layout.matrices:
             doc[name] = self.matrices[name].to_rows()
         if self.seed is not None:
             doc["seed"] = self.seed
@@ -211,39 +240,31 @@ class ParamSet:
         if doc.get("version") != PARAMSET_VERSION:
             raise ParameterError(f"unsupported parameter-set version {doc.get('version')}")
         protocol = doc.get("protocol")
-        if protocol not in _PROTO_TAGS:
+        if protocol not in _LAYOUTS:
             raise ParameterError(f"unknown protocol {protocol!r}")
-        p = doc["p"]
+        layout = _LAYOUTS[protocol]
+        p = _json_int(doc, "p")
         ps = cls(protocol=protocol, p=p, seed=doc.get("seed"))
-        if protocol == "rmpf":
-            ps.rows, ps.cols = doc["rows"], doc["cols"]
-        else:
-            ps.dim = doc["dim"]
-            ps.exp_max = doc["exp_max"]
-            ps.rounds = doc["rounds"]
-            ps.sigma = doc.get("sigma", 1)
-        try:
-            ps.matrices = {
-                name: Matrix.from_rows(doc[name], p) for name in ps.mat_names()
-            }
-        except KeyError as exc:
-            raise ParameterError(f"parameter file lacks matrix {exc}") from exc
+        # an absent field keeps its dataclass default; only sigma has one
+        for name, _ in layout.fields:
+            setattr(ps, name, _json_int(doc, name, getattr(ps, name)))
+        ps.matrices = {
+            name: Matrix.from_rows(_json_rows(doc, name), p) for name in layout.matrices
+        }
         return ps
 
     # --- binary mirror -----------------------------------------------------
 
     def to_frame(self) -> bytes:
-        payload = bytes([_PROTO_TAGS[self.protocol]])
-        payload += struct.pack(">Q", self.p)
-        if self.protocol == "rmpf":
-            payload += struct.pack(">II", self.rows, self.cols)
-        else:
-            payload += struct.pack(">IQIQ", self.dim, self.exp_max, self.rounds, self.sigma)
+        layout = _LAYOUTS[self.protocol]
+        payload = bytes([_PROTO_TAGS[self.protocol]]) + _pack("Q", "p", self.p)
+        for name, code in layout.fields:
+            payload += _pack(code, name, getattr(self, name))
         if self.seed is not None:
-            payload += b"\x01" + struct.pack(">Q", self.seed)
+            payload += b"\x01" + _pack("Q", "seed", self.seed)
         else:
             payload += b"\x00"
-        for name in self.mat_names():
+        for name in layout.matrices:
             payload += encode_matrix(self.matrices[name])
         return encode_frame("setup", payload)
 
@@ -253,18 +274,17 @@ class ParamSet:
         if kind != "setup":
             raise FrameError(f"expected a setup frame, got {kind}")
         try:
-            proto = _TAG_PROTOS[payload[0]]
+            proto = _TAG_PROTOS.get(payload[0])
+            if proto is None:
+                raise FrameError(f"unknown protocol tag {payload[0]}")
+            layout = _LAYOUTS[proto]
             (p,) = struct.unpack(">Q", payload[1:9])
             ps = cls(protocol=proto, p=p)
-            off = 9
-            if proto == "rmpf":
-                ps.rows, ps.cols = struct.unpack(">II", payload[off : off + 8])
-                off += 8
-            else:
-                ps.dim, ps.exp_max, ps.rounds, ps.sigma = struct.unpack(
-                    ">IQIQ", payload[off : off + 24]
-                )
-                off += 24
+            fmt = ">" + "".join(code for _, code in layout.fields)
+            values = struct.unpack_from(fmt, payload, 9)
+            for (name, _), value in zip(layout.fields, values):
+                setattr(ps, name, value)
+            off = 9 + struct.calcsize(fmt)
             if payload[off] == 1:
                 (ps.seed,) = struct.unpack(">Q", payload[off + 1 : off + 9])
                 off += 9
@@ -272,7 +292,7 @@ class ParamSet:
                 off += 1
             rest = payload[off:]
             mats = {}
-            for name in ps.mat_names():
+            for name in layout.matrices:
                 mats[name], rest = decode_matrix(rest, p)
             if rest:
                 raise FrameError(f"{len(rest)} trailing bytes after setup payload")
@@ -304,7 +324,7 @@ def generate_paramset(
             raise ParameterError("rmpf needs rows and cols")
         mats = {
             name: sample_matrix(rows, cols, p, rng, mode="unit_entries")
-            for name in ParamSet._RMPF_MATS
+            for name in _LAYOUTS["rmpf"].matrices
         }
         ps = ParamSet("rmpf", p, rows=rows, cols=cols, matrices=mats, seed=seed)
     elif protocol == "rdmpf":
@@ -335,13 +355,18 @@ def generate_paramset(
 
 
 def save_paramset(ps: ParamSet, path: str) -> tuple[str, str]:
-    """Write the JSON document plus its binary mirror; returns both paths."""
+    """Write the JSON document plus its binary mirror; returns both paths.
+
+    Both forms are encoded before either file is written, and each file
+    appears whole or not at all.
+    """
     json_path = path
     bin_path = path + ".bin" if not path.endswith(".json") else path[: -len(".json")] + ".bin"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(ps.to_json())
-    with open(bin_path, "wb") as fh:
-        fh.write(ps.to_frame())
+    forms = ((json_path, ps.to_json().encode("utf-8")), (bin_path, ps.to_frame()))
+    for target, data in forms:
+        with open(target + ".tmp", "wb") as fh:
+            fh.write(data)
+        os.replace(target + ".tmp", target)
     return json_path, bin_path
 
 

@@ -30,11 +30,11 @@ from mpfkap import (
     mpf_double,
     mpf_left,
     mpf_right,
-    rdmpf,
     sample_matrix,
 )
 from mpfkap import known_answers as ka
 from mpfkap.bench import bench_rdmpf, ratios_vs_baseline
+from mpfkap.rdmpf import rdmpf
 from mpfkap.wire import decode_frame, encode_frame
 from mpfkap.errors import FrameError
 

@@ -10,18 +10,18 @@ from mpfkap.bench import (
 )
 
 
-def rec(dim, p, exp_max, mean):
-    return BenchRecord(dim, p, exp_max, trials=10, mean_s=mean)
+def rec(dim, p, exp_max, median):
+    return BenchRecord(dim, p, exp_max, trials=10, median_s=median)
 
 
 class TestRecordValidation:
     def test_minimum_trials(self):
         with pytest.raises(ParameterError):
-            BenchRecord(5, 997, 1000, trials=9, mean_s=0.1)
+            BenchRecord(5, 997, 1000, trials=9, median_s=0.1)
 
     def test_positive_timing(self):
         with pytest.raises(ParameterError):
-            BenchRecord(5, 997, 1000, trials=10, mean_s=0.0)
+            BenchRecord(5, 997, 1000, trials=10, median_s=0.0)
 
 
 class TestRatios:
@@ -48,7 +48,7 @@ class TestReport:
         rows = [rec(5, 997, 1000, 0.001), rec(25, 997, 1000, 0.6)]
         csv_text, summary = bench_report(rows, baseline=(5, 997, 1000))
         lines = csv_text.strip().splitlines()
-        assert lines[0] == "dim,p,expMax,trials,mean_s,ratio_vs_baseline"
+        assert lines[0] == "dim,p,expMax,trials,median_s,ratio_vs_baseline"
         assert lines[1].startswith("5,997,1000,10,")
         assert lines[2].startswith("25,997,1000,10,")
         assert lines[2].endswith("600")
@@ -63,10 +63,10 @@ class TestHarness:
     def test_tiny_grid_smoke(self):
         records = bench_rdmpf([(2, 7, 10), (4, 7, 10)], trials=10)
         assert [r.point for r in records] == [(2, 7, 10), (4, 7, 10)]
-        assert all(r.mean_s > 0 for r in records)
+        assert all(r.median_s > 0 for r in records)
         # dim 2 -> 4 multiplies the inner loop 16-fold; timer noise
         # cannot invert that separation
-        assert records[1].mean_s > records[0].mean_s
+        assert records[1].median_s > records[0].median_s
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):

@@ -14,7 +14,6 @@ from mpfkap import (
     mat_mul_mod,
     mat_pow_mod,
     mat_scalar_mul_mod,
-    mod_pow,
     rank_mod_p,
     sample_matrix,
 )
@@ -52,58 +51,6 @@ def product_count(monkeypatch):
 
     monkeypatch.setattr(core, "mul_rows_mod", counted)
     return calls
-
-
-def slow_pow(base, exp, m):
-    # oracle: literal repeated multiplication
-    r = 1 % m
-    for _ in range(exp):
-        r = r * base % m
-    return r
-
-
-class TestModPow:
-    def test_exponent_zero(self):
-        assert mod_pow(5, 0, 7) == 1
-
-    def test_exponent_one(self):
-        assert mod_pow(44664, 1, 65537) == 44664
-
-    def test_small_case(self):
-        # 3*3*3*3 mod 7
-        assert mod_pow(3, 4, 7) == 4
-
-    def test_zero_conventions(self):
-        assert mod_pow(0, 0, 11) == 1
-        assert mod_pow(0, 5, 11) == 0
-
-    def test_bad_modulus(self):
-        with pytest.raises(ParameterError):
-            mod_pow(2, 3, 1)
-
-    def test_negative_exponent(self):
-        with pytest.raises(ParameterError):
-            mod_pow(2, -1, 7)
-
-    def test_against_repeated_multiplication(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            m = rng.randrange(2, 1000)
-            b = rng.randrange(m)
-            e = rng.randrange(0, 200)
-            assert mod_pow(b, e, m) == slow_pow(b, e, m)
-
-    @given(st.integers(0, 2**64), st.integers(0, 2**20), st.integers(2, 2**32))
-    def test_matches_builtin(self, b, e, m):
-        assert mod_pow(b % m, e, m) == pow(b, e, m)
-
-    @pytest.mark.parametrize("p", [7, 65537])
-    def test_fermat_reduction(self, p):
-        rng = random.Random(p)
-        for _ in range(300):
-            a = rng.randrange(1, p)
-            e = rng.randrange(0, p * 3)
-            assert mod_pow(a, e, p) == mod_pow(a, e % (p - 1), p)
 
 
 class TestPrimality:

@@ -1,5 +1,5 @@
-import importlib
 import random
+import sys
 
 import pytest
 
@@ -15,16 +15,14 @@ from mpfkap import (
     mat_pow_mod,
     parse_token_list,
     rank_mod_p,
-    rdmpf,
     round_key,
     round_keygen,
     sample_matrix,
     session_digest,
 )
 from mpfkap import known_answers as ka
-
-# the package re-exports the function rdmpf under the submodule's name
-rdmpf_module = importlib.import_module("mpfkap.rdmpf")
+from mpfkap import rdmpf as rdmpf_module
+from mpfkap.rdmpf import rdmpf
 
 
 class SeqRng:
@@ -85,6 +83,12 @@ def zero_entry_setup():
         exp_max=12,
         rounds=1,
     )
+
+
+def test_package_attribute_is_the_submodule():
+    import mpfkap.rdmpf as m
+
+    assert m is sys.modules["mpfkap.rdmpf"]
 
 
 class TestRdmpfFunction:

@@ -124,6 +124,15 @@ class TestSetupCommand:
             bin_bytes = (tmp_path / f"{name}.bin").read_bytes()
             assert hashlib.sha256(bin_bytes).hexdigest() == bin_sha
 
+    def test_prime_beyond_the_word_writes_nothing(self, tmp_path):
+        # 2^64+13 is prime but does not fit the setup frame's 8-byte field
+        r = run_cli(["setup", "--protocol", "rdmpf", "--p", str(2**64 + 13),
+                     "--dim", "3", "--rounds", "1", "--seed", "1",
+                     "--out", str(tmp_path / "big.json")])
+        assert r.returncode == 2
+        assert f"p={2**64 + 13} does not fit the setup frame's 8-byte field" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_unsamplable_base_is_parameter_error(self, tmp_path):
         # at dim 2, p=5 no sampled base passes the order screens; no peer
         # is involved, so this is a parameter error, not a protocol error
@@ -372,7 +381,7 @@ class TestBenchCommand:
                      "--trials", "10", "--out", str(csv_path)], timeout=180)
         assert r.returncode == 0
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "dim,p,expMax,trials,mean_s,ratio_vs_baseline"
+        assert lines[0] == "dim,p,expMax,trials,median_s,ratio_vs_baseline"
         assert len(lines) == 3
         assert "timed operation" in r.stdout
 

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
+from conftest import run_cli
 from mpfkap import FrameError, Matrix, ParameterError
 from mpfkap import known_answers as ka
 from mpfkap.wire import (
@@ -18,6 +20,22 @@ from mpfkap.wire import (
     load_paramset,
     save_paramset,
 )
+
+
+def known_rdmpf_paramset():
+    p = ka.P
+    return ParamSet(
+        protocol="rdmpf",
+        p=p,
+        dim=5,
+        exp_max=ka.RDMPF_EXP_MAX,
+        rounds=ka.RDMPF_ROUNDS,
+        matrices={
+            "w": Matrix.from_rows(ka.RDMPF_W, p),
+            "base_xu": Matrix.from_rows(ka.RDMPF_BASE_XU, p),
+            "base_yv": Matrix.from_rows(ka.RDMPF_BASE_YV, p),
+        },
+    )
 
 
 class TestFrames:
@@ -177,20 +195,53 @@ class TestParamSet:
             generate_paramset("rmpf", 65537, rng, rows=3)
 
     def test_known_instance_as_paramset(self):
-        p = ka.P
-        ps = ParamSet(
-            protocol="rdmpf",
-            p=p,
-            dim=5,
-            exp_max=ka.RDMPF_EXP_MAX,
-            rounds=ka.RDMPF_ROUNDS,
-            matrices={
-                "w": Matrix.from_rows(ka.RDMPF_W, p),
-                "base_xu": Matrix.from_rows(ka.RDMPF_BASE_XU, p),
-                "base_yv": Matrix.from_rows(ka.RDMPF_BASE_YV, p),
-            },
-        )
+        ps = known_rdmpf_paramset()
         setup = ps.build_setup()
         assert setup.dim == 5
         again = ParamSet.from_frame(ps.to_frame())
         assert again.matrices == ps.matrices
+
+
+def json_edit(change):
+    def build(ps):
+        doc = json.loads(ps.to_json())
+        change(doc)
+        return "params.json", json.dumps(doc).encode()
+
+    return build
+
+
+def frame_with_tag(tag):
+    def build(ps):
+        frame = ps.to_frame()
+        # the payload's first byte, after the 10-byte header, is the protocol tag
+        return "params.bin", frame[:10] + bytes([tag]) + frame[11:]
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, error, cause, code",
+    [
+        pytest.param(json_edit(lambda d: d.pop("dim")), ParameterError,
+                     "needs an integer 'dim', got None", 2, id="dim-missing"),
+        pytest.param(json_edit(lambda d: d.update(w=5)), ParameterError,
+                     "needs matrix 'w' as a list of integer lists", 2, id="w-not-rows"),
+        pytest.param(json_edit(lambda d: d.update(p="x")), ParameterError,
+                     "needs an integer 'p', got 'x'", 2, id="p-string"),
+        pytest.param(json_edit(lambda d: d.update(dim="3")), ParameterError,
+                     "needs an integer 'dim', got '3'", 2, id="dim-string"),
+        pytest.param(frame_with_tag(9), FrameError, "unknown protocol tag 9", 3, id="bin-tag-9"),
+    ],
+)
+def test_malformed_parameter_file(tmp_path, build, error, cause, code):
+    name, data = build(known_rdmpf_paramset())
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(error, match=cause):
+        load_paramset(str(path)).build_setup()
+    r = run_cli(["handshake", "--role", "alice", "--params", str(path),
+                 "--transport", f"file:{tmp_path}", "--out", str(tmp_path / "key")])
+    assert r.returncode == code
+    assert cause in r.stderr
+    assert "Traceback" not in r.stderr
