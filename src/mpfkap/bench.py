@@ -66,7 +66,7 @@ class _Workload:
         self.samples: list[float] = []
         # warm-up, excluded from the median; also sizes the per-trial
         # repeat count so short evaluations are not lost in timer noise
-        once = self._run(1)
+        once = self.once_s = self._run(1)
         self.inner = max(1, int(_MIN_TRIAL_SECONDS / once) + 1) if once < _MIN_TRIAL_SECONDS else 1
 
     def _run(self, repeats: int) -> float:
@@ -86,21 +86,25 @@ def bench_rdmpf(
 ) -> list[BenchRecord]:
     """Time every (dim, p, exp_max) point; trials must be >= 10.
 
-    Trials are interleaved across the grid (round-robin sweeps,
-    alternating direction) so clock-speed drift over the run biases
-    every point equally and cancels out of the ratios.  Each point
-    reports its median trial, so one descheduled trial cannot move a
-    ratio the way it moves a mean.
+    Trials are interleaved across the grid in sweeps, so clock-speed
+    drift over the run biases every point alike and cancels out of the
+    ratios.  Each sweep runs the points in order of cost, cheapest first,
+    so the cheap points that ratios compare run back to back, in the
+    same phase of the machine's speed; they alternate direction from
+    sweep to sweep, and the costliest point closes every sweep.  Records
+    keep grid order.  Each point reports its median trial, so one
+    descheduled trial cannot move a ratio the way it moves a mean.
     """
     if not points:
         raise ParameterError("benchmark grid is empty")
     if rng is None:
         rng = random.Random(0x5EED)
     workloads = [_Workload(dim, p, exp_max, rng) for dim, p, exp_max in points]
+    *cheap, costliest = sorted(workloads, key=lambda wl: wl.once_s)
     for sweep in range(trials):
-        ordered = workloads if sweep % 2 == 0 else list(reversed(workloads))
-        for wl in ordered:
+        for wl in cheap if sweep % 2 == 0 else cheap[::-1]:
             wl.trial()
+        costliest.trial()
     return [
         BenchRecord(*wl.point, trials, statistics.median(wl.samples)) for wl in workloads
     ]

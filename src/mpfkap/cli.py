@@ -14,7 +14,6 @@ import os
 import random
 import sys
 
-from . import known_answers
 from .errors import (
     ParameterError,
     ProtocolError,
@@ -35,11 +34,13 @@ from .rdmpf import RdmpfSession, RdmpfSetup
 from .rmpf import RmpfSession, RmpfSetup
 from .transport import DEFAULT_TIMEOUT, open_transport
 from .wire import (
+    ERROR_PAYLOAD_MAX,
     decode_token_list,
     encode_matrix,
     encode_token_list,
     generate_paramset,
     load_paramset,
+    payload_limits,
     save_paramset,
 )
 
@@ -49,6 +50,9 @@ EXIT_PROTOCOL = 3
 EXIT_TRANSPORT = 4
 
 SEED_ENV = "MPFKAP_SEED"
+# the known-answer vectors' prime (known_answers.P); that module loads
+# only for the vectors command
+DEFAULT_P = 65537
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_setup = sub.add_parser("setup", help="generate a shared parameter file")
     p_setup.add_argument("--protocol", choices=("rmpf", "rdmpf"), required=True)
-    p_setup.add_argument("--p", type=int, default=known_answers.P, help="prime modulus")
+    p_setup.add_argument("--p", type=int, default=DEFAULT_P, help="prime modulus")
     p_setup.add_argument("--rows", type=int, help="rmpf: matrix rows (must exceed cols)")
     p_setup.add_argument("--cols", type=int, help="rmpf: matrix cols")
     p_setup.add_argument("--dim", type=int, help="rdmpf: square dimension")
@@ -178,7 +182,7 @@ def _cmd_handshake(args) -> int:
     setup = ps.build_setup()
     inject = _parse_injections(args, ps.protocol)
     rng = _session_rng(args, ps)
-    transport = open_transport(args.transport, args.role, args.timeout)
+    transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
     try:
         key_bytes = _handshake(setup, rng, transport, args.role, inject)
     except ProtocolError as exc:
@@ -237,7 +241,7 @@ def _cmd_kem(args) -> int:
         raise ParameterError(f"eta0 file must hold {NONCE_BYTES} bytes, got {len(eta0)}")
     ctx = KemContext(eta0, auth_tag(args.auth_a), auth_tag(args.auth_b))
 
-    transport = open_transport(args.transport, args.role, args.timeout)
+    transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
     try:
         if args.role == "bob":
             state, close_b = kem_initiate(ctx, setup, rng)
@@ -271,7 +275,7 @@ def _parse_encap_payload(payload: bytes) -> KemMessage:
 
 def _report_error(transport, exc: Exception) -> None:
     try:
-        transport.send("error", str(exc).encode())
+        transport.send("error", str(exc).encode()[:ERROR_PAYLOAD_MAX])
     except Exception:
         pass
 
@@ -302,6 +306,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_vectors(args) -> int:
+    from . import known_answers  # only this command pays for its import
     results = known_answers.check_all()
     width = max(len(label) for label, _ in results)
     failures = 0

@@ -4,7 +4,8 @@ The file transport drops each frame into the shared directory under
 "<role>.<kind>.frame" (written atomically) and polls for the peer's
 file.  The TCP transport is a minimal length-prefixed exchange: bob
 listens, alice connects, one peer at a time, no retries beyond the
-connect deadline.
+connect deadline.  Both refuse a peer frame longer than the payload
+limits they are given (wire.payload_limits) before buffering it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import socket
 import time
 
 from .errors import ProtocolError, TransportError
-from .wire import HEADER_LEN, decode_frame, encode_frame
+from .wire import HEADER_LEN, check_header, decode_frame, encode_frame
 
 ROLES = ("alice", "bob")
 POLL_INTERVAL = 0.02
@@ -30,9 +31,12 @@ def peer_of(role: str) -> str:
 class FileTransport:
     """Exchange frames through files in a shared directory."""
 
-    def __init__(self, directory: str, role: str, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(
+        self, directory: str, role: str, limits: dict[str, int], timeout: float = DEFAULT_TIMEOUT
+    ):
         self.directory = directory
         self.role = role
+        self.limits = limits
         self.peer = peer_of(role)
         self.timeout = timeout
         if not os.path.isdir(directory):
@@ -51,14 +55,20 @@ class FileTransport:
         deadline = time.monotonic() + self.timeout
         while not os.path.exists(path):
             if os.path.exists(err_path):
-                with open(err_path, "rb") as fh:
-                    return _expect_kind(fh.read(), kind)
+                return _expect_kind(self._read(err_path), kind)
             if time.monotonic() > deadline:
                 raise TransportError(f"timed out waiting for {path}")
             time.sleep(POLL_INTERVAL)
+        return _expect_kind(self._read(path), kind)
+
+    def _read(self, path: str) -> bytes:
+        # the header's length field bounds the read: one byte past it is
+        # enough for decode_frame to refuse a longer file, and a file that
+        # grows or never ends (a pipe, /dev/zero) is never buffered whole
         with open(path, "rb") as fh:
-            data = fh.read()
-        return _expect_kind(data, kind)
+            header = fh.read(HEADER_LEN)
+            length = check_header(header, self.limits)
+            return header + fh.read(length + 1)
 
     def close(self) -> None:
         pass
@@ -71,8 +81,16 @@ class TcpTransport:
     the deadline so start order does not matter.
     """
 
-    def __init__(self, host: str, port: int, role: str, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        role: str,
+        limits: dict[str, int],
+        timeout: float = DEFAULT_TIMEOUT,
+    ):
         self.role = role
+        self.limits = limits
         self.timeout = timeout
         self._listener: socket.socket | None = None
         self._sock: socket.socket | None = None
@@ -118,7 +136,7 @@ class TcpTransport:
         conn = self._conn()
         try:
             header = _read_exact(conn, HEADER_LEN)
-            length = int.from_bytes(header[6:10], "big")
+            length = check_header(header, self.limits)
             data = bytes(header + _read_exact(conn, length))
         except socket.timeout as exc:
             raise TransportError("timed out waiting for a frame") from exc
@@ -159,10 +177,15 @@ def _expect_kind(data: bytes, kind: str) -> bytes:
     return payload
 
 
-def open_transport(spec: str, role: str, timeout: float = DEFAULT_TIMEOUT):
-    """Parse "file:DIR" or "tcp:HOST:PORT" into a transport instance."""
+def open_transport(
+    spec: str, role: str, limits: dict[str, int], timeout: float = DEFAULT_TIMEOUT
+):
+    """Parse "file:DIR" or "tcp:HOST:PORT" into a transport instance.
+
+    limits maps each frame kind to its largest legal payload.
+    """
     if spec.startswith("file:"):
-        return FileTransport(spec[len("file:") :], role, timeout)
+        return FileTransport(spec[len("file:") :], role, limits, timeout)
     if spec.startswith("tcp:"):
         rest = spec[len("tcp:") :]
         host, sep, port = rest.rpartition(":")
@@ -172,5 +195,5 @@ def open_transport(spec: str, role: str, timeout: float = DEFAULT_TIMEOUT):
             port_no = int(port)
         except ValueError as exc:
             raise TransportError(f"bad port in {spec!r}") from exc
-        return TcpTransport(host, port_no, role, timeout)
+        return TcpTransport(host, port_no, role, limits, timeout)
     raise TransportError(f"unknown transport {spec!r} (use file:DIR or tcp:HOST:PORT)")

@@ -28,6 +28,7 @@ from .core import (
     sample_matrix,
 )
 from .errors import FrameError, ParameterError
+from .kem import KEY_BYTES, NONCE_BYTES
 from .rdmpf import RdmpfSetup, sample_rank_deficient_base
 from .rmpf import RmpfSetup
 
@@ -35,6 +36,8 @@ MAGIC = b"MPFX"
 VERSION = 1
 HEADER_LEN = 10
 MAX_PAYLOAD = 2**32 - 1
+# longest error text a peer may send; longer messages are cut to it
+ERROR_PAYLOAD_MAX = 1024
 
 FRAME_KINDS = {
     "setup": 0x01,
@@ -60,7 +63,7 @@ def encode_frame(kind: str, payload: bytes) -> bytes:
     return MAGIC + bytes([VERSION, FRAME_KINDS[kind]]) + struct.pack(">I", len(payload)) + payload
 
 
-def decode_frame(data: bytes) -> tuple[str, bytes]:
+def _parse_header(data: bytes) -> tuple[str, int]:
     if len(data) < HEADER_LEN:
         raise FrameError(f"frame truncated at {len(data)} bytes")
     if data[:4] != MAGIC:
@@ -71,11 +74,52 @@ def decode_frame(data: bytes) -> tuple[str, bytes]:
     if kind is None:
         raise FrameError(f"unknown frame kind byte 0x{data[5]:02x}")
     (length,) = struct.unpack(">I", data[6:10])
+    return kind, length
+
+
+def decode_frame(data: bytes) -> tuple[str, bytes]:
+    kind, length = _parse_header(data)
     if len(data) - HEADER_LEN != length:
         raise FrameError(
             f"length field says {length} payload bytes, frame carries {len(data) - HEADER_LEN}"
         )
     return kind, data[HEADER_LEN:]
+
+
+def payload_limits(setup: RmpfSetup | RdmpfSetup) -> dict[str, int]:
+    """The largest legal payload of each frame kind a peer sends under setup.
+
+    Token lists and both KEM frames are sized by the setup's token
+    matrices; an error frame carries at most ERROR_PAYLOAD_MAX bytes of
+    text.  Setup frames never come from a peer, so they have no entry.
+    """
+    if isinstance(setup, RmpfSetup):
+        count, entries = 1, setup.rows * setup.cols
+    else:
+        count, entries = setup.rounds, setup.dim * setup.dim
+    tokens = count * entries * WORD_BYTES
+    return {
+        "token-list": 4 + count * 8 + tokens,
+        "kem-close-b": tokens,
+        "kem-encap-msg": KEY_BYTES + NONCE_BYTES + tokens,
+        "error": ERROR_PAYLOAD_MAX,
+    }
+
+
+def check_header(header: bytes, limits: dict[str, int]) -> int:
+    """Validate a peer frame's header against payload_limits; return its length.
+
+    This runs before any payload byte is read or buffered.
+    """
+    kind, length = _parse_header(header)
+    limit = limits.get(kind)
+    if limit is None:
+        raise FrameError(f"a peer never sends a {kind} frame")
+    if length > limit:
+        raise FrameError(
+            f"{kind} frame claims {length} payload bytes, this setup allows at most {limit}"
+        )
+    return length
 
 
 def encode_matrix(m: Matrix) -> bytes:

@@ -1,6 +1,6 @@
 import pytest
 
-from mpfkap import ParameterError
+from mpfkap import ParameterError, bench
 from mpfkap.bench import (
     BenchRecord,
     REPORT_HEADER,
@@ -67,6 +67,24 @@ class TestHarness:
         # dim 2 -> 4 multiplies the inner loop 16-fold; timer noise
         # cannot invert that separation
         assert records[1].median_s > records[0].median_s
+
+    def test_sweeps_run_cheap_points_back_to_back(self, monkeypatch):
+        # cheap points adjacent in every sweep, alternating direction, and
+        # the costliest point last; records stay in grid order
+        order = []
+        trial = bench._Workload.trial
+
+        def logged(wl):
+            order.append(wl.point[0])
+            trial(wl)
+
+        monkeypatch.setattr(bench._Workload, "trial", logged)
+        grid = [(2, 7, 10), (6, 7, 10), (3, 7, 10)]
+        records = bench_rdmpf(grid, trials=10)
+        assert [r.point for r in records] == grid
+        sweeps = [order[i : i + 3] for i in range(0, 30, 3)]
+        assert all(s[2] == 6 and sorted(s[:2]) == [2, 3] for s in sweeps)
+        assert all(a[:2] == b[1::-1] for a, b in zip(sweeps, sweeps[1:]))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):

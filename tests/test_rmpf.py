@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,7 +20,8 @@ from mpfkap import (
     sample_matrix,
 )
 from mpfkap import known_answers as ka
-from mpfkap.rmpf import double_action
+from mpfkap import rmpf as rmpf_mod
+from mpfkap.rmpf import _MAX_WINDOW, _multi_exp, _window, double_action
 
 
 def direct_double(xe, w, ye, p, r):
@@ -209,6 +211,120 @@ class TestFactoredKernel:
                 w_zero = Matrix(rows, cols, tuple(flat), p)
                 got = double_action(x, w_zero, y, p)
                 assert got == double_action(x, w, y, p) == mpf_double(x, w_zero, y, p)
+
+
+P64 = 2**64 - 59
+
+
+def per_term(base_sets, exps, p):
+    """Reference for _multi_exp: one builtin pow per term."""
+    out = []
+    for bases in base_sets:
+        row = []
+        for ev in exps:
+            acc = 1
+            for b, e in zip(bases, ev):
+                acc = acc * pow(b, e, p) % p
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def direct_left(xe, w, p):
+    n, em = xe.cols, p - 1
+    return [[math.prod(pow(w.at(k, j), xe.at(i, k) % em, p) for k in range(n)) % p
+             for j in range(n)] for i in range(xe.rows)]
+
+
+def direct_right(w, ye, p):
+    n, em = w.cols, p - 1
+    return [[math.prod(pow(w.at(i, l), ye.at(l, j) % em, p) for l in range(n)) % p
+             for j in range(n)] for i in range(w.rows)]
+
+
+class TestMultiExp:
+    """The shared-table kernel against per-term pow and mpf_double."""
+
+    def test_cost_model_switch(self):
+        # per-term pow below the switch, a window above it
+        assert _window(1, 1, 64) == 0
+        assert _window(2, 2, 64) == 0
+        assert _window(1, 1, 16) == 0
+        assert _window(8, 8, 64) > 0
+        assert _window(8, 96, 16) > 0
+        assert _window(100, 100, 64) > 0
+        assert _window(8, 8, 0) == 0
+
+    @pytest.mark.parametrize("c", range(1, _MAX_WINDOW + 1))
+    def test_every_window_width(self, c, monkeypatch):
+        # the Straus path at each width, on shapes the model gives to
+        # per-term pow too, against per-term pow
+        monkeypatch.setattr(rmpf_mod, "_window", lambda n, outs, bits: c)
+        rng = random.Random(c)
+        for p, n in ((65537, 1), (65537, 5), (P64, 2), (P64, 20)):
+            bases = [[rng.randrange(p) for _ in range(n)] for _ in range(3)] + [[0] * n]
+            exps = [[rng.randrange(p - 1) for _ in range(n)] for _ in range(4)]
+            exps += [[0] * n, [p - 2] * n]
+            assert _multi_exp(bases, exps, p) == per_term(bases, exps, p)
+
+    @pytest.mark.parametrize("p", (65537, P64))
+    @pytest.mark.parametrize("n", (1, 3, 8))
+    def test_one_nonzero_digit_at_every_window_position(self, p, n):
+        # for every exponent bit length b up to p-2's, one vector per
+        # window position holding a single nonzero digit, padded to 32
+        # vectors with zero vectors, so the top window is full for some b
+        # and partly filled for others
+        rng = random.Random(n)
+        bases = [[rng.randrange(1, p) for _ in range(n)], [p - 1] * n]
+        widths = set()
+        for b in range(1, (p - 2).bit_length() + 1):
+            c = _window(n, 32, b)
+            top = min((1 << b) - 1, p - 2)
+            if c == 0:
+                exps = [[top] * n]
+            else:
+                widths.add((c, b % c == 0))
+                mask = (1 << c) - 1
+                exps = [[0] * n for _ in range(-(-b // c))]
+                for t, ev in enumerate(exps):
+                    ev[t % n] = top & (mask << (c * t))
+                    assert ev[t % n]
+            exps += [[0] * n] * (32 - len(exps))
+            assert _multi_exp(bases, exps, p) == per_term(bases, exps, p)
+        if n > 1:
+            assert {full for _, full in widths} == {True, False}
+
+    @pytest.mark.parametrize(
+        "rows, cols, p",
+        [(1, 1, 65537), (1, 1, P64), (9, 8, 65537), (96, 8, 65537), (8, 8, P64), (13, 12, P64)],
+    )
+    def test_double_action_against_mpf_double(self, rows, cols, p):
+        rng = random.Random(rows * cols)
+        w = sample_matrix(rows, cols, p, rng, mode="unit_entries")
+        top = Matrix(rows, cols, (p - 1,) * (rows * cols), p)
+        for x, y in (
+            (edge_exponents(rows, cols, p, rng), edge_exponents(rows, cols, p, rng)),
+            (rand_exponents(rows, cols, p - 1, rng), rand_exponents(rows, cols, p - 1, rng)),
+            (Matrix(rows, cols, (p - 2,) * (rows * cols), p - 1), top),
+        ):
+            for base in (w, top):
+                assert double_action(x, base, y, p) == mpf_double(x, base, y, p)
+
+    @pytest.mark.parametrize("p", (65537, P64))
+    @pytest.mark.parametrize("n", (1, 8, 20))
+    def test_one_sided_zero_bases_and_zero_exponents(self, p, n):
+        # n = 20 runs past one reduction chunk of 16 terms
+        rng = random.Random(n)
+        flat = list(sample_matrix(n + 2, n, p, rng, mode="unit_entries").entries)
+        for i in rng.sample(range(len(flat)), n):
+            flat[i] = 0
+        w = Matrix(n + 2, n, tuple(flat), p)
+        zeros = Matrix.zeros(n + 3, n, p - 1)
+        for e in (zeros, edge_exponents(n + 3, n, p, rng)):
+            assert mpf_left(e, w).to_rows() == direct_left(e, w, p)
+            assert mpf_right(w, e).to_rows() == direct_right(w, e, p)
+        assert mpf_left(zeros, w).to_rows() == [[1] * n] * (n + 3)
+        assert mpf_right(w, zeros).to_rows() == [[1] * n] * (n + 2)
 
 
 class TestSetupValidation:

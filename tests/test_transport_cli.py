@@ -1,15 +1,33 @@
 import hashlib
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 from conftest import run_cli, spawn_cli, write_known_rmpf_params
-from mpfkap import Matrix, TransportError
+from mpfkap import Matrix, ProtocolError, TransportError
 from mpfkap import known_answers as ka
-from mpfkap.transport import TcpTransport, open_transport
-from mpfkap.wire import ParamSet, encode_frame, encode_matrix, load_paramset, save_paramset
+from mpfkap.transport import FileTransport, TcpTransport, open_transport
+from mpfkap import cli
+from mpfkap.wire import (
+    ERROR_PAYLOAD_MAX,
+    FRAME_KINDS,
+    MAGIC,
+    VERSION,
+    ParamSet,
+    encode_frame,
+    encode_matrix,
+    load_paramset,
+    payload_limits,
+    save_paramset,
+)
+
+# the known 5x3 rmpf setup: one token list of 4 + 8 + 15*8 = 132 bytes
+LIMITS = payload_limits(ka.rmpf_setup())
 
 
 def free_port():
@@ -21,23 +39,23 @@ def free_port():
 class TestTransportParsing:
     def test_unknown_scheme(self):
         with pytest.raises(TransportError):
-            open_transport("carrier-pigeon:coop", "alice")
+            open_transport("carrier-pigeon:coop", "alice", LIMITS)
 
     def test_bad_tcp_spec(self):
         with pytest.raises(TransportError):
-            open_transport("tcp:no-port-here", "alice")
+            open_transport("tcp:no-port-here", "alice", LIMITS)
         with pytest.raises(TransportError):
-            open_transport("tcp:host:not-a-number", "alice")
+            open_transport("tcp:host:not-a-number", "alice", LIMITS)
 
     def test_missing_directory(self):
         with pytest.raises(TransportError):
-            open_transport("file:/definitely/not/a/dir", "alice")
+            open_transport("file:/definitely/not/a/dir", "alice", LIMITS)
 
 
 class TestTcpFraming:
     @staticmethod
     def bob_and_peer():
-        bob = TcpTransport("127.0.0.1", 0, "bob", timeout=10)
+        bob = TcpTransport("127.0.0.1", 0, "bob", LIMITS, timeout=10)
         peer = socket.create_connection(bob._listener.getsockname(), timeout=10)
         peer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return bob, peer
@@ -62,6 +80,28 @@ class TestTcpFraming:
             bob.close()
         assert not sender.is_alive()
 
+    def test_oversized_length_refused_before_buffering(self):
+        # a bare header claiming 2^32-1 payload bytes: refused on the
+        # length field alone, with nothing read or allocated past it
+        bob, peer = self.bob_and_peer()
+        try:
+            assert LIMITS["token-list"] == 132
+            for kind in ("token-list", "error"):
+                header = MAGIC + bytes([VERSION, FRAME_KINDS[kind]]) + b"\xff\xff\xff\xff"
+                peer.sendall(header)
+                with pytest.raises(ProtocolError, match="claims 4294967295 payload bytes"):
+                    bob.recv("token-list")
+            # one byte over the limit is refused too, a setup frame always
+            peer.sendall(encode_frame("token-list", bytes(133))[:10])
+            with pytest.raises(ProtocolError, match="at most 132"):
+                bob.recv("token-list")
+            peer.sendall(encode_frame("setup", b"")[:10])
+            with pytest.raises(ProtocolError, match="never sends a setup frame"):
+                bob.recv("token-list")
+        finally:
+            peer.close()
+            bob.close()
+
     def test_peer_closes_mid_payload(self):
         frame = encode_frame("token-list", bytes(40))
         bob, peer = self.bob_and_peer()
@@ -72,6 +112,76 @@ class TestTcpFraming:
                 bob.recv("token-list")
         finally:
             bob.close()
+
+
+class TestFileFrames:
+    def test_oversized_frame_file_refused(self, tmp_path):
+        bob = FileTransport(str(tmp_path), "bob", LIMITS, timeout=1)
+        frame = tmp_path / "alice.token-list.frame"
+        frame.write_bytes(encode_frame("token-list", bytes(133)))
+        with pytest.raises(ProtocolError, match="claims 133 payload bytes.*at most 132"):
+            bob.recv("token-list")
+        frame.write_bytes(encode_frame("token-list", bytes(132)))
+        assert bob.recv("token-list") == bytes(132)
+        # a file longer than its length field says
+        frame.write_bytes(encode_frame("token-list", bytes(132)) + bytes(1000))
+        with pytest.raises(ProtocolError, match="says 132 payload bytes, frame carries 133"):
+            bob.recv("token-list")
+        frame.unlink()
+        (tmp_path / "alice.error.frame").write_bytes(encode_frame("error", bytes(1025)))
+        with pytest.raises(ProtocolError, match="at most 1024"):
+            bob.recv("token-list")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_frame_file_refused(self, tmp_path):
+        bob = FileTransport(str(tmp_path), "bob", LIMITS, timeout=1)
+        os.symlink("/dev/zero", tmp_path / "alice.token-list.frame")
+        with pytest.raises(ProtocolError, match="bad magic"):
+            bob.recv("token-list")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_frame_pipe_read_no_further_than_its_length(self, tmp_path):
+        # a legal header, then bytes without end: bob reads one byte past
+        # the claimed length and refuses the frame; the writer gives up
+        # after 16 MiB so a reader that buffers to EOF fails, not hangs
+        bob = FileTransport(str(tmp_path), "bob", LIMITS, timeout=1)
+        fifo = tmp_path / "alice.token-list.frame"
+        os.mkfifo(fifo)
+        written = []
+
+        def writer():
+            with open(fifo, "wb", buffering=0) as fh:
+                try:
+                    fh.write(encode_frame("token-list", bytes(132)))
+                    for _ in range(256):
+                        written.append(fh.write(bytes(1 << 16)))
+                except BrokenPipeError:
+                    pass
+
+        t = threading.Thread(target=writer)
+        t.start()
+        try:
+            with pytest.raises(ProtocolError, match="says 132 payload bytes, frame carries 133"):
+                bob.recv("token-list")
+        finally:
+            t.join(10)
+        assert not t.is_alive()
+        assert sum(written) < 1 << 24
+
+
+class TestErrorReport:
+    def test_long_message_cut_to_the_error_limit(self):
+        # a peer refuses error frames over ERROR_PAYLOAD_MAX, so our own
+        # reports must fit it
+        sent = []
+
+        class Recorder:
+            def send(self, kind, payload):
+                sent.append((kind, payload))
+
+        cli._report_error(Recorder(), ProtocolError("x" * 5000))
+        assert sent == [("error", b"x" * ERROR_PAYLOAD_MAX)]
+        assert LIMITS["error"] == ERROR_PAYLOAD_MAX
 
 
 class TestSetupCommand:
@@ -204,6 +314,30 @@ class TestHandshakeCommand:
             "--test-mode", "--timeout", "0.3",
         ])
         assert r.returncode == 4
+
+    def test_tcp_oversized_header_exits_3(self, tmp_path):
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        port = free_port()
+        bob = spawn_cli([
+            "handshake", "--role", "bob", "--params", params,
+            "--transport", f"tcp:127.0.0.1:{port}", "--out", str(tmp_path / "k"),
+            "--test-mode", "--timeout", "20",
+        ])
+        deadline = time.monotonic() + 20
+        while True:
+            try:
+                peer = socket.create_connection(("127.0.0.1", port), timeout=20)
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "bob never listened"
+                time.sleep(0.05)
+        with peer:
+            peer.sendall(MAGIC + bytes([VERSION, FRAME_KINDS["token-list"]]) + b"\xff" * 4)
+            out, err = bob.communicate(timeout=30)
+        assert bob.returncode == 3, err
+        assert "claims 4294967295 payload bytes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "k").exists()
 
     def test_rdmpf_seeded_loopback(self, tmp_path):
         out = tmp_path / "p.json"
@@ -390,6 +524,15 @@ class TestBenchCommand:
 
 
 class TestVectorsCommand:
+    def test_only_vectors_imports_known_answers(self):
+        # the other commands start without the known-answer module; --p
+        # still defaults to its prime
+        code = ("import sys, mpfkap.cli as cli; "
+                "print('mpfkap.known_answers' in sys.modules, cli.DEFAULT_P)")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=60)
+        assert r.stdout.split() == ["False", str(ka.P)], r.stderr
+
     def test_all_pass(self):
         r = run_cli(["vectors"])
         assert r.returncode == 0
