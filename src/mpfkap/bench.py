@@ -40,6 +40,7 @@ class BenchRecord:
     exp_max: int
     trials: int
     median_s: float
+    samples: tuple[float, ...] = ()  # every trial's seconds, in the order they ran
 
     def __post_init__(self) -> None:
         if self.trials < 10:
@@ -106,7 +107,8 @@ def bench_rdmpf(
             wl.trial()
         costliest.trial()
     return [
-        BenchRecord(*wl.point, trials, statistics.median(wl.samples)) for wl in workloads
+        BenchRecord(*wl.point, trials, statistics.median(wl.samples), tuple(wl.samples))
+        for wl in workloads
     ]
 
 

@@ -299,23 +299,16 @@ def derive_key(priv: RmpfPrivate, peer_token: Token, setup: RmpfSetup) -> Matrix
 
 
 class RmpfSession:
-    """One party's state: setup, private draw, own token."""
+    """One party's state: setup and private draw."""
 
     def __init__(self, setup: RmpfSetup, rng: random.Random | None = None):
         self.setup = setup
         self._rng = rng if rng is not None else random.SystemRandom()
         self._private: RmpfPrivate | None = None
-        self._token: Token | None = None
 
     def generate_token(self, lam: int | None = None, omega: int | None = None) -> Token:
-        self._private, self._token = keygen(self.setup, self._rng, lam, omega)
-        return self._token
-
-    @property
-    def token(self) -> Token:
-        if self._token is None:
-            raise ParameterError("token not generated yet")
-        return self._token
+        self._private, token = keygen(self.setup, self._rng, lam, omega)
+        return token
 
     def derive_key(self, peer_token: Token) -> Matrix:
         if self._private is None:

@@ -5,16 +5,18 @@ The file transport drops each frame into the shared directory under
 file.  The TCP transport is a minimal length-prefixed exchange: bob
 listens, alice connects, one peer at a time, no retries beyond the
 connect deadline.  Both refuse a peer frame longer than the payload
-limits they are given (wire.payload_limits) before buffering it.
+limits they are given (wire.payload_limits) before buffering it, and
+the file transport reads a peer frame only from a regular file.
 """
 
 from __future__ import annotations
 
 import os
 import socket
+import stat
 import time
 
-from .errors import ProtocolError, TransportError
+from .errors import FrameError, ProtocolError, TransportError
 from .wire import HEADER_LEN, check_header, decode_frame, encode_frame
 
 ROLES = ("alice", "bob")
@@ -45,9 +47,12 @@ class FileTransport:
     def send(self, kind: str, payload: bytes) -> None:
         final = os.path.join(self.directory, f"{self.role}.{kind}.frame")
         tmp = final + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(encode_frame(kind, payload))
-        os.replace(tmp, final)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(encode_frame(kind, payload))
+            os.replace(tmp, final)
+        except OSError as exc:
+            raise TransportError(f"cannot write {final}: {exc}") from exc
 
     def recv(self, kind: str) -> bytes:
         path = os.path.join(self.directory, f"{self.peer}.{kind}.frame")
@@ -62,13 +67,21 @@ class FileTransport:
         return _expect_kind(self._read(path), kind)
 
     def _read(self, path: str) -> bytes:
-        # the header's length field bounds the read: one byte past it is
-        # enough for decode_frame to refuse a longer file, and a file that
-        # grows or never ends (a pipe, /dev/zero) is never buffered whole
-        with open(path, "rb") as fh:
-            header = fh.read(HEADER_LEN)
-            length = check_header(header, self.limits)
-            return header + fh.read(length + 1)
+        # O_NONBLOCK: opening a pipe must not wait for a writer.  Only a
+        # regular file is read, and its header's length field bounds the
+        # read: one byte past it is enough for decode_frame to refuse a
+        # longer file, and a file that grows is never buffered whole
+        try:
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                os.close(fd)
+                raise FrameError(f"peer frame {path} is not a regular file")
+            with open(fd, "rb") as fh:
+                header = fh.read(HEADER_LEN)
+                length = check_header(header, self.limits)
+                return header + fh.read(length + 1)
+        except OSError as exc:
+            raise TransportError(f"cannot read {path}: {exc}") from exc
 
     def close(self) -> None:
         pass

@@ -168,89 +168,113 @@ def decode_token_list(data: bytes, modulus: int) -> list[Matrix]:
 
 
 class _Layout(NamedTuple):
-    """One protocol's parameter-set fields, in file order.
+    """One protocol's parameter set, read by every codec and by build_setup.
 
-    fields pairs each scalar with its setup-frame struct code; the scalar
-    and matrix names are the attribute names of the protocol's setup.
+    fields pairs each scalar, in file order, with its setup-frame struct
+    code; scalar and matrix names are attribute names of setup, the
+    protocol's setup class.  derived names the scalars setup reads off
+    its matrices; defaults fills a scalar a JSON file or a caller omits.
     """
 
     fields: tuple[tuple[str, str], ...]
     matrices: tuple[str, ...]
+    setup: type
+    derived: tuple[str, ...]
+    defaults: dict[str, int]
 
 
 _LAYOUTS = {
-    "rmpf": _Layout((("rows", "I"), ("cols", "I")), ("base", "x", "y")),
-    "rdmpf": _Layout(
-        (("dim", "I"), ("exp_max", "Q"), ("rounds", "I"), ("sigma", "Q")),
-        ("w", "base_xu", "base_yv"),
-    ),
+    "rmpf": _Layout((("rows", "I"), ("cols", "I")), ("base", "x", "y"),
+                    RmpfSetup, ("rows", "cols"), {}),
+    "rdmpf": _Layout((("dim", "I"), ("exp_max", "Q"), ("rounds", "I"), ("sigma", "Q")),
+                     ("w", "base_xu", "base_yv"), RdmpfSetup, ("dim",), {"sigma": 1}),
 }
 
 
-def _pack(code: str, name: str, value: int) -> bytes:
-    try:
-        return struct.pack(">" + code, value)
-    except struct.error as exc:
-        raise ParameterError(
-            f"{name}={value} does not fit the setup frame's "
-            f"{struct.calcsize(code)}-byte field"
-        ) from exc
+def _scalar_format(layout: _Layout) -> str:
+    """Struct format of a setup payload's head: tag, p, scalars, seed flag."""
+    return ">BQ" + "".join(code for _, code in layout.fields) + "B"
 
 
-def _json_int(doc: dict, name: str, default: int | None = None) -> int:
-    value = doc.get(name, default)
-    # JSON true/false load as bool, an int subclass
-    if type(value) is not int:
-        raise ParameterError(f"parameter file needs an integer {name!r}, got {value!r:.40}")
-    return value
+def _scalars(protocol, p, given: dict, seed) -> tuple[_Layout, dict[str, int]]:
+    """Return the protocol's layout and its scalars, picked from given.
+
+    A scalar given lacks takes the layout's default, or None.  Each one,
+    p and a seed that is not None must be an int its setup-frame field
+    holds.
+    """
+    layout = _LAYOUTS.get(protocol) if isinstance(protocol, str) else None
+    if layout is None:
+        raise ParameterError(f"unknown protocol {protocol!r:.40}")
+    fields = {name: given.get(name, layout.defaults.get(name)) for name, _ in layout.fields}
+    checks = [("p", "Q", p), *((name, code, fields[name]) for name, code in layout.fields)]
+    if seed is not None:
+        checks.append(("seed", "Q", seed))
+    for name, code, value in checks:
+        # JSON true/false load as bool, an int subclass
+        if type(value) is not int:
+            raise ParameterError(f"parameter set needs an integer {name!r}, got {value!r:.40}")
+        size = struct.calcsize(code)
+        if not 0 <= value < 1 << 8 * size:
+            raise ParameterError(
+                f"{name}={value} does not fit the setup frame's {size}-byte field"
+            )
+    return layout, fields
 
 
-def _json_rows(doc: dict, name: str) -> list[list[int]]:
+def _json_matrix(doc: dict, name: str, p: int) -> Matrix:
+    """A matrix from its JSON rows, each entry as written: none is reduced mod p."""
     rows = doc.get(name)
     if not isinstance(rows, list) or not all(
         isinstance(r, list) and all(type(e) is int for e in r) for r in rows
     ):
         raise ParameterError(f"parameter file needs matrix {name!r} as a list of integer lists")
-    return rows
+    try:
+        if len({len(r) for r in rows}) != 1:
+            raise ParameterError("rows are missing or ragged")
+        return Matrix(len(rows), len(rows[0]), tuple(e for r in rows for e in r), p)
+    except ParameterError as exc:
+        raise ParameterError(f"matrix {name!r}: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamSet:
-    """Shared public parameters as they travel in files and setup frames."""
+    """Shared public parameters as they travel in files and setup frames.
+
+    fields holds the protocol's scalars and matrices its public matrices,
+    both keyed by the names in the protocol's layout; seed is the
+    test-mode seed or None.  Construction is the one check of a
+    parameter set's shape, so every set that exists fits both file forms.
+    """
 
     protocol: str  # "rmpf" | "rdmpf"
     p: int
-    rows: int | None = None  # rmpf
-    cols: int | None = None  # rmpf
-    dim: int | None = None  # rdmpf
-    exp_max: int | None = None  # rdmpf
-    rounds: int | None = None  # rdmpf
-    sigma: int = 1  # rdmpf
-    matrices: dict[str, Matrix] | None = None
-    seed: int | None = None  # test mode only
+    fields: dict[str, int]
+    matrices: dict[str, Matrix]
+    seed: int | None = None
+
+    def __post_init__(self) -> None:
+        layout, fields = _scalars(self.protocol, self.p, self.fields, self.seed)
+        if fields != self.fields or sorted(self.matrices) != sorted(layout.matrices):
+            raise ParameterError(
+                f"a {self.protocol} parameter set has exactly the scalars {list(fields)} "
+                f"and the matrices {list(layout.matrices)}"
+            )
+        for name, m in self.matrices.items():
+            if not isinstance(m, Matrix) or m.modulus != self.p:
+                raise ParameterError(f"matrix {name!r} must be a Matrix mod p={self.p}")
 
     def build_setup(self) -> RmpfSetup | RdmpfSetup:
         """Instantiate (and thereby validate) the owning protocol's setup."""
-        layout = _LAYOUTS.get(self.protocol)
-        if layout is None:
-            raise ParameterError(f"unknown protocol {self.protocol!r}")
-        params = FieldParams(self.p)
-        mats = self.matrices or {}
-        missing = [n for n in layout.matrices if n not in mats]
-        if missing:
-            raise ParameterError(f"parameter set lacks matrices: {missing}")
-        unset = [name for name, _ in layout.fields if getattr(self, name) is None]
-        if unset:
-            raise ParameterError(f"parameter set lacks {unset}")
-        ordered = [mats[n] for n in layout.matrices]
-        if self.protocol == "rmpf":
-            setup = RmpfSetup(params, *ordered)
-        else:
-            setup = RdmpfSetup(params, *ordered, self.exp_max, self.rounds, self.sigma)
-        for name, _ in layout.fields:
-            if getattr(setup, name) != getattr(self, name):
+        layout = _LAYOUTS[self.protocol]
+        given = {n: v for n, v in self.fields.items() if n not in layout.derived}
+        setup = layout.setup(
+            FieldParams(self.p), *(self.matrices[n] for n in layout.matrices), **given
+        )
+        for name in layout.derived:
+            if getattr(setup, name) != self.fields[name]:
                 raise ParameterError(
-                    f"parameter set declares {name} {getattr(self, name)}, "
+                    f"parameter set declares {name} {self.fields[name]}, "
                     f"matrices give {getattr(setup, name)}"
                 )
         return setup
@@ -266,7 +290,7 @@ class ParamSet:
             "p": self.p,
         }
         for name, _ in layout.fields:
-            doc[name] = getattr(self, name)
+            doc[name] = self.fields[name]
         for name in layout.matrices:
             doc[name] = self.matrices[name].to_rows()
         if self.seed is not None:
@@ -283,31 +307,21 @@ class ParamSet:
             raise ParameterError("not a parameter-set document")
         if doc.get("version") != PARAMSET_VERSION:
             raise ParameterError(f"unsupported parameter-set version {doc.get('version')}")
-        protocol = doc.get("protocol")
-        if protocol not in _LAYOUTS:
-            raise ParameterError(f"unknown protocol {protocol!r}")
-        layout = _LAYOUTS[protocol]
-        p = _json_int(doc, "p")
-        ps = cls(protocol=protocol, p=p, seed=doc.get("seed"))
-        # an absent field keeps its dataclass default; only sigma has one
-        for name, _ in layout.fields:
-            setattr(ps, name, _json_int(doc, name, getattr(ps, name)))
-        ps.matrices = {
-            name: Matrix.from_rows(_json_rows(doc, name), p) for name in layout.matrices
-        }
-        return ps
+        protocol, p, seed = doc.get("protocol"), doc.get("p"), doc.get("seed")
+        # matrix entries are range-checked against p, so p is checked first
+        layout, fields = _scalars(protocol, p, doc, seed)
+        matrices = {name: _json_matrix(doc, name, p) for name in layout.matrices}
+        return cls(protocol, p, fields, matrices, seed)
 
     # --- binary mirror -----------------------------------------------------
 
     def to_frame(self) -> bytes:
         layout = _LAYOUTS[self.protocol]
-        payload = bytes([_PROTO_TAGS[self.protocol]]) + _pack("Q", "p", self.p)
-        for name, code in layout.fields:
-            payload += _pack(code, name, getattr(self, name))
+        scalars = [self.fields[name] for name, _ in layout.fields]
+        head = (_PROTO_TAGS[self.protocol], self.p, *scalars, self.seed is not None)
+        payload = struct.pack(_scalar_format(layout), *head)
         if self.seed is not None:
-            payload += b"\x01" + _pack("Q", "seed", self.seed)
-        else:
-            payload += b"\x00"
+            payload += struct.pack(">Q", self.seed)
         for name in layout.matrices:
             payload += encode_matrix(self.matrices[name])
         return encode_frame("setup", payload)
@@ -318,83 +332,56 @@ class ParamSet:
         if kind != "setup":
             raise FrameError(f"expected a setup frame, got {kind}")
         try:
-            proto = _TAG_PROTOS.get(payload[0])
-            if proto is None:
+            protocol = _TAG_PROTOS.get(payload[0])
+            if protocol is None:
                 raise FrameError(f"unknown protocol tag {payload[0]}")
-            layout = _LAYOUTS[proto]
-            (p,) = struct.unpack(">Q", payload[1:9])
-            ps = cls(protocol=proto, p=p)
-            fmt = ">" + "".join(code for _, code in layout.fields)
-            values = struct.unpack_from(fmt, payload, 9)
-            for (name, _), value in zip(layout.fields, values):
-                setattr(ps, name, value)
-            off = 9 + struct.calcsize(fmt)
-            if payload[off] == 1:
-                (ps.seed,) = struct.unpack(">Q", payload[off + 1 : off + 9])
-                off += 9
-            else:
-                off += 1
-            rest = payload[off:]
-            mats = {}
+            layout = _LAYOUTS[protocol]
+            fmt = _scalar_format(layout)
+            _, p, *values, seed_flag = struct.unpack_from(fmt, payload)
+            if seed_flag > 1:
+                raise FrameError(f"unknown seed flag {seed_flag}")
+            off = struct.calcsize(fmt)
+            seed = struct.unpack_from(">Q", payload, off)[0] if seed_flag else None
+            rest = payload[off + 8 * seed_flag :]
+            matrices = {}
             for name in layout.matrices:
-                mats[name], rest = decode_matrix(rest, p)
+                matrices[name], rest = decode_matrix(rest, p)
             if rest:
                 raise FrameError(f"{len(rest)} trailing bytes after setup payload")
-            ps.matrices = mats
         except (IndexError, struct.error) as exc:
             raise FrameError(f"setup payload truncated: {exc}") from exc
-        return ps
+        fields = dict(zip((name for name, _ in layout.fields), values))
+        return cls(protocol, p, fields, matrices, seed)
 
 
 def generate_paramset(
-    protocol: str,
-    p: int,
-    rng: random.Random,
-    rows: int | None = None,
-    cols: int | None = None,
-    dim: int | None = None,
-    exp_max: int | None = None,
-    rounds: int | None = None,
-    sigma: int = 1,
-    seed: int | None = None,
+    protocol: str, p: int, rng: random.Random, seed: int | None = None, **fields: int | None
 ) -> tuple[ParamSet, RmpfSetup | RdmpfSetup]:
     """Sample public matrices for the requested protocol and validate them.
 
-    Returns the parameter set and the setup that validated it.
+    The protocol's scalars are taken from fields (any others are ignored)
+    and checked, with p and seed, before anything is sampled.  Returns the
+    parameter set and the setup that validated it.
     """
+    layout, fields = _scalars(protocol, p, fields, seed)
     params = FieldParams(p)
     if protocol == "rmpf":
-        if rows is None or cols is None:
-            raise ParameterError("rmpf needs rows and cols")
-        mats = {
-            name: sample_matrix(rows, cols, p, rng, mode="unit_entries")
-            for name in _LAYOUTS["rmpf"].matrices
+        matrices = {
+            name: sample_matrix(fields["rows"], fields["cols"], p, rng, mode="unit_entries")
+            for name in layout.matrices
         }
-        ps = ParamSet("rmpf", p, rows=rows, cols=cols, matrices=mats, seed=seed)
-    elif protocol == "rdmpf":
-        if dim is None or exp_max is None or rounds is None:
-            raise ParameterError("rdmpf needs dim, exp_max, and rounds")
+    else:
+        dim = fields["dim"]
         while True:
             w = sample_matrix(dim, dim, p, rng, mode="unit_entries")
             if rank_mod_p(w, p) == dim:
                 break
-        mats = {
+        matrices = {
             "w": w,
             "base_xu": sample_rank_deficient_base(dim, params, rng),
             "base_yv": sample_rank_deficient_base(dim, params, rng),
         }
-        ps = ParamSet(
-            "rdmpf",
-            p,
-            dim=dim,
-            exp_max=exp_max,
-            rounds=rounds,
-            sigma=sigma,
-            matrices=mats,
-            seed=seed,
-        )
-    else:
-        raise ParameterError(f"unknown protocol {protocol!r}")
+    ps = ParamSet(protocol, p, fields, matrices, seed)
     return ps, ps.build_setup()
 
 

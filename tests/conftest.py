@@ -27,12 +27,17 @@ def spawn_cli(args, env=None):
     )
 
 
+def wait_cli(proc, timeout=60):
+    """Wait for a spawn_cli process, drain and close its pipes; returns its exit code."""
+    proc.communicate(timeout=timeout)
+    return proc.returncode
+
+
 def write_known_rmpf_params(path, seed=None):
     ps = ParamSet(
         protocol="rmpf",
         p=ka.P,
-        rows=5,
-        cols=3,
+        fields={"rows": 5, "cols": 3},
         matrices={
             "base": Matrix.from_rows(ka.RMPF_BASE, ka.P),
             "x": Matrix.from_rows(ka.RMPF_X, ka.P),

@@ -9,7 +9,7 @@ import socket
 import time
 from contextlib import contextmanager
 
-from conftest import run_cli, spawn_cli
+from conftest import run_cli, spawn_cli, wait_cli
 from mpfkap import (
     FieldParams,
     KemContext,
@@ -35,7 +35,16 @@ from mpfkap import (
 from mpfkap import known_answers as ka
 from mpfkap.bench import bench_rdmpf, ratios_vs_baseline
 from mpfkap.rdmpf import rdmpf
-from mpfkap.wire import decode_frame, encode_frame
+from mpfkap.wire import (
+    FRAME_KINDS,
+    MAGIC,
+    VERSION,
+    check_header,
+    decode_frame,
+    encode_frame,
+    load_paramset,
+    payload_limits,
+)
 from mpfkap.errors import FrameError
 
 
@@ -288,9 +297,14 @@ def test_criterion_7_bench_ratios():
             f"\n  dim 5->25 ratio {dim_ratio:.1f}; prime 997->4973 ratio "
             f"{prime_ratio:.3f}; expMax 1000->5000 ratio {exp_ratio:.3f}"
         )
-        assert dim_ratio > 100, f"dim ratio {dim_ratio}"
-        assert 1.0 < prime_ratio < 3.0, f"prime ratio {prime_ratio}"
-        assert exp_ratio < 1.2, f"expMax ratio {exp_ratio}"
+        # a failing run prints every point's trials, in the order they ran
+        samples = "".join(
+            f"\n  {r.point}: median {r.median_s:.6g} s of {[float(f'{t:.4g}') for t in r.samples]}"
+            for r in records
+        )
+        assert dim_ratio > 100, f"dim ratio {dim_ratio}{samples}"
+        assert 1.0 < prime_ratio < 3.0, f"prime ratio {prime_ratio}{samples}"
+        assert exp_ratio < 1.2, f"expMax ratio {exp_ratio}{samples}"
 
 
 def test_criterion_8_transport_identical_keys_and_fuzz(tmp_path):
@@ -313,7 +327,7 @@ def test_criterion_8_transport_identical_keys_and_fuzz(tmp_path):
         alice = run_cli(["handshake", "--role", "alice", "--params", str(params),
                          "--transport", f"file:{xch}", "--out", str(tmp_path / "af.key"),
                          "--test-mode"])
-        assert bob.wait(90) == 0 and alice.returncode == 0
+        assert wait_cli(bob, 90) == 0 and alice.returncode == 0
 
         # tcp transport, same seed
         with socket.socket() as s:
@@ -326,7 +340,7 @@ def test_criterion_8_transport_identical_keys_and_fuzz(tmp_path):
         alice = run_cli(["handshake", "--role", "alice", "--params", str(params),
                          "--transport", f"tcp:127.0.0.1:{port}",
                          "--out", str(tmp_path / "at.key"), "--test-mode"])
-        assert bob.wait(90) == 0 and alice.returncode == 0
+        assert wait_cli(bob, 90) == 0 and alice.returncode == 0
 
         af = (tmp_path / "af.key").read_bytes()
         assert af == (tmp_path / "bf.key").read_bytes()
@@ -334,11 +348,20 @@ def test_criterion_8_transport_identical_keys_and_fuzz(tmp_path):
         assert af == (tmp_path / "bt.key").read_bytes()
         assert len(af) == 64
 
-        # frame fuzzing: random and mutated near-valid frames never crash
+        # frame fuzzing: 10^4 random and mutated near-valid frames, then
+        # headers with a length field drawn up to 2^32-1, never crash; a
+        # header passes check_header only with a length within its kind's
+        # limit under this criterion's setup
+        limits = payload_limits(load_paramset(str(params)).build_setup())
+        kinds = {code: kind for kind, code in FRAME_KINDS.items()}
         rng = random.Random(0xACCE08)
-        survived = 0
-        for case in range(10_000):
-            if case % 2:
+        survived = passed = refused = 0
+        for case in range(12_000):
+            if case >= 10_000:
+                length = rng.randrange(2 ** rng.randrange(1, 33))
+                blob = (MAGIC + bytes([VERSION, rng.choice(list(kinds))])
+                        + length.to_bytes(4, "big") + bytes(rng.randrange(0, 16)))
+            elif case % 2:
                 blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
             else:
                 base = bytearray(
@@ -348,8 +371,16 @@ def test_criterion_8_transport_identical_keys_and_fuzz(tmp_path):
                     base[rng.randrange(len(base))] ^= 1 << rng.randrange(8)
                 blob = bytes(base)
             try:
+                length = check_header(blob[:10], limits)
+            except FrameError:
+                refused += 1
+            else:
+                assert length <= limits[kinds[blob[5]]], blob[:10]
+                passed += 1
+            try:
                 decode_frame(blob)
             except FrameError:
                 pass
             survived += 1
-        assert survived == 10_000
+        assert survived == 12_000
+        assert passed > 100 and refused > 100, (passed, refused)

@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 
 from mpfkap import ParameterError, bench
@@ -64,6 +66,9 @@ class TestHarness:
         records = bench_rdmpf([(2, 7, 10), (4, 7, 10)], trials=10)
         assert [r.point for r in records] == [(2, 7, 10), (4, 7, 10)]
         assert all(r.median_s > 0 for r in records)
+        # every trial is kept, and the median is taken over them
+        assert all(len(r.samples) == 10 for r in records)
+        assert all(r.median_s == statistics.median(r.samples) for r in records)
         # dim 2 -> 4 multiplies the inner loop 16-fold; timer noise
         # cannot invert that separation
         assert records[1].median_s > records[0].median_s

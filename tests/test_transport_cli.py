@@ -1,5 +1,7 @@
 import hashlib
+import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -8,8 +10,8 @@ import time
 
 import pytest
 
-from conftest import run_cli, spawn_cli, write_known_rmpf_params
-from mpfkap import Matrix, ProtocolError, TransportError
+from conftest import run_cli, spawn_cli, wait_cli, write_known_rmpf_params
+from mpfkap import FrameError, Matrix, ProtocolError, TransportError
 from mpfkap import known_answers as ka
 from mpfkap.transport import FileTransport, TcpTransport, open_transport
 from mpfkap import cli
@@ -136,14 +138,14 @@ class TestFileFrames:
     def test_endless_frame_file_refused(self, tmp_path):
         bob = FileTransport(str(tmp_path), "bob", LIMITS, timeout=1)
         os.symlink("/dev/zero", tmp_path / "alice.token-list.frame")
-        with pytest.raises(ProtocolError, match="bad magic"):
+        with pytest.raises(ProtocolError, match="is not a regular file"):
             bob.recv("token-list")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_frame_pipe_read_no_further_than_its_length(self, tmp_path):
-        # a legal header, then bytes without end: bob reads one byte past
-        # the claimed length and refuses the frame; the writer gives up
-        # after 16 MiB so a reader that buffers to EOF fails, not hangs
+        # a legal header, then bytes without end: bob refuses the pipe
+        # without reading it; the writer gives up after 16 MiB so a reader
+        # that buffers to EOF fails, not hangs
         bob = FileTransport(str(tmp_path), "bob", LIMITS, timeout=1)
         fifo = tmp_path / "alice.token-list.frame"
         os.mkfifo(fifo)
@@ -158,15 +160,77 @@ class TestFileFrames:
                 except BrokenPipeError:
                     pass
 
-        t = threading.Thread(target=writer)
+        t = threading.Thread(target=writer, daemon=True)
         t.start()
         try:
-            with pytest.raises(ProtocolError, match="says 132 payload bytes, frame carries 133"):
+            with pytest.raises(ProtocolError, match="is not a regular file"):
                 bob.recv("token-list")
         finally:
-            t.join(10)
+            # bob may have come and gone before the writer opened its end
+            release_fifo(t, fifo, os.O_RDONLY)
         assert not t.is_alive()
         assert sum(written) < 1 << 24
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_without_writer_refused_at_once(self, tmp_path):
+        # a blocking open of a pipe's read end waits for a writer, past
+        # any timeout; recv runs on a thread so a regression fails here
+        bob = FileTransport(str(tmp_path), "bob", LIMITS, timeout=1)
+        fifo = tmp_path / "alice.token-list.frame"
+        os.mkfifo(fifo)
+        raised = []
+
+        def receive():
+            try:
+                bob.recv("token-list")
+            except Exception as exc:
+                raised.append(exc)
+
+        t = threading.Thread(target=receive, daemon=True)
+        t.start()
+        t.join(10)
+        blocked = t.is_alive()
+        release_fifo(t, fifo, os.O_WRONLY)
+        assert not blocked and not t.is_alive()
+        assert isinstance(raised[0], FrameError)
+        assert f"peer frame {fifo} is not a regular file" in str(raised[0])
+
+    def test_directory_as_peer_frame_exits_3(self, tmp_path):
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        (xch / "alice.token-list.frame").mkdir()
+        r = run_cli(["handshake", "--role", "bob", "--params", params,
+                     "--transport", f"file:{xch}", "--out", str(tmp_path / "k"),
+                     "--test-mode", "--timeout", "5"], timeout=30)
+        assert r.returncode == 3, r.stderr
+        assert f"peer frame {xch / 'alice.token-list.frame'} is not a regular file" in r.stderr
+        assert not (tmp_path / "k").exists()
+
+    def test_removed_exchange_directory_is_a_transport_error(self, tmp_path):
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        alice = FileTransport(str(xch), "alice", LIMITS, timeout=0.1)
+        shutil.rmtree(xch)
+        with pytest.raises(TransportError, match="cannot write .*alice.token-list.frame"):
+            alice.send("token-list", b"")
+        with pytest.raises(TransportError, match="timed out"):
+            alice.recv("token-list")
+
+
+def release_fifo(thread, fifo, other_end):
+    """Open and close fifo's other end until thread, stuck opening it, goes.
+
+    other_end is os.O_RDONLY or os.O_WRONLY; this bounds a failing test
+    instead of leaving a thread blocked in open().
+    """
+    deadline = time.monotonic() + 10
+    while thread.is_alive() and time.monotonic() < deadline:
+        try:
+            os.close(os.open(fifo, other_end | os.O_NONBLOCK))
+        except OSError:  # a non-blocking writer needs a reader
+            pass
+        thread.join(0.05)
 
 
 class TestErrorReport:
@@ -278,7 +342,7 @@ class TestHandshakeCommand:
             "--test-mode",
             "--inject", f"lambda={ka.RMPF_LAMBDA_A}", "--inject", f"omega={ka.RMPF_OMEGA_A}",
         ])
-        assert bob.wait(60) == 0
+        assert wait_cli(bob, 60) == 0
         assert alice.returncode == 0
         expected = encode_matrix(Matrix.from_rows(ka.RMPF_KEY, ka.P))
         assert (tmp_path / "alice.key").read_bytes() == expected
@@ -351,7 +415,7 @@ class TestHandshakeCommand:
         alice = run_cli(["handshake", "--role", "alice", "--params", str(out),
                          "--transport", f"file:{xch}", "--out", str(tmp_path / "a.key"),
                          "--test-mode"])
-        assert bob.wait(60) == 0 and alice.returncode == 0
+        assert wait_cli(bob, 60) == 0 and alice.returncode == 0
         a = (tmp_path / "a.key").read_bytes()
         assert a == (tmp_path / "b.key").read_bytes()
         assert len(a) == 64
@@ -362,7 +426,8 @@ class TestHandshakeCommand:
         # sides, before the transport opens: no frame reaches the directory
         rows = {"w": [[1, 4], [4, 0]], "base_xu": [[6, 5], [6, 5]],
                 "base_yv": [[1, 5], [1, 5]]}
-        ps = ParamSet(protocol="rdmpf", p=7, dim=2, exp_max=12, rounds=2, seed=5,
+        ps = ParamSet(protocol="rdmpf", p=7,
+                      fields={"dim": 2, "exp_max": 12, "rounds": 2, "sigma": 1}, seed=5,
                       matrices={k: Matrix.from_rows(v, 7) for k, v in rows.items()})
         params, _ = save_paramset(ps, str(tmp_path / "p.json"))
         xch = tmp_path / "xch"
@@ -373,6 +438,25 @@ class TestHandshakeCommand:
                          "--test-mode", "--timeout", "5"])
             assert r.returncode == 2, (role, r.stderr)
             assert "w must have entries" in r.stderr
+        assert not any(xch.iterdir())
+
+
+    def test_json_prime_beyond_the_word_refused_on_both_sides(self, tmp_path):
+        # 2^64+13 is prime and the known rmpf matrices are a setup under it,
+        # but no setup frame holds it: both sides refuse the JSON file, as
+        # they would its binary mirror, before the transport opens
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        doc = json.loads((tmp_path / "params.json").read_text())
+        doc["p"] = 2**64 + 13
+        (tmp_path / "params.json").write_text(json.dumps(doc))
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        for role in ("bob", "alice"):
+            r = run_cli(["handshake", "--role", role, "--params", params,
+                         "--transport", f"file:{xch}", "--out", str(tmp_path / f"{role}.key"),
+                         "--test-mode", "--timeout", "5"])
+            assert r.returncode == 2, (role, r.stderr)
+            assert f"p={2**64 + 13} does not fit the setup frame's 8-byte field" in r.stderr
         assert not any(xch.iterdir())
 
 
@@ -395,7 +479,7 @@ class TestKemCommand:
                   "--transport", f"file:{xch}", "--test-mode"]
         bob = spawn_cli(["kem", "--role", "bob", "--out", str(tmp_path / "b.k")] + common)
         alice = run_cli(["kem", "--role", "alice", "--out", str(tmp_path / "a.k")] + common)
-        assert bob.wait(60) == 0 and alice.returncode == 0
+        assert wait_cli(bob, 60) == 0 and alice.returncode == 0
         a = (tmp_path / "a.k").read_bytes()
         assert a == (tmp_path / "b.k").read_bytes()
         assert len(a) == 64
@@ -414,7 +498,7 @@ class TestKemCommand:
 
         bob = spawn_cli(args("bob", eta0_b, tmp_path / "b.k"))
         alice = run_cli(args("alice", eta0_a, tmp_path / "a.k"))
-        bob_rc = bob.wait(60)
+        bob_rc = wait_cli(bob, 60)
         # each party either derives a different K or rejects the garbled list
         if alice.returncode == 0 and bob_rc == 0:
             assert (tmp_path / "a.k").read_bytes() != (tmp_path / "b.k").read_bytes()
@@ -476,7 +560,7 @@ class TestKemCommand:
             alice = run_cli(["handshake", "--role", "alice", "--params", str(two),
                              "--transport", f"file:{xch}", "--out", str(tmp_path / "a.key"),
                              "--test-mode", "--timeout", "5"])
-            rc = {alice.returncode, bob.wait(60)}
+            rc = {alice.returncode, wait_cli(bob, 60)}
             assert 3 in rc and 2 not in rc, (name, rc)
 
     def test_env_seed_overrides(self, tmp_path):
@@ -498,7 +582,7 @@ class TestKemCommand:
             alice = run_cli(["handshake", "--role", "alice", "--params", str(params),
                              "--transport", f"file:{xch}",
                              "--out", str(tmp_path / f"a{tag}.key"), "--test-mode"], env=env)
-            assert bob.wait(60) == 0 and alice.returncode == 0
+            assert wait_cli(bob, 60) == 0 and alice.returncode == 0
             return (tmp_path / f"a{tag}.key").read_bytes()
 
         env_one = pair("99", "e1")

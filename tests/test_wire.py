@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import random
+import struct
 
 import pytest
 
 from conftest import run_cli
 from mpfkap import FrameError, Matrix, ParameterError
 from mpfkap import known_answers as ka
+from mpfkap import wire
 from mpfkap.wire import (
     MAGIC,
     ParamSet,
@@ -27,9 +29,7 @@ def known_rdmpf_paramset():
     return ParamSet(
         protocol="rdmpf",
         p=p,
-        dim=5,
-        exp_max=ka.RDMPF_EXP_MAX,
-        rounds=ka.RDMPF_ROUNDS,
+        fields={"dim": 5, "exp_max": ka.RDMPF_EXP_MAX, "rounds": ka.RDMPF_ROUNDS, "sigma": 1},
         matrices={
             "w": Matrix.from_rows(ka.RDMPF_W, p),
             "base_xu": Matrix.from_rows(ka.RDMPF_BASE_XU, p),
@@ -127,7 +127,7 @@ class TestParamSet:
         rng = random.Random(53)
         ps, _ = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=500, rounds=2, sigma=5)
         again = ParamSet.from_json(ps.to_json())
-        assert (again.dim, again.exp_max, again.rounds, again.sigma) == (3, 500, 2, 5)
+        assert again.fields == {"dim": 3, "exp_max": 500, "rounds": 2, "sigma": 5}
         assert again.matrices == ps.matrices
 
     def test_binary_mirror_round_trip(self):
@@ -143,7 +143,7 @@ class TestParamSet:
         ps, _ = generate_paramset("rdmpf", 997, rng, dim=3, exp_max=100, rounds=1)
         again = ParamSet.from_frame(ps.to_frame())
         assert again.matrices == ps.matrices
-        assert (again.dim, again.exp_max, again.rounds, again.sigma) == (3, 100, 1, 1)
+        assert again.fields == {"dim": 3, "exp_max": 100, "rounds": 1, "sigma": 1}
 
     def test_save_and_sniff_both_forms(self, tmp_path):
         rng = random.Random(55)
@@ -156,8 +156,14 @@ class TestParamSet:
             assert fh.read(4) == MAGIC
 
     def test_build_setup_validates(self):
-        ps = ParamSet(protocol="rmpf", p=65537, rows=3, cols=2, matrices={})
-        with pytest.raises(ParameterError):
+        # the record's shape is checked when it is made, the protocol's
+        # rules when its setup is built
+        with pytest.raises(ParameterError, match="exactly the scalars"):
+            ParamSet(protocol="rmpf", p=65537, fields={"rows": 3, "cols": 2}, matrices={})
+        square = Matrix.from_rows([[1, 2], [3, 4]], 65537)
+        ps = ParamSet(protocol="rmpf", p=65537, fields={"rows": 2, "cols": 2},
+                      matrices={"base": square, "x": square, "y": square})
+        with pytest.raises(ParameterError, match="rows must exceed cols"):
             ps.build_setup()
 
     def test_declared_dims_must_match_matrices(self):
@@ -165,7 +171,7 @@ class TestParamSet:
         rm, _ = generate_paramset("rmpf", 65537, rng, rows=4, cols=2)
         rd, _ = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=100, rounds=1)
         for ps, bad in ((rm, {"rows": 5}), (rm, {"cols": 3}), (rd, {"dim": 7})):
-            ps = dataclasses.replace(ps, **bad)
+            ps = dataclasses.replace(ps, fields={**ps.fields, **bad})
             for loaded in (ParamSet.from_json(ps.to_json()), ParamSet.from_frame(ps.to_frame())):
                 with pytest.raises(ParameterError, match="declares"):
                     loaded.build_setup()
@@ -186,6 +192,38 @@ class TestParamSet:
             ParamSet.from_json("{not json")
         with pytest.raises(ParameterError):
             ParamSet.from_json('{"format": "something-else"}')
+
+    def test_generate_checks_scalars_before_sampling(self, monkeypatch):
+        # a scalar no setup frame holds is refused before the first draw
+        drawn = []
+        monkeypatch.setattr(wire, "sample_matrix", lambda *args, **kw: drawn.append(args))
+        cases = [
+            ("rdmpf", 2**64 + 13, dict(dim=100, exp_max=10000, rounds=1),
+             f"p={2**64 + 13} does not fit the setup frame's 8-byte field"),
+            ("rdmpf", 65537, dict(dim=3, exp_max=100, rounds=1, seed=-1), "seed=-1 does not fit"),
+            ("rdmpf", 65537, dict(dim=3, rounds=1), "needs an integer 'exp_max', got None"),
+            ("rmpf", 65537, dict(rows=2**32, cols=3), "rows=4294967296 does not fit"),
+            ("rmpf", 65537, dict(rows=True, cols=3), "needs an integer 'rows', got True"),
+        ]
+        for protocol, p, kwargs, cause in cases:
+            with pytest.raises(ParameterError, match=cause):
+                generate_paramset(protocol, p, random.Random(1), **kwargs)
+        assert drawn == []
+
+    def test_both_forms_accept_the_same_sets(self):
+        # construction is the one check: a set that exists fits the frame
+        ps = known_rdmpf_paramset()
+        with pytest.raises(ParameterError, match="exactly the scalars"):
+            dataclasses.replace(ps, fields={**ps.fields, "extra": 1})
+        with pytest.raises(ParameterError, match="exp_max=18446744073709551616 does not fit"):
+            dataclasses.replace(ps, fields={**ps.fields, "exp_max": 2**64})
+        with pytest.raises(ParameterError, match="matrix 'w' must be a Matrix mod p=65537"):
+            dataclasses.replace(ps, matrices={**ps.matrices, "w": Matrix.identity(5, 65539)})
+        with pytest.raises(ParameterError, match="unknown protocol"):
+            dataclasses.replace(ps, protocol="xmpf")
+        seeded = dataclasses.replace(ps, seed=2**64 - 1)
+        assert ParamSet.from_frame(seeded.to_frame()) == seeded
+        assert ParamSet.from_json(seeded.to_json()) == seeded
 
     def test_generate_rejects_bad_dims(self):
         rng = random.Random(56)
@@ -211,6 +249,16 @@ def json_edit(change):
     return build
 
 
+def frame_with_seed_flag(flag):
+    def build(ps):
+        frame = ps.to_frame()
+        # after the header: protocol tag, p, the four rdmpf scalars, the flag
+        at = 10 + struct.calcsize(">BQIQIQ")
+        return "params.bin", frame[:at] + bytes([flag]) + frame[at + 1 :]
+
+    return build
+
+
 def frame_with_tag(tag):
     def build(ps):
         frame = ps.to_frame()
@@ -232,6 +280,18 @@ def frame_with_tag(tag):
         pytest.param(json_edit(lambda d: d.update(dim="3")), ParameterError,
                      "needs an integer 'dim', got '3'", 2, id="dim-string"),
         pytest.param(frame_with_tag(9), FrameError, "unknown protocol tag 9", 3, id="bin-tag-9"),
+        pytest.param(json_edit(lambda d: d.update(seed="x")), ParameterError,
+                     "needs an integer 'seed', got 'x'", 2, id="seed-string"),
+        pytest.param(json_edit(lambda d: d["w"][0].__setitem__(0, d["p"] + 1)), ParameterError,
+                     "matrix 'w': matrix entry out of", 2, id="w-entry-above-p"),
+        pytest.param(json_edit(lambda d: d["w"][0].__setitem__(0, -1)), ParameterError,
+                     "matrix 'w': matrix entry out of", 2, id="w-entry-negative"),
+        pytest.param(json_edit(lambda d: d["w"][1].pop()), ParameterError,
+                     "matrix 'w': rows are missing or ragged", 2, id="w-ragged"),
+        pytest.param(frame_with_seed_flag(7), FrameError, "unknown seed flag 7", 3,
+                     id="bin-seed-flag-7"),
+        pytest.param(json_edit(lambda d: d.update(protocol=["rdmpf"])), ParameterError,
+                     "unknown protocol", 2, id="protocol-list"),
     ],
 )
 def test_malformed_parameter_file(tmp_path, build, error, cause, code):
