@@ -10,6 +10,7 @@ both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
@@ -182,16 +183,16 @@ def _cmd_handshake(args) -> int:
     setup = ps.build_setup()
     inject = _parse_injections(args, ps.protocol)
     rng = _session_rng(args, ps)
-    transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
-    try:
-        key_bytes = _handshake(setup, rng, transport, args.role, inject)
-    except ProtocolError as exc:
-        _report_error(transport, exc)
-        raise
-    finally:
-        transport.close()
-    with open(args.out, "wb") as fh:
-        fh.write(key_bytes)
+    with _key_file(args.out) as out:
+        transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
+        try:
+            key_bytes = _handshake(setup, rng, transport, args.role, inject)
+        except ProtocolError as exc:
+            _report_error(transport, exc)
+            raise
+        finally:
+            transport.close()
+        out.write(key_bytes)
     print(f"wrote {len(key_bytes)}-byte key to {args.out}")
     return EXIT_OK
 
@@ -241,24 +242,24 @@ def _cmd_kem(args) -> int:
         raise ParameterError(f"eta0 file must hold {NONCE_BYTES} bytes, got {len(eta0)}")
     ctx = KemContext(eta0, auth_tag(args.auth_a), auth_tag(args.auth_b))
 
-    transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
-    try:
-        if args.role == "bob":
-            state, close_b = kem_initiate(ctx, setup, rng)
-            transport.send("kem-close-b", close_b)
-            payload = transport.recv("kem-encap-msg")
-            k = kem_decapsulate(state, _parse_encap_payload(payload))
-        else:
-            close_b = transport.recv("kem-close-b")
-            k, msg = kem_encapsulate(ctx, setup, close_b, rng)
-            transport.send("kem-encap-msg", msg.encap + msg.eta_m + msg.close_a)
-    except ProtocolError as exc:
-        _report_error(transport, exc)
-        raise
-    finally:
-        transport.close()
-    with open(args.out, "wb") as fh:
-        fh.write(k)
+    with _key_file(args.out) as out:
+        transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
+        try:
+            if args.role == "bob":
+                state, close_b = kem_initiate(ctx, setup, rng)
+                transport.send("kem-close-b", close_b)
+                payload = transport.recv("kem-encap-msg")
+                k = kem_decapsulate(state, _parse_encap_payload(payload))
+            else:
+                close_b = transport.recv("kem-close-b")
+                k, msg = kem_encapsulate(ctx, setup, close_b, rng)
+                transport.send("kem-encap-msg", msg.encap + msg.eta_m + msg.close_a)
+        except ProtocolError as exc:
+            _report_error(transport, exc)
+            raise
+        finally:
+            transport.close()
+        out.write(k)
     print(f"wrote {len(k)}-byte encapsulated key to {args.out}")
     return EXIT_OK
 
@@ -271,6 +272,31 @@ def _parse_encap_payload(payload: bytes) -> KemMessage:
         eta_m=payload[KEY_BYTES : KEY_BYTES + NONCE_BYTES],
         close_a=payload[KEY_BYTES + NONCE_BYTES :],
     )
+
+
+@contextlib.contextmanager
+def _key_file(path: str):
+    """The key output, opened before the exchange so that a bad --out sends no frame.
+
+    The key goes to <path>.tmp and replaces path only when the run
+    succeeds; a failed run removes the temporary file and leaves path
+    as it was.
+    """
+    if os.path.isdir(path):
+        raise ParameterError(f"--out {path} is a directory")
+    tmp = path + ".tmp"
+    try:
+        fh = open(tmp, "wb")
+    except OSError as exc:
+        raise ParameterError(f"cannot write the key to {path}: {exc.strerror}") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _report_error(transport, exc: Exception) -> None:

@@ -152,6 +152,14 @@ def mat_scalar_mul_mod(s: int, m: Matrix, modulus: int) -> Matrix:
     return Matrix(m.rows, m.cols, flat, modulus)
 
 
+def _pack(row: Sequence[int], width: int) -> int:
+    """One integer holding row[k] in bits [k·width, (k+1)·width)."""
+    acc = 0
+    for e in reversed(row):
+        acc = acc << width | e
+    return acc
+
+
 def mul_rows_mod(
     a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int
 ) -> list[list[int]]:
@@ -166,12 +174,7 @@ def mul_rows_mod(
     """
     width = 2 * (modulus - 1).bit_length() + len(b).bit_length()
     mask = (1 << width) - 1
-    packed = []
-    for row in b:
-        acc = 0
-        for e in reversed(row):
-            acc = acc << width | e
-        packed.append(acc)
+    packed = [_pack(row, width) for row in b]
     shifts = range(0, width * len(b[0]), width)
     return [
         [(s >> k & mask) % modulus for k in shifts]
@@ -225,23 +228,41 @@ def mat_pow_mod(m: Matrix, e: int, modulus: int) -> Matrix:
 
 
 def rank_mod_p(m: Matrix, p: int) -> int:
-    """Rank of m over the field Z_p, by Gaussian elimination."""
+    """Rank of m over the field Z_p, by Gaussian elimination on packed rows.
+
+    Each row is one integer with fixed-width slots, and the column being
+    eliminated is always every live row's lowest slot.  The rest of the
+    pivot row is reduced and turned into -row/lead slot by slot, so
+    eliminating the column from another row is one shift, which drops its
+    lead, plus one multiply-add of its reduced lead times that packed row.
+    Slots are never reduced in between.  A row starts reduced and takes at
+    most min(rows, cols) updates of less than p^2 each, so a slot of
+    2·bitlen(p) + bitlen(min(rows, cols)) + 1 bits holds
+    p + min(rows, cols)·p^2 without carrying into the next slot; a
+    narrower slot could corrupt its neighbour silently.
+    """
     if not is_probable_prime(p):
         raise ParameterError(f"rank is only defined over a prime modulus, got {p}")
-    work = [[e % p for e in m.row(i)] for i in range(m.rows)]
+    width = 2 * p.bit_length() + min(m.rows, m.cols).bit_length() + 1
+    mask = (1 << width) - 1
+    live = [_pack([e % p for e in m.row(i)], width) for i in range(m.rows)]
     rank = 0
     for col in range(m.cols):
-        pivot = next((i for i in range(rank, m.rows) if work[i][col]), None)
+        leads = [(r & mask) % p for r in live]
+        pivot = next((i for i, v in enumerate(leads) if v), None)
         if pivot is None:
+            live = [r >> width for r in live]
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        for i in range(rank + 1, m.rows):
-            if work[i][col]:
-                f = work[i][col] * inv % p
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        row = live.pop(pivot)
+        lead = leads.pop(pivot)
+        scale = -pow(lead, -1, p)
+        negated = _pack(
+            [(row >> k & mask) * scale % p for k in range(width, width * (m.cols - col), width)],
+            width,
+        )
+        live = [(r >> width) + v * negated for r, v in zip(live, leads)]
         rank += 1
-        if rank == m.rows:
+        if not live:
             break
     return rank
 

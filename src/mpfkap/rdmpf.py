@@ -106,8 +106,22 @@ class RdmpfSetup:
 
 
 def _has_short_cycle(base: Matrix, em: int) -> bool:
-    """Whether base**k == base mod em for some k in _ORDER_PROBES."""
-    powers = {1: [[e % em for e in base.row(i)] for i in range(base.rows)]}
+    """Whether base**k == base mod em for some k in _ORDER_PROBES.
+
+    base**k == base forces base**k·v == base·v for any vector v, so the
+    chain base**k·v, k = 2 .. max probe, with v all ones screens first:
+    one matrix-vector product per step.  Only a probe that survives the
+    screen needs the exact chain of matrix products.
+    """
+    rows = [[e % em for e in base.row(i)] for i in range(base.rows)]
+    image = first = mul_rows_mod(rows, [[1]] * base.cols, em)
+    for k in range(2, max(_ORDER_PROBES) + 1):
+        image = mul_rows_mod(rows, image, em)
+        if k in _ORDER_PROBES and image == first:
+            break
+    else:
+        return False
+    powers = {1: rows}
     for k, i, j in _PROBE_CHAIN:
         powers[k] = mul_rows_mod(powers[i], powers[j], em)
     return any(powers[k] == powers[1] for k in _ORDER_PROBES)

@@ -266,6 +266,54 @@ def duplicate_row_pairs(m):
     ]
 
 
+def rank_by_row_lists(m, p):
+    # oracle: Gaussian elimination on reduced row lists, rebuilding each
+    # row below the pivot with one reduction per entry
+    work = [[e % p for e in m.row(i)] for i in range(m.rows)]
+    rank = 0
+    for col in range(m.cols):
+        pivot = next((i for i in range(rank, m.rows) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        for i in range(rank + 1, m.rows):
+            if work[i][col]:
+                f = work[i][col] * inv % p
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+        if rank == m.rows:
+            break
+    return rank
+
+
+RANK_PRIMES = (2, 3, 7, 65537, 2**64 - 59)
+
+
+def combined_rows(rows, count, p, rng):
+    # rows plus `count` random linear combinations of them
+    extra = []
+    for _ in range(count):
+        coeffs = [rng.randrange(p) for _ in rows]
+        extra.append([sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(len(rows[0]))])
+    return rows + extra
+
+
+def full_updates_matrix(n, p, dependent):
+    """A matrix whose last row takes the largest update at every step.
+
+    Row t < n-1 is e_t + e_{n-1}, so it is the pivot at step t and no
+    other pivot touches it.  The last row is -1 left of the diagonal, so
+    its lead is -1 at every step, and each step adds (p-1)·(p-1) to its
+    last slot and nothing to the others: that slot collects n-1 of the
+    largest updates.  With dependent=True the last row is minus the sum
+    of the others, and the rank is n-1.
+    """
+    rows = [[int(j == i or j == n - 1) for j in range(n)] for i in range(n - 1)]
+    rows.append([p - 1] * (n - 1) + [-(n - 1) % p if dependent else 1])
+    return Matrix.from_rows(rows, p)
+
+
 class TestRank:
     def test_identity_full_rank(self):
         assert rank_mod_p(Matrix.identity(3, 7), 7) == 3
@@ -283,6 +331,57 @@ class TestRank:
     def test_rank_only_over_primes(self):
         with pytest.raises(ParameterError):
             rank_mod_p(Matrix.identity(2, 8), 8)
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 3), (3, 6), (1, 5), (5, 1)])
+    def test_edge_matrices_match_oracle(self, p, shape):
+        rows, cols = shape
+        rng = random.Random(p * 31 + rows * 7 + cols)
+        late = [[0] * min(2, cols - 1) + [rng.randrange(1, p) for _ in range(cols - min(2, cols - 1))]
+                for _ in range(rows)]
+        cases = {
+            "zero": Matrix.zeros(rows, cols, p),
+            "all p-1": Matrix.from_rows([[p - 1] * cols for _ in range(rows)], p),
+            "leading zero columns": Matrix.from_rows(late, p),
+            "general": sample_matrix(rows, cols, p, rng),
+        }
+        if rows > 1:
+            base = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows // 2)]
+            cases["combinations"] = Matrix.from_rows(
+                combined_rows(base, rows - len(base), p, rng), p)
+        for name, m in cases.items():
+            assert rank_mod_p(m, p) == rank_by_row_lists(m, p), name
+        assert rank_mod_p(cases["zero"], p) == 0
+        assert rank_mod_p(cases["all p-1"], p) == 1
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    def test_random_shapes_match_oracle(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            k = rng.randrange(1, rows + 1)
+            base = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(cols)]
+                    for _ in range(k)]
+            m = Matrix.from_rows(combined_rows(base, rows - k, p, rng), p)
+            assert rank_mod_p(m, p) == rank_by_row_lists(m, p)
+
+    @pytest.mark.parametrize("p", [65537, 2**64 - 59])
+    @pytest.mark.parametrize("dim", [30, 100])
+    def test_sampled_setup_matrices_match_oracle(self, p, dim):
+        rng = random.Random(dim + p)
+        unit = sample_matrix(dim, dim, p, rng, mode="unit_entries")
+        deficient = sample_matrix(dim, dim, p, rng, mode="rank_deficient")
+        assert rank_mod_p(unit, p) == rank_by_row_lists(unit, p) == dim
+        assert rank_mod_p(deficient, p) == rank_by_row_lists(deficient, p) == dim - 1
+
+    @pytest.mark.parametrize("n", [6, 12, 100])
+    def test_largest_updates_fit_a_slot(self, n):
+        # n-1 updates of (p-1)^2 overflow a slot two bits narrower at these n
+        p = 2**64 - 59
+        for dependent, rank in ((False, n), (True, n - 1)):
+            m = full_updates_matrix(n, p, dependent)
+            assert rank_by_row_lists(m, p) == rank
+            assert rank_mod_p(m, p) == rank
 
     def test_duplicate_pairs_survive_powers(self):
         rng = random.Random(3)

@@ -232,6 +232,50 @@ class TestBaseProbe:
         assert rdmpf_module._has_short_cycle(m, 6)
         assert separate_probes(m, 6)
 
+    @pytest.fixture
+    def product_shapes(self, monkeypatch):
+        # the column count of every right factor the probe multiplies by
+        shapes = []
+        kernel = rdmpf_module.mul_rows_mod
+
+        def spy(a, b, modulus):
+            shapes.append(len(b[0]))
+            return kernel(a, b, modulus)
+
+        monkeypatch.setattr(rdmpf_module, "mul_rows_mod", spy)
+        return shapes
+
+    @staticmethod
+    def stochastic_matrix(dim, em, rng):
+        # zero-free rows summing to 1 mod em: base**k·1 == 1 == base·1 for every k
+        rows = []
+        while len(rows) < dim:
+            row = [rng.randrange(1, em) for _ in range(dim - 1)]
+            last = (1 - sum(row)) % em
+            if last:
+                rows.append(row + [last])
+        return Matrix.from_rows(rows, em + 1)
+
+    def test_screen_passes_and_the_chain_rejects(self, product_shapes):
+        m = self.stochastic_matrix(4, 65536, random.Random(41))
+        assert not separate_probes(m, 65536)
+        assert not rdmpf_module._has_short_cycle(m, 65536)
+        assert product_shapes.count(4) == len(rdmpf_module._PROBE_CHAIN)
+
+    def test_screen_passes_and_the_chain_accepts(self, product_shapes):
+        # the idempotent projection's rows sum to 7 = 1 mod 6
+        m = Matrix.from_rows([[3, 4], [3, 4]], 7)
+        assert rdmpf_module._has_short_cycle(m, 6)
+        assert product_shapes.count(2) == len(rdmpf_module._PROBE_CHAIN)
+
+    def test_no_survivor_skips_the_chain(self, product_shapes):
+        rng = random.Random(42)
+        for _ in range(5):
+            cand = sample_matrix(6, 6, 2**64 - 59, rng, mode="rank_deficient")
+            assert not rdmpf_module._has_short_cycle(cand, 2**64 - 60)
+        assert product_shapes and set(product_shapes) == {1}
+        assert len(product_shapes) == 5 * max(rdmpf_module._ORDER_PROBES)
+
     def test_sampler_skips_short_cycles(self, monkeypatch):
         # a permutation passes the mod-2 screen, so only the probe rejects it
         good = Matrix.from_rows([[1, 2, 3], [1, 2, 3], [4, 5, 6]], 65537)

@@ -370,6 +370,31 @@ class TestHandshakeCommand:
         ])
         assert r.returncode == 4
 
+    def test_unwritable_out_sends_no_frame(self, tmp_path):
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        alice = run_cli([
+            "handshake", "--role", "alice", "--params", params,
+            "--transport", f"file:{xch}", "--out", str(tmp_path / "missing" / "alice.key"),
+            "--test-mode",
+        ])
+        assert alice.returncode == 2
+        assert "missing" in alice.stderr
+        assert list(xch.iterdir()) == []
+        bob_key = tmp_path / "bob.key"
+        bob_key.write_bytes(b"earlier key")
+        bob = run_cli([
+            "handshake", "--role", "bob", "--params", params,
+            "--transport", f"file:{xch}", "--out", str(bob_key),
+            "--test-mode", "--timeout", "0.3",
+        ])
+        assert bob.returncode == 4
+        # a failed run leaves the key path as it was and no temporary file
+        assert bob_key.read_bytes() == b"earlier key"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bob.key", "params.bin", "params.json", "xch"]
+
     def test_tcp_listener_times_out(self, tmp_path):
         params, _ = write_known_rmpf_params(tmp_path / "params.json")
         r = run_cli([
@@ -483,6 +508,24 @@ class TestKemCommand:
         a = (tmp_path / "a.k").read_bytes()
         assert a == (tmp_path / "b.k").read_bytes()
         assert len(a) == 64
+
+    def test_unwritable_out_sends_no_frame(self, tmp_path):
+        params, eta0 = self._setup_files(tmp_path)
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        common = ["--params", str(params), "--eta0", str(eta0),
+                  "--auth-a", "alice@example", "--auth-b", "bob@example",
+                  "--transport", f"file:{xch}", "--test-mode"]
+        alice = run_cli(["kem", "--role", "alice",
+                         "--out", str(tmp_path / "missing" / "a.k")] + common)
+        assert alice.returncode == 2
+        assert "missing" in alice.stderr
+        assert list(xch.iterdir()) == []
+        bob = run_cli(["kem", "--role", "bob", "--out", str(tmp_path / "b.k"),
+                       "--timeout", "0.3"] + common)
+        assert bob.returncode == 4
+        assert not any(p.name.startswith("b.k") for p in tmp_path.iterdir())
+        assert [p.name for p in xch.iterdir()] == ["bob.kem-close-b.frame"]
 
     def test_mismatched_eta0_diverges(self, tmp_path):
         params, eta0_a = self._setup_files(tmp_path)
