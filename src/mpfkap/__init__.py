@@ -13,6 +13,7 @@ from .core import (
     is_probable_prime,
     mat_mul_mod,
     mat_pow_mod,
+    mat_pows_mod,
     mat_scalar_mul_mod,
     matrix_values,
     rank_mod_p,
@@ -35,6 +36,7 @@ from .kem import (
     kem_decapsulate,
     kem_encapsulate,
     kem_initiate,
+    kem_rounds,
     mask_stream,
 )
 from .rdmpf import (
@@ -91,10 +93,12 @@ __all__ = [
     "kem_decapsulate",
     "kem_encapsulate",
     "kem_initiate",
+    "kem_rounds",
     "keygen",
     "mask_stream",
     "mat_mul_mod",
     "mat_pow_mod",
+    "mat_pows_mod",
     "mat_scalar_mul_mod",
     "matrix_values",
     "mpf_double",

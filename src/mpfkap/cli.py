@@ -30,6 +30,7 @@ from .kem import (
     kem_decapsulate,
     kem_encapsulate,
     kem_initiate,
+    kem_rounds,
 )
 from .rdmpf import RdmpfSession, RdmpfSetup
 from .rmpf import RmpfSession, RmpfSetup
@@ -251,8 +252,9 @@ def _cmd_kem(args) -> int:
                 payload = transport.recv("kem-encap-msg")
                 k = kem_decapsulate(state, _parse_encap_payload(payload))
             else:
+                session = kem_rounds(setup, rng)  # while bob runs his
                 close_b = transport.recv("kem-close-b")
-                k, msg = kem_encapsulate(ctx, setup, close_b, rng)
+                k, msg = kem_encapsulate(ctx, session, close_b)
                 transport.send("kem-encap-msg", msg.encap + msg.eta_m + msg.close_a)
         except ProtocolError as exc:
             _report_error(transport, exc)

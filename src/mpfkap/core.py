@@ -200,31 +200,83 @@ def mat_mul_mod(a: Matrix, b: Matrix, modulus: int) -> Matrix:
     return _from_product_rows(rows, modulus)
 
 
-def mat_pow_mod(m: Matrix, e: int, modulus: int) -> Matrix:
-    """M**e mod modulus by square-and-multiply; e = 0 gives the identity.
+def _window(exps: Sequence[int]) -> tuple[int, int, int]:
+    """(products, c, positions) for the digit width c that needs the fewest products.
 
-    Right to left over the bits of e, starting at the lowest set bit and
-    stopping before the last squaring: bitlen(e) - 1 squarings and
-    popcount(e) - 1 multiplications, all on row lists.
+    The count is exact.  With P = ceil(bitlen(max)/c) positions, the
+    tables cost 2^c - 2 products at position 0, 2^c - 1 at each middle
+    position (one for the base, from the previous top entry) and the
+    last position's largest digit D there; a single position costs
+    D - 1.  Each exponent's nonzero digits after its first cost one
+    product each.  Ties go to the smaller c.  Every c with 2^c - 1 above
+    the best count costs more than it, so the search stops there.
+    """
+    top = max(exps)
+    bits = top.bit_length()
+    nonzero = sum(1 for e in exps if e)
+    folded = [0] * len(exps)  # bit c·j set iff digit j of e is nonzero
+    best: tuple[int, int, int] | None = None  # (products, c, positions)
+    for c in range(1, bits + 1):
+        full = (1 << c) - 1
+        if best is not None and full > best[0]:
+            break
+        folded = [f | e >> (c - 1) for f, e in zip(folded, exps)]
+        positions = -(-bits // c)
+        last = top >> c * (positions - 1)
+        table = last - 1 if positions == 1 else full - 1 + (positions - 2) * full + last
+        digit_bits = ((1 << c * positions) - 1) // full  # bits 0, c, 2c, ...
+        products = table + sum((f & digit_bits).bit_count() for f in folded) - nonzero
+        if best is None or products < best[0]:
+            best = (products, c, positions)
+    return best
+
+
+def mat_pows_mod(m: Matrix, exps: Sequence[int], modulus: int) -> list[Matrix]:
+    """[M**e mod modulus for e in exps], sharing one fixed-base table walk.
+
+    The only matrix-power loop (fixed-base windowing: Brickell, Gordon,
+    McCurley and Wilson 1992; HAC §14.6.3).  The exponents are cut into
+    c-bit digits from the bottom.  Position j's table holds
+    M^(d·2^(c·j)) for 0 < d < 2^c; its first entry is the previous
+    position's first entry times its top entry, and each further entry
+    is one more product.  Each exponent's nonzero digit picks an entry
+    into its result, the first one by reference, the rest by a product;
+    then the table is dropped, so N results plus 2^c entries are live.
+    The last position builds its table only up to its largest digit.
+    c comes from _window's exact product count.  For one exponent that
+    count picks c = 1, plain square-and-multiply: bitlen(e) - 1
+    squarings and popcount(e) - 1 products, with no product by the
+    identity and no unused last squaring.  e = 0 gives the identity.
     """
     if not m.is_square:
         raise ParameterError(f"matrix power needs a square matrix, got {m.rows}x{m.cols}")
-    if e < 0:
-        raise ParameterError(f"exponent must be non-negative, got {e}")
-    if e == 0:
-        return Matrix.identity(m.rows, modulus)
-    acc = _reduced_rows(m, modulus)
-    while not e & 1:
-        acc = mul_rows_mod(acc, acc, modulus)
-        e >>= 1
-    result = acc
-    e >>= 1
-    while e:
-        acc = mul_rows_mod(acc, acc, modulus)
-        if e & 1:
-            result = mul_rows_mod(result, acc, modulus)
-        e >>= 1
-    return _from_product_rows(result, modulus)
+    if any(e < 0 for e in exps):
+        raise ParameterError(f"exponent must be non-negative, got {min(exps)}")
+    results: list = [None] * len(exps)
+    if any(exps):
+        _, c, positions = _window(exps)
+        full = (1 << c) - 1
+        first = _reduced_rows(m, modulus)
+        for j in range(positions):
+            if j:
+                first = mul_rows_mod(table[-1], first, modulus)
+            digits = [e >> c * j & full for e in exps]
+            table = [None, first]
+            for _ in range(1, full if j < positions - 1 else max(digits)):
+                table.append(mul_rows_mod(table[-1], first, modulus))
+            for i, d in enumerate(digits):
+                if d:
+                    acc = results[i]
+                    results[i] = table[d] if acc is None else mul_rows_mod(acc, table[d], modulus)
+    return [
+        Matrix.identity(m.rows, modulus) if r is None else _from_product_rows(r, modulus)
+        for r in results
+    ]
+
+
+def mat_pow_mod(m: Matrix, e: int, modulus: int) -> Matrix:
+    """M**e mod modulus: mat_pows_mod for one exponent."""
+    return mat_pows_mod(m, [e], modulus)[0]
 
 
 def rank_mod_p(m: Matrix, p: int) -> int:

@@ -4,7 +4,8 @@ All otherwise-public token traffic is masked with an HMAC-SHA3-512
 keystream keyed by a 512-bit shared root nonce, and the encapsulated
 512-bit key K is masked with an HMAC keyed by the agreed session digest.
 Bob initiates (CloseB), Alice encapsulates ({Encap, CloseA, eta_m}), Bob
-decapsulates.
+decapsulates.  Alice's rounds need nothing from CloseB, so she runs them
+(kem_rounds) before it arrives.
 """
 
 from __future__ import annotations
@@ -113,12 +114,22 @@ def _unmask_tokens(masked: bytes, key: bytes, context: bytes, setup: RdmpfSetup)
     return parse_token_list(values, setup.dim, setup.rounds, setup.params.p)
 
 
+def kem_rounds(setup: RdmpfSetup, rng: random.Random | None = None) -> RdmpfSession:
+    """One party's rounds, generated.
+
+    They depend on nothing the peer sends, so alice generates hers while
+    bob generates his.
+    """
+    session = RdmpfSession(setup, rng)
+    session.generate_tokens()
+    return session
+
+
 def kem_initiate(
     ctx: KemContext, setup: RdmpfSetup, rng: random.Random | None = None
 ) -> tuple[KemResponderState, bytes]:
     """Bob's opening move: run his rounds and send the masked token list."""
-    session = RdmpfSession(setup, rng)
-    session.generate_tokens()
+    session = kem_rounds(setup, rng)
     token_bytes = canonical_bytes(session.token_values())
     close_b = xor_bytes(
         token_bytes, mask_stream(ctx.eta0, ctx.auth_pair, len(token_bytes))
@@ -127,23 +138,21 @@ def kem_initiate(
 
 
 def kem_encapsulate(
-    ctx: KemContext,
-    setup: RdmpfSetup,
-    close_b: bytes,
-    rng: random.Random | None = None,
+    ctx: KemContext, session: RdmpfSession, close_b: bytes
 ) -> tuple[bytes, KemMessage]:
-    """Alice's move: agree on the session key and encapsulate a fresh K."""
+    """Alice's move: agree on the session key and encapsulate a fresh K.
+
+    session holds her rounds from kem_rounds; eta_m and then K come from
+    its rng, after her exponents.
+    """
+    setup = session.setup
     expected = _token_byte_len(setup)
     if len(close_b) != expected:
         raise ProtocolError(f"close_b is {len(close_b)} bytes, expected {expected}")
-    if rng is None:
-        rng = random.SystemRandom()
     peer_tokens = _unmask_tokens(close_b, ctx.eta0, ctx.auth_pair, setup)
-
-    session = RdmpfSession(setup, rng)
-    session.generate_tokens()
     shared = session.derive(peer_tokens)
 
+    rng = session.rng
     eta_m = rng.getrandbits(8 * NONCE_BYTES).to_bytes(NONCE_BYTES, "big")
     k = rng.getrandbits(8 * KEY_BYTES).to_bytes(KEY_BYTES, "big")
 

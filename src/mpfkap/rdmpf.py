@@ -23,6 +23,7 @@ from .core import (
     Matrix,
     canonical_bytes,
     mat_pow_mod,
+    mat_pows_mod,
     mat_scalar_mul_mod,
     matrix_values,
     mul_rows_mod,
@@ -187,6 +188,24 @@ def _round_action(priv: RdmpfRoundPrivate, w: Matrix, setup: RdmpfSetup) -> Matr
     return double_action(xe, w, priv.r, setup.params.p)
 
 
+def _keygen(
+    setup: RdmpfSetup, pairs: Sequence[tuple[int, int]]
+) -> list[tuple[RdmpfRoundPrivate, Token]]:
+    """Each round's private pair and public token, from its (rand_l, rand_r).
+
+    Every round raises the same two bases, so each base takes one
+    mat_pows_mod over all rounds' exponents.
+    """
+    em = setup.params.exp_modulus
+    ls = mat_pows_mod(setup.base_xu, [rand_l for rand_l, _ in pairs], em)
+    rs = mat_pows_mod(setup.base_yv, [rand_r for _, rand_r in pairs], em)
+    out = []
+    for (rand_l, rand_r), l, r in zip(pairs, ls, rs):
+        priv = RdmpfRoundPrivate(rand_l, rand_r, l, r)
+        out.append((priv, _round_action(priv, setup.w, setup)))
+    return out
+
+
 def round_keygen(
     setup: RdmpfSetup,
     rng: random.Random,
@@ -197,18 +216,11 @@ def round_keygen(
 
     Explicit rand_l/rand_r replay a known transcript.
     """
-    em = setup.params.exp_modulus
     if rand_l is None:
         rand_l = rng.randint(1, setup.exp_max)
     if rand_r is None:
         rand_r = rng.randint(1, setup.exp_max)
-    priv = RdmpfRoundPrivate(
-        rand_l,
-        rand_r,
-        mat_pow_mod(setup.base_xu, rand_l, em),
-        mat_pow_mod(setup.base_yv, rand_r, em),
-    )
-    return priv, _round_action(priv, setup.w, setup)
+    return _keygen(setup, [(rand_l, rand_r)])[0]
 
 
 def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> Matrix:
@@ -276,13 +288,14 @@ class RdmpfSession:
     """One party's state machine: round privates, token list, derived keys.
 
     Usage: generate_tokens(), ship tokens to the peer, then derive() on
-    the peer's token matrices.  Rounds inside one session are strictly
-    sequential; distinct sessions are independent.
+    the peer's token matrices.  rng draws the exponents; the KEM draws
+    its nonce and key from it afterwards.  Distinct sessions are
+    independent.
     """
 
     def __init__(self, setup: RdmpfSetup, rng: random.Random | None = None):
         self.setup = setup
-        self._rng = rng if rng is not None else random.SystemRandom()
+        self.rng = rng if rng is not None else random.SystemRandom()
         self._privates: list[RdmpfRoundPrivate] = []
         self._tokens: list[Token] = []
         self._keys: list[Matrix] = []
@@ -290,21 +303,22 @@ class RdmpfSession:
     def generate_tokens(
         self, injected: Sequence[tuple[int, int]] | None = None
     ) -> list[Token]:
-        """Run every round's keygen; injected pairs replay a transcript."""
-        if injected is not None and len(injected) != self.setup.rounds:
+        """Run every round's keygen; injected pairs replay a transcript.
+
+        All rounds' pairs are drawn first, (rand_l, rand_r) round by
+        round, then every round's powers and token come from one _keygen.
+        """
+        rounds, top, rng = self.setup.rounds, self.setup.exp_max, self.rng
+        if injected is None:
+            injected = [(rng.randint(1, top), rng.randint(1, top)) for _ in range(rounds)]
+        elif len(injected) != rounds:
             raise ParameterError(
-                f"need {self.setup.rounds} injected exponent pairs, got {len(injected)}"
+                f"need {rounds} injected exponent pairs, got {len(injected)}"
             )
-        self._privates = []
-        self._tokens = []
+        generated = _keygen(self.setup, injected)
+        self._privates = [priv for priv, _ in generated]
+        self._tokens = [token for _, token in generated]
         self._keys = []
-        for rnd in range(self.setup.rounds):
-            if injected is not None:
-                priv, token = round_keygen(self.setup, self._rng, *injected[rnd])
-            else:
-                priv, token = round_keygen(self.setup, self._rng)
-            self._privates.append(priv)
-            self._tokens.append(token)
         return list(self._tokens)
 
     @property

@@ -282,20 +282,35 @@ class ParamSet:
     # --- JSON form -------------------------------------------------------
 
     def to_json(self) -> str:
+        """The document exactly as json.dumps(doc, indent=2) + "\\n" writes it.
+
+        Matrices go into the text one row string at a time: the
+        pure-Python encoder that indent selects would hold one chunk per
+        number and separator until its final join, several times the
+        size of the text.
+        """
         layout = _LAYOUTS[self.protocol]
-        doc: dict = {
+        scalars: dict = {
             "format": PARAMSET_FORMAT,
             "version": PARAMSET_VERSION,
             "protocol": self.protocol,
             "p": self.p,
         }
         for name, _ in layout.fields:
-            doc[name] = self.fields[name]
+            scalars[name] = self.fields[name]
+        items = (f"{json.dumps(k)}: {json.dumps(v)}" for k, v in scalars.items())
+        parts = ["{\n  ", ",\n  ".join(items)]
         for name in layout.matrices:
-            doc[name] = self.matrices[name].to_rows()
+            m = self.matrices[name]
+            sep = f",\n  {json.dumps(name)}: [\n    [\n      "
+            for i in range(m.rows):
+                parts += (sep, ",\n      ".join(map(str, m.row(i))))
+                sep = "\n    ],\n    [\n      "
+            parts.append("\n    ]\n  ]")
         if self.seed is not None:
-            doc["seed"] = self.seed
-        return json.dumps(doc, indent=2) + "\n"
+            parts.append(f',\n  "seed": {json.dumps(self.seed)}')
+        parts.append("\n}\n")
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "ParamSet":

@@ -13,6 +13,7 @@ from mpfkap import (
     is_probable_prime,
     mat_mul_mod,
     mat_pow_mod,
+    mat_pows_mod,
     mat_scalar_mul_mod,
     rank_mod_p,
     sample_matrix,
@@ -258,6 +259,109 @@ class TestMatPow:
             bx = mat_pow_mod(b, x, 65536)
             by = mat_pow_mod(b, y, 65536)
             assert mat_mul_mod(bx, by, 65536) == mat_mul_mod(by, bx, 65536)
+
+
+P64 = 2**64 - 59
+
+
+def per_product_count(e):
+    # square-and-multiply: bitlen(e)-1 squarings, popcount(e)-1 products
+    return e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0
+
+
+class TestMatPows:
+    def test_edge_exponents_match_separate_powers(self):
+        em = P64 - 1
+        a = sample_matrix(3, 3, P64, random.Random(3))
+        exps = [0, 1, P64 - 2, 2**63, 2**63, 1, 0, 12345, P64 - 2, 2**64 - 1]
+        got = mat_pows_mod(a, exps, em)
+        assert got == [mat_pow_mod(a, e, em) for e in exps]
+        assert [m.to_rows() for m in got] == [naive_pow(a.to_rows(), e, em) for e in exps]
+        assert got[0] == Matrix.identity(3, em)
+
+    def test_nonzero_digit_at_every_window_position(self):
+        # one exponent per bit, so every window position of every width
+        # has a nonzero digit somewhere, plus all-ones and random ones
+        em = P64 - 1
+        rng = random.Random(64)
+        a = sample_matrix(2, 2, P64, rng)
+        exps = [1 << k for k in range(64)] + [2**64 - 1]
+        exps += [rng.randrange(2**64) for _ in range(64)]
+        _, c, positions = core._window(exps)
+        assert c > 1 and positions == -(-64 // c)
+        got = mat_pows_mod(a, exps, em)
+        assert [m.to_rows() for m in got] == [naive_pow(a.to_rows(), e, em) for e in exps]
+
+    def test_one_exponent(self):
+        a = sample_matrix(4, 4, 65537, random.Random(1))
+        for e in (0, 1, 2, 3, 65535, 2**40 + 7):
+            assert mat_pows_mod(a, [e], 65536) == [mat_pow_mod(a, e, 65536)]
+            assert mat_pows_mod(a, [e], 65536)[0].to_rows() == naive_pow(a.to_rows(), e, 65536)
+        assert mat_pows_mod(a, [], 65536) == []
+
+    @pytest.mark.parametrize("m", [2, 65536, 2**64 - 60])
+    def test_one_by_one_matches_pow(self, m):
+        rng = random.Random(m)
+        for _ in range(5):
+            a = Matrix(1, 1, (rng.randrange(P64),), P64)
+            exps = [0, 1, 2, m - 1, m, 2**63, 2**63] + [rng.randrange(2**64) for _ in range(40)]
+            got = mat_pows_mod(a, exps, m)
+            assert [g.entries for g in got] == [(pow(a.entries[0], e, m),) for e in exps]
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ParameterError, match="square"):
+            mat_pows_mod(Matrix.from_rows([[1, 2, 3], [4, 5, 6]], 7), [1, 2], 7)
+
+    def test_negative_exponent_rejected(self):
+        a = Matrix.from_rows([[1, 2], [3, 4]], 7)
+        for exps in ([-1], [5, -1, 2], [0, 3, -(2**63)]):
+            with pytest.raises(ParameterError, match="non-negative"):
+                mat_pows_mod(a, exps, 6)
+        with pytest.raises(ParameterError, match="non-negative"):
+            mat_pow_mod(a, -1, 6)
+
+    def test_one_exponent_keeps_square_and_multiply(self):
+        # the count picks c = 1, whose count is exactly square-and-multiply's:
+        # every exponent below 2^14, and random ones up to 256 bits
+        rng = random.Random(14)
+        exps = [*range(1, 1 << 14)] + [rng.getrandbits(rng.randrange(15, 257)) for _ in range(2000)]
+        for e in filter(None, exps):
+            assert core._window([e]) == (per_product_count(e), 1, e.bit_length())
+
+    def test_one_exponent_product_count(self, product_count):
+        a = sample_matrix(2, 2, 65537, random.Random(1))
+        rng = random.Random(2)
+        for e in [*range(0, 300), 2**63, 2**64 - 1] + [rng.randrange(2**64) for _ in range(50)]:
+            product_count.clear()
+            mat_pows_mod(a, [e], 65536)
+            assert len(product_count) == per_product_count(e), e
+
+    def test_window_is_the_cheapest(self):
+        # oracle: every width from 1 to bitlen(max), each counted digit by digit
+        def count(exps, c):
+            bits = max(exps).bit_length()
+            positions = -(-bits // c)
+            digits = [[e >> c * j & (1 << c) - 1 for e in exps] for j in range(positions)]
+            tops = [(1 << c) - 1] * (positions - 1) + [max(digits[-1])]
+            table = sum(tops) - 1  # every entry but position 0's first
+            nonzero = sum(1 for row in digits for d in row if d)
+            return table + nonzero - sum(1 for e in exps if e), c, positions
+
+        rng = random.Random(4)
+        for n, bits in ((1, 9), (2, 8), (3, 64), (16, 20), (128, 63), (40, 2), (300, 30)):
+            exps = [rng.randrange(1 << bits) for _ in range(n)] + [0]
+            widths = range(1, max(exps).bit_length() + 1)
+            assert core._window(exps) == min(count(exps, c) for c in widths)
+
+    def test_batch_product_count_is_the_model(self, product_count):
+        rng = random.Random(3)
+        a = sample_matrix(2, 2, P64, rng)
+        for n, bits in ((2, 8), (3, 64), (16, 20), (128, 63), (40, 2)):
+            exps = [rng.randrange(1 << bits) for _ in range(n)]
+            product_count.clear()
+            mat_pows_mod(a, exps, P64 - 1)
+            assert len(product_count) == core._window(exps)[0]
+            assert len(product_count) <= sum(per_product_count(e) for e in exps)
 
 
 def duplicate_row_pairs(m):

@@ -19,6 +19,7 @@ from mpfkap import (
     kem_decapsulate,
     kem_encapsulate,
     kem_initiate,
+    kem_rounds,
     mask_stream,
 )
 
@@ -133,9 +134,31 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, setup, close_b, random.Random(2))
+        k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
         assert kem_decapsulate(state, msg) == k
         assert len(k) == 64
+
+    @pytest.mark.parametrize("seed, dim, p, exp_max, rounds, digest", [
+        (41, 3, 65537, 500, 2, "fe5596e7c73d2069c8b894b1e76452823b86fedea7ea283371422d7b31b8ee35"),
+        (42, 3, 65537, 500, 1, "adebce3c172a27f5ae7f2eeba6496ec236350424fbdbe166469c46c01d8d7470"),
+        (46, 3, 65537, 500, 1, "98819975bbe13a56cb14a883defe04614c05d1bb85d31e806b3cceed7ab6205d"),
+        (48, 3, 65537, 500, 1, "6a846a0eb8c95e030efb58c3d676b7fd35385363a05cbe2c03e79159b7c84b4a"),
+        (49, 3, 65537, 500, 2, "0acfdac48fb985b274ea11b18910e65e6471f02b35087cf2ea21271f459d797a"),
+        (50, 2, 2**64 - 59, 2**63, 128,
+         "2d13efb70de94173565c2ad1845aee20e22f51a0a87c3bded18122c2f17babdd"),
+    ])
+    def test_outputs_pinned(self, seed, dim, p, exp_max, rounds, digest):
+        # SHA-256 of close_b, K, encap, eta_m and close_a, recorded when
+        # each round raised its bases on its own and alice drew her
+        # exponents after close_b arrived
+        rng = random.Random(seed)
+        setup = generate_setup(dim, p, exp_max, rounds, rng)
+        ctx = make_ctx(rng)
+        state, close_b = kem_initiate(ctx, setup, random.Random(1))
+        k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
+        assert kem_decapsulate(state, msg) == k
+        wire = close_b + k + msg.encap + msg.eta_m + msg.close_a
+        assert hashlib.sha256(wire).hexdigest() == digest
 
     def test_close_b_is_xor_recoverable(self):
         rng = random.Random(42)
@@ -175,7 +198,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(9))
-        k, msg = kem_encapsulate(ctx, setup, close_b, ZeroNonceRng())
+        k, msg = kem_encapsulate(ctx, kem_rounds(setup, ZeroNonceRng()), close_b)
         assert msg.eta_m == b"\x00" * 64
         assert kem_decapsulate(state, msg) == k
 
@@ -184,14 +207,14 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         with pytest.raises(ProtocolError):
-            kem_encapsulate(ctx, setup, b"\x00" * 10, random.Random(1))
+            kem_encapsulate(ctx, kem_rounds(setup, random.Random(1)), b"\x00" * 10)
 
     def test_truncated_close_a_rejected(self):
         rng = random.Random(46)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, setup, close_b, random.Random(2))
+        k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
         truncated = KemMessage(msg.encap, msg.close_a[:-8], msg.eta_m)
         with pytest.raises(ProtocolError):
             kem_decapsulate(state, truncated)
@@ -201,7 +224,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        _, msg = kem_encapsulate(ctx, setup, close_b, random.Random(2))
+        _, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
         bound = bytes(a ^ b for a, b in zip(ctx.auth_pair, msg.eta_m))
         keystream = mask_stream(ctx.eta0, bound, len(msg.close_a))
         plain = bytearray(a ^ b for a, b in zip(msg.close_a, keystream))
@@ -218,7 +241,7 @@ class TestRoundTrip:
         tampered = bytearray(close_b)
         tampered[5] ^= 0x08
         try:
-            k, msg = kem_encapsulate(ctx, setup, bytes(tampered), random.Random(2))
+            k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), bytes(tampered))
             assert kem_decapsulate(state, msg) != k
         except MpfKapError:
             pass  # strict parsing may reject the garbled token list outright
@@ -228,7 +251,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, setup, close_b, random.Random(2))
+        k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
         swapped = KemMessage(msg.encap, msg.close_a, bytes(64))
         try:
             assert kem_decapsulate(state, swapped) != k

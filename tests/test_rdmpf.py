@@ -376,6 +376,27 @@ class TestSession:
         bob.generate_tokens([(v.rand_u, v.rand_v) for v in ka.RDMPF_ROUND_VECTORS])
         assert alice.derive(bob.tokens).hex() == ka.PINNED_SESSION_DIGEST_HEX
 
+    @pytest.mark.parametrize("dim, rounds", [(2, 1), (2, 128), (8, 1), (8, 128)])
+    def test_batched_rounds_match_per_round_oracle(self, dim, rounds):
+        # generate_tokens raises each base once for all rounds; round_keygen,
+        # round by round from the same draws, is the oracle
+        p = 2**64 - 59 if dim == 2 else 65537
+        setup = generate_setup(dim, p, 2**63, rounds, random.Random(dim * 1000 + rounds))
+        session = RdmpfSession(setup, random.Random(7))
+        tokens = session.generate_tokens()
+        draws = random.Random(7)
+        oracle = [round_keygen(setup, draws) for _ in range(rounds)]
+        assert tokens == [token for _, token in oracle]
+        peer_tokens = tokens[::-1]  # any zero-free tokens of the setup will do
+        digest = session.derive(peer_tokens)
+        keys = [round_key(priv, tok, setup) for (priv, _), tok in zip(oracle, peer_tokens)]
+        assert session.keys == keys
+        assert digest == session_digest(keys)
+        replay = RdmpfSession(setup, SeqRng([]))
+        pairs = [(priv.rand_l, priv.rand_r) for priv, _ in oracle]
+        assert replay.generate_tokens(pairs) == tokens
+        assert replay.derive(peer_tokens) == digest
+
     def test_seeded_loopback(self):
         rng = random.Random(35)
         setup = generate_setup(3, 65537, 1000, 3, rng)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import run_cli, spawn_cli, wait_cli, write_known_rmpf_params
-from mpfkap import FrameError, Matrix, ProtocolError, TransportError
+from mpfkap import FrameError, Matrix, ProtocolError, RdmpfSession, TransportError
 from mpfkap import known_answers as ka
 from mpfkap.transport import FileTransport, TcpTransport, open_transport
 from mpfkap import cli
@@ -359,6 +359,21 @@ class TestHandshakeCommand:
         ])
         assert r.returncode == 2
 
+    def test_negative_injected_exponent_exits_2(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run_cli(["setup", "--protocol", "rdmpf", "--dim", "3", "--rounds", "2",
+                        "--seed", "77", "--out", str(out)]).returncode == 0
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        for rand_l in ("-1,4", "4,-1"):
+            r = run_cli(["handshake", "--role", "alice", "--params", str(out),
+                         "--transport", f"file:{xch}", "--out", str(tmp_path / "k"),
+                         "--test-mode", "--inject", f"rand_l={rand_l}",
+                         "--inject", "rand_r=5,6"])
+            assert r.returncode == 2
+            assert "exponent must be non-negative" in r.stderr
+        assert list(xch.iterdir()) == []
+
     def test_peer_absent_times_out(self, tmp_path):
         params, _ = write_known_rmpf_params(tmp_path / "params.json")
         xch = tmp_path / "xch"
@@ -526,6 +541,48 @@ class TestKemCommand:
         assert bob.returncode == 4
         assert not any(p.name.startswith("b.k") for p in tmp_path.iterdir())
         assert [p.name for p in xch.iterdir()] == ["bob.kem-close-b.frame"]
+
+    def test_alice_runs_her_rounds_before_close_b(self, tmp_path, monkeypatch, capsys):
+        # bob runs 1 round and alice 2, so his close_b is half the length
+        # she expects; she has generated her tokens by the time she asks
+        # for it, and still refuses it with exit 3 and an error frame
+        files = {}
+        for rounds in (1, 2):
+            files[rounds] = tmp_path / f"r{rounds}.json"
+            r = run_cli(["setup", "--protocol", "rdmpf", "--dim", "3", "--rounds", str(rounds),
+                         "--seed", "9", "--out", str(files[rounds])])
+            assert r.returncode == 0
+        eta0 = tmp_path / "eta0.bin"
+        eta0.write_bytes(b"\xab" * 64)
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        common = ["--eta0", str(eta0), "--auth-a", "a", "--auth-b", "b",
+                  "--transport", f"file:{xch}", "--test-mode", "--timeout", "30"]
+        bob = spawn_cli(["kem", "--role", "bob", "--params", str(files[1]),
+                         "--out", str(tmp_path / "b.k")] + common)
+
+        events = []
+        generate, recv = RdmpfSession.generate_tokens, FileTransport.recv
+
+        def spy_generate(session, injected=None):
+            tokens = generate(session, injected)
+            events.append(("tokens", len(tokens)))
+            return tokens
+
+        def spy_recv(transport, kind):
+            events.append(("recv", kind))
+            return recv(transport, kind)
+
+        monkeypatch.setattr(RdmpfSession, "generate_tokens", spy_generate)
+        monkeypatch.setattr(FileTransport, "recv", spy_recv)
+        rc = cli.main(["kem", "--role", "alice", "--params", str(files[2]),
+                       "--out", str(tmp_path / "a.k")] + common)
+        assert rc == 3
+        assert events == [("tokens", 2), ("recv", "kem-close-b")]
+        assert "close_b is 72 bytes, expected 144" in capsys.readouterr().err
+        assert (xch / "alice.error.frame").is_file()
+        assert wait_cli(bob, 60) == 3
+        assert not any(p.name.startswith(("a.k", "b.k")) for p in tmp_path.iterdir())
 
     def test_mismatched_eta0_diverges(self, tmp_path):
         params, eta0_a = self._setup_files(tmp_path)

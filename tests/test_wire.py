@@ -130,6 +130,27 @@ class TestParamSet:
         assert again.fields == {"dim": 3, "exp_max": 500, "rounds": 2, "sigma": 5}
         assert again.matrices == ps.matrices
 
+    def test_json_text_is_json_dumps(self):
+        # oracle: the document as a dict, written by json.dumps(indent=2)
+        rng = random.Random(55)
+        sets = [known_rdmpf_paramset()]
+        for protocol, p, kwargs in (
+            ("rdmpf", 65537, dict(dim=3, exp_max=500, rounds=2, sigma=5, seed=4)),
+            ("rdmpf", 2**64 - 59, dict(dim=2, exp_max=2**63, rounds=128, sigma=1)),
+            ("rmpf", 65537, dict(rows=5, cols=3, seed=0)),
+            ("rmpf", 7, dict(rows=2, cols=1)),
+        ):
+            sets.append(generate_paramset(protocol, p, rng, **kwargs)[0])
+        for ps in sets:
+            layout = wire._LAYOUTS[ps.protocol]
+            doc = {"format": wire.PARAMSET_FORMAT, "version": wire.PARAMSET_VERSION,
+                   "protocol": ps.protocol, "p": ps.p}
+            doc.update((name, ps.fields[name]) for name, _ in layout.fields)
+            doc.update((name, ps.matrices[name].to_rows()) for name in layout.matrices)
+            if ps.seed is not None:
+                doc["seed"] = ps.seed
+            assert ps.to_json() == json.dumps(doc, indent=2) + "\n"
+
     def test_binary_mirror_round_trip(self):
         rng = random.Random(54)
         for kwargs in (
