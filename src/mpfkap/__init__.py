@@ -13,7 +13,6 @@ from .core import (
     is_probable_prime,
     mat_mul_mod,
     mat_pow_mod,
-    mat_pows_mod,
     mat_scalar_mul_mod,
     matrix_values,
     rank_mod_p,
@@ -36,7 +35,6 @@ from .kem import (
     kem_decapsulate,
     kem_encapsulate,
     kem_initiate,
-    kem_rounds,
     mask_stream,
 )
 from .rdmpf import (
@@ -93,12 +91,10 @@ __all__ = [
     "kem_decapsulate",
     "kem_encapsulate",
     "kem_initiate",
-    "kem_rounds",
     "keygen",
     "mask_stream",
     "mat_mul_mod",
     "mat_pow_mod",
-    "mat_pows_mod",
     "mat_scalar_mul_mod",
     "matrix_values",
     "mpf_double",

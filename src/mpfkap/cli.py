@@ -30,7 +30,6 @@ from .kem import (
     kem_decapsulate,
     kem_encapsulate,
     kem_initiate,
-    kem_rounds,
 )
 from .rdmpf import RdmpfSession, RdmpfSetup
 from .rmpf import RmpfSession, RmpfSetup
@@ -252,7 +251,8 @@ def _cmd_kem(args) -> int:
                 payload = transport.recv("kem-encap-msg")
                 k = kem_decapsulate(state, _parse_encap_payload(payload))
             else:
-                session = kem_rounds(setup, rng)  # while bob runs his
+                session = RdmpfSession(setup, rng)
+                session.generate_tokens()  # while bob generates his
                 close_b = transport.recv("kem-close-b")
                 k, msg = kem_encapsulate(ctx, session, close_b)
                 transport.send("kem-encap-msg", msg.encap + msg.eta_m + msg.close_a)

@@ -231,26 +231,32 @@ def _window(exps: Sequence[int]) -> tuple[int, int, int]:
     return best
 
 
-def mat_pows_mod(m: Matrix, exps: Sequence[int], modulus: int) -> list[Matrix]:
-    """[M**e mod modulus for e in exps], sharing one fixed-base table walk.
+def mat_pow_mod(
+    m: Matrix, e: int | Sequence[int], modulus: int
+) -> Matrix | list[Matrix]:
+    """M**e mod modulus; for a sequence of exponents, the list of M**e.
 
-    The only matrix-power loop (fixed-base windowing: Brickell, Gordon,
-    McCurley and Wilson 1992; HAC §14.6.3).  The exponents are cut into
-    c-bit digits from the bottom.  Position j's table holds
-    M^(d·2^(c·j)) for 0 < d < 2^c; its first entry is the previous
-    position's first entry times its top entry, and each further entry
-    is one more product.  Each exponent's nonzero digit picks an entry
-    into its result, the first one by reference, the rest by a product;
-    then the table is dropped, so N results plus 2^c entries are live.
-    The last position builds its table only up to its largest digit.
-    c comes from _window's exact product count.  For one exponent that
-    count picks c = 1, plain square-and-multiply: bitlen(e) - 1
-    squarings and popcount(e) - 1 products, with no product by the
-    identity and no unused last squaring.  e = 0 gives the identity.
+    The only matrix-power loop.  A sequence shares one fixed-base table
+    walk (Brickell, Gordon, McCurley and Wilson 1992; HAC §14.6.3).  The
+    exponents are cut into c-bit digits from the bottom.  Position j's
+    table holds M^(d·2^(c·j)) for 0 < d < 2^c; its first entry is the
+    previous position's first entry times its top entry, and each
+    further entry is one more product.  Each exponent's nonzero digit
+    picks an entry into its result, the first one by reference, the rest
+    by a product; then the table is dropped, so N results plus 2^c
+    entries are live.  The last position builds its table only up to its
+    largest digit.  c comes from _window's exact product count.  For one
+    exponent that count picks c = 1, plain square-and-multiply:
+    bitlen(e) - 1 squarings and popcount(e) - 1 products, with no
+    product by the identity and no unused last squaring.  e = 0 gives
+    the identity.
     """
+    if isinstance(e, int):
+        return mat_pow_mod(m, [e], modulus)[0]
+    exps = e
     if not m.is_square:
         raise ParameterError(f"matrix power needs a square matrix, got {m.rows}x{m.cols}")
-    if any(e < 0 for e in exps):
+    if any(x < 0 for x in exps):
         raise ParameterError(f"exponent must be non-negative, got {min(exps)}")
     results: list = [None] * len(exps)
     if any(exps):
@@ -260,7 +266,7 @@ def mat_pows_mod(m: Matrix, exps: Sequence[int], modulus: int) -> list[Matrix]:
         for j in range(positions):
             if j:
                 first = mul_rows_mod(table[-1], first, modulus)
-            digits = [e >> c * j & full for e in exps]
+            digits = [x >> c * j & full for x in exps]
             table = [None, first]
             for _ in range(1, full if j < positions - 1 else max(digits)):
                 table.append(mul_rows_mod(table[-1], first, modulus))
@@ -272,11 +278,6 @@ def mat_pows_mod(m: Matrix, exps: Sequence[int], modulus: int) -> list[Matrix]:
         Matrix.identity(m.rows, modulus) if r is None else _from_product_rows(r, modulus)
         for r in results
     ]
-
-
-def mat_pow_mod(m: Matrix, e: int, modulus: int) -> Matrix:
-    """M**e mod modulus: mat_pows_mod for one exponent."""
-    return mat_pows_mod(m, [e], modulus)[0]
 
 
 def rank_mod_p(m: Matrix, p: int) -> int:

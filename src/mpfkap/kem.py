@@ -4,8 +4,8 @@ All otherwise-public token traffic is masked with an HMAC-SHA3-512
 keystream keyed by a 512-bit shared root nonce, and the encapsulated
 512-bit key K is masked with an HMAC keyed by the agreed session digest.
 Bob initiates (CloseB), Alice encapsulates ({Encap, CloseA, eta_m}), Bob
-decapsulates.  Alice's rounds need nothing from CloseB, so she runs them
-(kem_rounds) before it arrives.
+decapsulates.  Alice's rounds need nothing from CloseB, so she can
+generate them before it arrives.
 """
 
 from __future__ import annotations
@@ -114,22 +114,12 @@ def _unmask_tokens(masked: bytes, key: bytes, context: bytes, setup: RdmpfSetup)
     return parse_token_list(values, setup.dim, setup.rounds, setup.params.p)
 
 
-def kem_rounds(setup: RdmpfSetup, rng: random.Random | None = None) -> RdmpfSession:
-    """One party's rounds, generated.
-
-    They depend on nothing the peer sends, so alice generates hers while
-    bob generates his.
-    """
-    session = RdmpfSession(setup, rng)
-    session.generate_tokens()
-    return session
-
-
 def kem_initiate(
     ctx: KemContext, setup: RdmpfSetup, rng: random.Random | None = None
 ) -> tuple[KemResponderState, bytes]:
     """Bob's opening move: run his rounds and send the masked token list."""
-    session = kem_rounds(setup, rng)
+    session = RdmpfSession(setup, rng)
+    session.generate_tokens()
     token_bytes = canonical_bytes(session.token_values())
     close_b = xor_bytes(
         token_bytes, mask_stream(ctx.eta0, ctx.auth_pair, len(token_bytes))
@@ -142,8 +132,8 @@ def kem_encapsulate(
 ) -> tuple[bytes, KemMessage]:
     """Alice's move: agree on the session key and encapsulate a fresh K.
 
-    session holds her rounds from kem_rounds; eta_m and then K come from
-    its rng, after her exponents.
+    session holds her generated rounds, which need nothing from close_b;
+    eta_m and then K come from its rng, after her exponents.
     """
     setup = session.setup
     expected = _token_byte_len(setup)

@@ -23,7 +23,6 @@ from .core import (
     Matrix,
     canonical_bytes,
     mat_pow_mod,
-    mat_pows_mod,
     mat_scalar_mul_mod,
     matrix_values,
     mul_rows_mod,
@@ -188,39 +187,23 @@ def _round_action(priv: RdmpfRoundPrivate, w: Matrix, setup: RdmpfSetup) -> Matr
     return double_action(xe, w, priv.r, setup.params.p)
 
 
-def _keygen(
+def round_keygen(
     setup: RdmpfSetup, pairs: Sequence[tuple[int, int]]
 ) -> list[tuple[RdmpfRoundPrivate, Token]]:
     """Each round's private pair and public token, from its (rand_l, rand_r).
 
-    Every round raises the same two bases, so each base takes one
-    mat_pows_mod over all rounds' exponents.
+    The one keygen path; a single round is a one-pair list.  Every round
+    raises the same two bases, so each base takes one mat_pow_mod over
+    all rounds' exponents.
     """
     em = setup.params.exp_modulus
-    ls = mat_pows_mod(setup.base_xu, [rand_l for rand_l, _ in pairs], em)
-    rs = mat_pows_mod(setup.base_yv, [rand_r for _, rand_r in pairs], em)
+    ls = mat_pow_mod(setup.base_xu, [rand_l for rand_l, _ in pairs], em)
+    rs = mat_pow_mod(setup.base_yv, [rand_r for _, rand_r in pairs], em)
     out = []
     for (rand_l, rand_r), l, r in zip(pairs, ls, rs):
         priv = RdmpfRoundPrivate(rand_l, rand_r, l, r)
         out.append((priv, _round_action(priv, setup.w, setup)))
     return out
-
-
-def round_keygen(
-    setup: RdmpfSetup,
-    rng: random.Random,
-    rand_l: int | None = None,
-    rand_r: int | None = None,
-) -> tuple[RdmpfRoundPrivate, Token]:
-    """Draw one round's private pair and compute the public token.
-
-    Explicit rand_l/rand_r replay a known transcript.
-    """
-    if rand_l is None:
-        rand_l = rng.randint(1, setup.exp_max)
-    if rand_r is None:
-        rand_r = rng.randint(1, setup.exp_max)
-    return _keygen(setup, [(rand_l, rand_r)])[0]
 
 
 def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> Matrix:
@@ -306,7 +289,8 @@ class RdmpfSession:
         """Run every round's keygen; injected pairs replay a transcript.
 
         All rounds' pairs are drawn first, (rand_l, rand_r) round by
-        round, then every round's powers and token come from one _keygen.
+        round, then every round's powers and token come from one
+        round_keygen.
         """
         rounds, top, rng = self.setup.rounds, self.setup.exp_max, self.rng
         if injected is None:
@@ -315,7 +299,7 @@ class RdmpfSession:
             raise ParameterError(
                 f"need {rounds} injected exponent pairs, got {len(injected)}"
             )
-        generated = _keygen(self.setup, injected)
+        generated = round_keygen(self.setup, injected)
         self._privates = [priv for priv, _ in generated]
         self._tokens = [token for _, token in generated]
         self._keys = []

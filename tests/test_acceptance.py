@@ -24,7 +24,6 @@ from mpfkap import (
     kem_decapsulate,
     kem_encapsulate,
     kem_initiate,
-    kem_rounds,
     keygen,
     mat_mul_mod,
     mat_scalar_mul_mod,
@@ -63,6 +62,13 @@ def rand_exponents(rows, cols, em, rng):
     return Matrix.from_rows(
         [[rng.randrange(em) for _ in range(cols)] for _ in range(rows)], em
     )
+
+
+def alice_rounds(setup, rng):
+    """Alice's session with her rounds generated, as kem_encapsulate takes it."""
+    session = RdmpfSession(setup, rng)
+    session.generate_tokens()
+    return session
 
 
 def test_criterion_1_rectangular_golden_vectors():
@@ -250,7 +256,7 @@ def test_criterion_6_kem_round_trips_and_tampering():
                 rng.getrandbits(512).to_bytes(64, "big"), auth_tag("a"), auth_tag("b")
             )
             state, close_b = kem_initiate(ctx, setup, rng)
-            k, msg = kem_encapsulate(ctx, kem_rounds(setup, rng), close_b)
+            k, msg = kem_encapsulate(ctx, alice_rounds(setup, rng), close_b)
             assert kem_decapsulate(state, msg) == k
 
         # tampering: flip one bit in each wire field, every trial must
@@ -270,9 +276,9 @@ def test_criterion_6_kem_round_trips_and_tampering():
 
             try:
                 if field == "close_b":
-                    k, msg = kem_encapsulate(ctx, kem_rounds(setup, rng), flip(close_b))
+                    k, msg = kem_encapsulate(ctx, alice_rounds(setup, rng), flip(close_b))
                 else:
-                    k, msg = kem_encapsulate(ctx, kem_rounds(setup, rng), close_b)
+                    k, msg = kem_encapsulate(ctx, alice_rounds(setup, rng), close_b)
                     msg = KemMessage(
                         flip(msg.encap) if field == "encap" else msg.encap,
                         flip(msg.close_a) if field == "close_a" else msg.close_a,

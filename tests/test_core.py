@@ -13,7 +13,6 @@ from mpfkap import (
     is_probable_prime,
     mat_mul_mod,
     mat_pow_mod,
-    mat_pows_mod,
     mat_scalar_mul_mod,
     rank_mod_p,
     sample_matrix,
@@ -274,7 +273,7 @@ class TestMatPows:
         em = P64 - 1
         a = sample_matrix(3, 3, P64, random.Random(3))
         exps = [0, 1, P64 - 2, 2**63, 2**63, 1, 0, 12345, P64 - 2, 2**64 - 1]
-        got = mat_pows_mod(a, exps, em)
+        got = mat_pow_mod(a, exps, em)
         assert got == [mat_pow_mod(a, e, em) for e in exps]
         assert [m.to_rows() for m in got] == [naive_pow(a.to_rows(), e, em) for e in exps]
         assert got[0] == Matrix.identity(3, em)
@@ -289,15 +288,15 @@ class TestMatPows:
         exps += [rng.randrange(2**64) for _ in range(64)]
         _, c, positions = core._window(exps)
         assert c > 1 and positions == -(-64 // c)
-        got = mat_pows_mod(a, exps, em)
+        got = mat_pow_mod(a, exps, em)
         assert [m.to_rows() for m in got] == [naive_pow(a.to_rows(), e, em) for e in exps]
 
     def test_one_exponent(self):
         a = sample_matrix(4, 4, 65537, random.Random(1))
         for e in (0, 1, 2, 3, 65535, 2**40 + 7):
-            assert mat_pows_mod(a, [e], 65536) == [mat_pow_mod(a, e, 65536)]
-            assert mat_pows_mod(a, [e], 65536)[0].to_rows() == naive_pow(a.to_rows(), e, 65536)
-        assert mat_pows_mod(a, [], 65536) == []
+            assert mat_pow_mod(a, [e], 65536) == [mat_pow_mod(a, e, 65536)]
+            assert mat_pow_mod(a, [e], 65536)[0].to_rows() == naive_pow(a.to_rows(), e, 65536)
+        assert mat_pow_mod(a, [], 65536) == []
 
     @pytest.mark.parametrize("m", [2, 65536, 2**64 - 60])
     def test_one_by_one_matches_pow(self, m):
@@ -305,18 +304,18 @@ class TestMatPows:
         for _ in range(5):
             a = Matrix(1, 1, (rng.randrange(P64),), P64)
             exps = [0, 1, 2, m - 1, m, 2**63, 2**63] + [rng.randrange(2**64) for _ in range(40)]
-            got = mat_pows_mod(a, exps, m)
+            got = mat_pow_mod(a, exps, m)
             assert [g.entries for g in got] == [(pow(a.entries[0], e, m),) for e in exps]
 
     def test_non_square_rejected(self):
         with pytest.raises(ParameterError, match="square"):
-            mat_pows_mod(Matrix.from_rows([[1, 2, 3], [4, 5, 6]], 7), [1, 2], 7)
+            mat_pow_mod(Matrix.from_rows([[1, 2, 3], [4, 5, 6]], 7), [1, 2], 7)
 
     def test_negative_exponent_rejected(self):
         a = Matrix.from_rows([[1, 2], [3, 4]], 7)
         for exps in ([-1], [5, -1, 2], [0, 3, -(2**63)]):
             with pytest.raises(ParameterError, match="non-negative"):
-                mat_pows_mod(a, exps, 6)
+                mat_pow_mod(a, exps, 6)
         with pytest.raises(ParameterError, match="non-negative"):
             mat_pow_mod(a, -1, 6)
 
@@ -333,7 +332,7 @@ class TestMatPows:
         rng = random.Random(2)
         for e in [*range(0, 300), 2**63, 2**64 - 1] + [rng.randrange(2**64) for _ in range(50)]:
             product_count.clear()
-            mat_pows_mod(a, [e], 65536)
+            mat_pow_mod(a, [e], 65536)
             assert len(product_count) == per_product_count(e), e
 
     def test_window_is_the_cheapest(self):
@@ -359,7 +358,7 @@ class TestMatPows:
         for n, bits in ((2, 8), (3, 64), (16, 20), (128, 63), (40, 2)):
             exps = [rng.randrange(1 << bits) for _ in range(n)]
             product_count.clear()
-            mat_pows_mod(a, exps, P64 - 1)
+            mat_pow_mod(a, exps, P64 - 1)
             assert len(product_count) == core._window(exps)[0]
             assert len(product_count) <= sum(per_product_count(e) for e in exps)
 

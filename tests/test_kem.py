@@ -12,6 +12,7 @@ from mpfkap import (
     MpfKapError,
     ParameterError,
     ProtocolError,
+    RdmpfSession,
     auth_tag,
     canonical_bytes,
     generate_setup,
@@ -19,7 +20,6 @@ from mpfkap import (
     kem_decapsulate,
     kem_encapsulate,
     kem_initiate,
-    kem_rounds,
     mask_stream,
 )
 
@@ -37,6 +37,13 @@ def manual_hmac_sha3_512(key: bytes, msg: bytes) -> bytes:
 def make_ctx(rng: random.Random) -> KemContext:
     eta0 = rng.getrandbits(512).to_bytes(64, "big")
     return KemContext(eta0, auth_tag("party-a"), auth_tag("party-b"))
+
+
+def alice_rounds(setup, rng):
+    """Alice's session with her rounds generated, as kem_encapsulate takes it."""
+    session = RdmpfSession(setup, rng)
+    session.generate_tokens()
+    return session
 
 
 class TestHmac512:
@@ -134,7 +141,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
+        k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
         assert kem_decapsulate(state, msg) == k
         assert len(k) == 64
 
@@ -155,7 +162,7 @@ class TestRoundTrip:
         setup = generate_setup(dim, p, exp_max, rounds, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
+        k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
         assert kem_decapsulate(state, msg) == k
         wire = close_b + k + msg.encap + msg.eta_m + msg.close_a
         assert hashlib.sha256(wire).hexdigest() == digest
@@ -198,7 +205,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(9))
-        k, msg = kem_encapsulate(ctx, kem_rounds(setup, ZeroNonceRng()), close_b)
+        k, msg = kem_encapsulate(ctx, alice_rounds(setup, ZeroNonceRng()), close_b)
         assert msg.eta_m == b"\x00" * 64
         assert kem_decapsulate(state, msg) == k
 
@@ -207,14 +214,14 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         with pytest.raises(ProtocolError):
-            kem_encapsulate(ctx, kem_rounds(setup, random.Random(1)), b"\x00" * 10)
+            kem_encapsulate(ctx, alice_rounds(setup, random.Random(1)), b"\x00" * 10)
 
     def test_truncated_close_a_rejected(self):
         rng = random.Random(46)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
+        k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
         truncated = KemMessage(msg.encap, msg.close_a[:-8], msg.eta_m)
         with pytest.raises(ProtocolError):
             kem_decapsulate(state, truncated)
@@ -224,7 +231,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        _, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
+        _, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
         bound = bytes(a ^ b for a, b in zip(ctx.auth_pair, msg.eta_m))
         keystream = mask_stream(ctx.eta0, bound, len(msg.close_a))
         plain = bytearray(a ^ b for a, b in zip(msg.close_a, keystream))
@@ -241,7 +248,7 @@ class TestRoundTrip:
         tampered = bytearray(close_b)
         tampered[5] ^= 0x08
         try:
-            k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), bytes(tampered))
+            k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), bytes(tampered))
             assert kem_decapsulate(state, msg) != k
         except MpfKapError:
             pass  # strict parsing may reject the garbled token list outright
@@ -251,7 +258,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, kem_rounds(setup, random.Random(2)), close_b)
+        k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
         swapped = KemMessage(msg.encap, msg.close_a, bytes(64))
         try:
             assert kem_decapsulate(state, swapped) != k

@@ -286,11 +286,17 @@ class TestBaseProbe:
         assert queue == []
 
 
+def drawn_round(setup, rng):
+    """One round from rng, rand_l then rand_r, as a session draws them."""
+    top = setup.exp_max
+    return round_keygen(setup, [(rng.randint(1, top), rng.randint(1, top))])[0]
+
+
 class TestRoundOperations:
     def test_injected_round_one(self):
         setup = ka.rdmpf_setup()
         r1 = ka.RDMPF_ROUND_1
-        priv, token = round_keygen(setup, SeqRng([]), r1.rand_x, r1.rand_y)
+        priv, token = round_keygen(setup, [(r1.rand_x, r1.rand_y)])[0]
         assert priv.l.to_rows() == r1.x
         assert priv.r.to_rows() == r1.y
         assert token.to_rows() == r1.token_a
@@ -298,21 +304,21 @@ class TestRoundOperations:
     def test_injected_round_two(self):
         setup = ka.rdmpf_setup()
         r2 = ka.RDMPF_ROUND_2
-        _, token = round_keygen(setup, SeqRng([]), r2.rand_x, r2.rand_y)
+        _, token = round_keygen(setup, [(r2.rand_x, r2.rand_y)])[0]
         assert token.to_rows() == r2.token_a
 
     def test_round_key_agreement_known(self):
         setup = ka.rdmpf_setup()
         r1 = ka.RDMPF_ROUND_1
-        priv_a, token_a = round_keygen(setup, SeqRng([]), r1.rand_x, r1.rand_y)
-        priv_b, token_b = round_keygen(setup, SeqRng([]), r1.rand_u, r1.rand_v)
+        priv_a, token_a = round_keygen(setup, [(r1.rand_x, r1.rand_y)])[0]
+        priv_b, token_b = round_keygen(setup, [(r1.rand_u, r1.rand_v)])[0]
         assert round_key(priv_a, token_b, setup).to_rows() == r1.key
         assert round_key(priv_b, token_a, setup).to_rows() == r1.key
 
     def test_zero_entry_token_rejected(self):
         setup = ka.rdmpf_setup()
         r1 = ka.RDMPF_ROUND_1
-        priv, _ = round_keygen(setup, SeqRng([]), r1.rand_x, r1.rand_y)
+        priv, _ = round_keygen(setup, [(r1.rand_x, r1.rand_y)])[0]
         rows = [r[:] for r in r1.token_b]
         rows[2][2] = 0
         with pytest.raises(ProtocolError, match="zero"):
@@ -332,8 +338,8 @@ class TestRoundOperations:
             for dim in (2, 3, 4):
                 sigma = rng.randrange(p - 1, 3 * p)
                 setup = generate_setup(dim, p, 1000, 1, rng, sigma=sigma)
-                priv_a, token_a = round_keygen(setup, rng)
-                priv_b, token_b = round_keygen(setup, rng)
+                priv_a, token_a = drawn_round(setup, rng)
+                priv_b, token_b = drawn_round(setup, rng)
                 assert token_a.to_rows() == oracle_rdmpf(priv_a.l, setup.w, priv_a.r, p, sigma)
                 key = round_key(priv_a, token_b, setup)
                 assert key.to_rows() == oracle_rdmpf(priv_a.l, token_b, priv_a.r, p, sigma)
@@ -378,14 +384,14 @@ class TestSession:
 
     @pytest.mark.parametrize("dim, rounds", [(2, 1), (2, 128), (8, 1), (8, 128)])
     def test_batched_rounds_match_per_round_oracle(self, dim, rounds):
-        # generate_tokens raises each base once for all rounds; round_keygen,
-        # round by round from the same draws, is the oracle
+        # generate_tokens raises each base once for all rounds; round_keygen
+        # with one pair at a time, from the same draws, is the oracle
         p = 2**64 - 59 if dim == 2 else 65537
         setup = generate_setup(dim, p, 2**63, rounds, random.Random(dim * 1000 + rounds))
         session = RdmpfSession(setup, random.Random(7))
         tokens = session.generate_tokens()
         draws = random.Random(7)
-        oracle = [round_keygen(setup, draws) for _ in range(rounds)]
+        oracle = [drawn_round(setup, draws) for _ in range(rounds)]
         assert tokens == [token for _, token in oracle]
         peer_tokens = tokens[::-1]  # any zero-free tokens of the setup will do
         digest = session.derive(peer_tokens)
@@ -396,6 +402,28 @@ class TestSession:
         pairs = [(priv.rand_l, priv.rand_r) for priv, _ in oracle]
         assert replay.generate_tokens(pairs) == tokens
         assert replay.derive(peer_tokens) == digest
+
+    def test_rounds_raise_each_base_once_through_module_names(self, monkeypatch):
+        # a session reaches its powers as rdmpf.round_keygen, then one
+        # rdmpf.mat_pow_mod per base over every round's exponents; the
+        # per-layer timings in perfbench wrap exactly these two names
+        setup = generate_setup(3, 65537, 1000, 3, random.Random(8))
+        calls = []
+        keygen, power = rdmpf_module.round_keygen, rdmpf_module.mat_pow_mod
+
+        def spy_keygen(setup, pairs):
+            calls.append(("round_keygen", len(pairs)))
+            return keygen(setup, pairs)
+
+        def spy_power(m, exps, modulus):
+            calls.append(("mat_pow_mod", list(exps)))
+            return power(m, exps, modulus)
+
+        monkeypatch.setattr(rdmpf_module, "round_keygen", spy_keygen)
+        monkeypatch.setattr(rdmpf_module, "mat_pow_mod", spy_power)
+        RdmpfSession(setup, SeqRng([])).generate_tokens([(5, 6), (7, 8), (9, 10)])
+        assert calls == [("round_keygen", 3), ("mat_pow_mod", [5, 7, 9]),
+                         ("mat_pow_mod", [6, 8, 10])]
 
     def test_seeded_loopback(self):
         rng = random.Random(35)
