@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import mat_pow_mod
+from .core import Record, mat_pow_mod
 from .errors import ParameterError
 from .rdmpf import generate_setup, rdmpf
 
@@ -31,22 +30,21 @@ REPORT_HEADER = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BenchRecord:
-    """Median seconds for one evaluation at one parameter point."""
+class BenchRecord(Record):
+    """Median seconds for one evaluation at one parameter point; samples
+    holds every trial's seconds, in the order they ran."""
 
-    dim: int
-    p: int
-    exp_max: int
-    trials: int
-    median_s: float
-    samples: tuple[float, ...] = ()  # every trial's seconds, in the order they ran
+    __slots__ = ("dim", "p", "exp_max", "trials", "median_s", "samples")
 
-    def __post_init__(self) -> None:
-        if self.trials < 10:
-            raise ParameterError(f"need at least 10 trials, got {self.trials}")
-        if self.median_s <= 0:
+    def __init__(
+        self, dim: int, p: int, exp_max: int, trials: int, median_s: float,
+        samples: tuple[float, ...] = ()
+    ):
+        if trials < 10:
+            raise ParameterError(f"need at least 10 trials, got {trials}")
+        if median_s <= 0:
             raise ParameterError("timings must be positive")
+        self._set(dim, p, exp_max, trials, median_s, samples)
 
     @property
     def point(self) -> tuple[int, int, int]:

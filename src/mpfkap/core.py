@@ -10,7 +10,6 @@ every hash, HMAC, and wire payload in the package.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -61,44 +60,91 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class FieldParams:
+_store = object.__setattr__  # the one way a record's field gets its value
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in __slots__, in order, and its __init__
+    checks the arguments and then stores them with _set.  Instances
+    refuse assignment, compare and hash field-wise against their own
+    class only, and repr as Class(field=value, ...): a frozen dataclass's
+    behaviour without building one per class at import time.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()  # every field, the base classes' first
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _store(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setstate__(self, state: tuple) -> None:
+        # pickle and copy hand back (None, {slot: value}) here
+        for name, value in state[1].items():
+            _store(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FieldParams(Record):
     """The prime p and the derived exponent modulus p-1."""
 
-    p: int
-    exp_modulus: int = field(init=False)
+    __slots__ = ("p", "exp_modulus")
 
-    def __post_init__(self) -> None:
-        if self.p < 3 or not is_probable_prime(self.p):
-            raise ParameterError(f"p must be an odd prime >= 3, got {self.p}")
-        object.__setattr__(self, "exp_modulus", self.p - 1)
+    def __init__(self, p: int):
+        if p < 3 or not is_probable_prime(p):
+            raise ParameterError(f"p must be an odd prime >= 3, got {p}")
+        self._set(p, p - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
+class Matrix(Record):
     """Rectangular integer matrix with an attached modulus.
 
     Entries are stored row-major and must already be reduced into
     [0, modulus).  Instances are immutable and safe to share.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-    modulus: int
+    __slots__ = ("rows", "cols", "entries", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ParameterError(f"bad dimensions {self.rows}x{self.cols}")
-        if self.modulus < 2:
-            raise ParameterError(f"modulus must be >= 2, got {self.modulus}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...], modulus: int):
+        if rows < 1 or cols < 1:
+            raise ParameterError(f"bad dimensions {rows}x{cols}")
+        if modulus < 2:
+            raise ParameterError(f"modulus must be >= 2, got {modulus}")
+        if len(entries) != rows * cols:
             raise ParameterError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        if any(e < 0 or e >= self.modulus for e in self.entries):
+        if any(e < 0 or e >= modulus for e in entries):
             raise ParameterError("matrix entry out of [0, modulus) range")
+        # spelled out rather than _set: every kernel result is a Matrix
+        _store(self, "rows", rows)
+        _store(self, "cols", cols)
+        _store(self, "entries", entries)
+        _store(self, "modulus", modulus)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], modulus: int) -> "Matrix":

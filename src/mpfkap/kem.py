@@ -13,9 +13,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from dataclasses import dataclass
-
-from .core import WORD_BYTES, canonical_bytes
+from .core import WORD_BYTES, Record, canonical_bytes
 from .errors import ParameterError, ProtocolError
 from .rdmpf import RdmpfSession, RdmpfSetup, parse_token_list
 
@@ -58,38 +56,34 @@ def mask_stream(key: bytes, context: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
-@dataclass(frozen=True, slots=True)
-class KemContext:
+class KemContext(Record):
     """Root nonce (shared secret) plus the two public authentication tags."""
 
-    eta0: bytes
-    auth_a: bytes
-    auth_b: bytes
+    __slots__ = ("eta0", "auth_a", "auth_b")
 
-    def __post_init__(self) -> None:
-        if len(self.eta0) != NONCE_BYTES:
-            raise ParameterError(f"eta0 must be {NONCE_BYTES} bytes, got {len(self.eta0)}")
-        if len(self.auth_a) != AUTH_TAG_BYTES or len(self.auth_b) != AUTH_TAG_BYTES:
+    def __init__(self, eta0: bytes, auth_a: bytes, auth_b: bytes):
+        if len(eta0) != NONCE_BYTES:
+            raise ParameterError(f"eta0 must be {NONCE_BYTES} bytes, got {len(eta0)}")
+        if len(auth_a) != AUTH_TAG_BYTES or len(auth_b) != AUTH_TAG_BYTES:
             raise ParameterError(f"auth tags must be {AUTH_TAG_BYTES} bytes each")
+        self._set(eta0, auth_a, auth_b)
 
     @property
     def auth_pair(self) -> bytes:
         return self.auth_a + self.auth_b
 
 
-@dataclass(frozen=True, slots=True)
-class KemMessage:
+class KemMessage(Record):
     """The encapsulation message Alice sends to Bob."""
 
-    encap: bytes
-    close_a: bytes
-    eta_m: bytes
+    __slots__ = ("encap", "close_a", "eta_m")
 
-    def __post_init__(self) -> None:
-        if len(self.encap) != KEY_BYTES:
-            raise ProtocolError(f"encap must be {KEY_BYTES} bytes, got {len(self.encap)}")
-        if len(self.eta_m) != NONCE_BYTES:
-            raise ProtocolError(f"eta_m must be {NONCE_BYTES} bytes, got {len(self.eta_m)}")
+    def __init__(self, encap: bytes, close_a: bytes, eta_m: bytes):
+        if len(encap) != KEY_BYTES:
+            raise ProtocolError(f"encap must be {KEY_BYTES} bytes, got {len(encap)}")
+        if len(eta_m) != NONCE_BYTES:
+            raise ProtocolError(f"eta_m must be {NONCE_BYTES} bytes, got {len(eta_m)}")
+        self._set(encap, close_a, eta_m)
 
 
 class KemResponderState:

@@ -12,9 +12,7 @@ pin rather than an externally published value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import FieldParams, Matrix, mat_pow_mod, mat_scalar_mul_mod
+from .core import FieldParams, Matrix, Record, mat_pow_mod, mat_scalar_mul_mod
 from .rdmpf import RdmpfSession, RdmpfSetup
 from .rmpf import RmpfSetup, derive_key, keygen, mpf_double
 
@@ -128,21 +126,19 @@ RDMPF_BASE_YV = [
 ]
 
 
-@dataclass(frozen=True)
-class RdmpfRoundVector:
+class RdmpfRoundVector(Record):
     """One round of the two-party transcript (Alice = x/y, Bob = u/v)."""
 
-    rand_x: int
-    x: list[list[int]]
-    rand_y: int
-    y: list[list[int]]
-    rand_u: int
-    u: list[list[int]]
-    rand_v: int
-    v: list[list[int]]
-    token_a: list[list[int]]
-    token_b: list[list[int]]
-    key: list[list[int]]
+    __slots__ = (
+        "rand_x", "x", "rand_y", "y", "rand_u", "u", "rand_v", "v", "token_a", "token_b", "key"
+    )
+
+    def __init__(
+        self, rand_x: int, x: list[list[int]], rand_y: int, y: list[list[int]],
+        rand_u: int, u: list[list[int]], rand_v: int, v: list[list[int]],
+        token_a: list[list[int]], token_b: list[list[int]], key: list[list[int]]
+    ):
+        self._set(rand_x, x, rand_y, y, rand_u, u, rand_v, v, token_a, token_b, key)
 
 
 RDMPF_ROUND_1 = RdmpfRoundVector(

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     FieldParams,
     Matrix,
+    Record,
     canonical_bytes,
     mat_pow_mod,
     mat_scalar_mul_mod,
@@ -60,37 +60,34 @@ def rdmpf(xe: Matrix, w: Matrix, ye: Matrix, p: int, sigma: int = 1) -> Matrix:
     return mpf_double(mat_scalar_mul_mod(sigma, xe, em), w, ye, p)
 
 
-@dataclass(frozen=True, slots=True)
-class RdmpfSetup:
+class RdmpfSetup(Record):
     """Shared public parameters for the multi-round protocol."""
 
-    params: FieldParams
-    w: Matrix
-    base_xu: Matrix
-    base_yv: Matrix
-    exp_max: int
-    rounds: int
-    sigma: int = 1
+    __slots__ = ("params", "w", "base_xu", "base_yv", "exp_max", "rounds", "sigma")
 
-    def __post_init__(self) -> None:
-        p = self.params.p
-        dim = self.w.rows
-        for name, m in (("w", self.w), ("base_xu", self.base_xu), ("base_yv", self.base_yv)):
+    def __init__(
+        self, params: FieldParams, w: Matrix, base_xu: Matrix, base_yv: Matrix,
+        exp_max: int, rounds: int, sigma: int = 1
+    ):
+        p = params.p
+        dim = w.rows
+        for name, m in (("w", w), ("base_xu", base_xu), ("base_yv", base_yv)):
             if not m.is_square or m.rows != dim:
                 raise ParameterError(f"{name} must be {dim}x{dim}")
             if m.modulus != p:
                 raise ParameterError(f"{name} modulus {m.modulus} does not match p={p}")
-        if self.w.has_zero_entry():
+        if w.has_zero_entry():
             raise ParameterError("w must have entries in [1, p-1]")
-        if rank_mod_p(self.w, p) != dim:
+        if rank_mod_p(w, p) != dim:
             raise ParameterError("nucleus matrix w must have full rank over Z_p")
-        for name, m in (("base_xu", self.base_xu), ("base_yv", self.base_yv)):
+        for name, m in (("base_xu", base_xu), ("base_yv", base_yv)):
             if rank_mod_p(m, p) >= dim:
                 raise ParameterError(f"{name} must be rank-deficient over Z_p")
-        if self.exp_max < 2:
-            raise ParameterError(f"exp_max must be >= 2, got {self.exp_max}")
-        if self.rounds < 1:
-            raise ParameterError(f"rounds must be >= 1, got {self.rounds}")
+        if exp_max < 2:
+            raise ParameterError(f"exp_max must be >= 2, got {exp_max}")
+        if rounds < 1:
+            raise ParameterError(f"rounds must be >= 1, got {rounds}")
+        self._set(params, w, base_xu, base_yv, exp_max, rounds, sigma)
 
     @property
     def dim(self) -> int:
@@ -171,14 +168,14 @@ def generate_setup(
     return RdmpfSetup(params, w, base_xu, base_yv, exp_max, rounds, sigma)
 
 
-@dataclass(frozen=True, slots=True)
-class RdmpfRoundPrivate:
-    """One round's exponent draws and the derived private matrices."""
+class RdmpfRoundPrivate(Record):
+    """One round's exponent draws and the derived private matrices:
+    l = base_xu ** rand_l and r = base_yv ** rand_r, mod p-1."""
 
-    rand_l: int
-    rand_r: int
-    l: Matrix  # base_xu ** rand_l mod p-1
-    r: Matrix  # base_yv ** rand_r mod p-1
+    __slots__ = ("rand_l", "rand_r", "l", "r")
+
+    def __init__(self, rand_l: int, rand_r: int, l: Matrix, r: Matrix):
+        self._set(rand_l, rand_r, l, r)
 
 
 def _round_action(priv: RdmpfRoundPrivate, w: Matrix, setup: RdmpfSetup) -> Matrix:
@@ -220,26 +217,27 @@ def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> 
     return _round_action(priv, peer_token, setup)
 
 
-@dataclass(frozen=True, slots=True)
-class SessionKey:
+class SessionKey(Record):
     """512-bit session digest; equal on both sides of an honest run."""
 
-    digest: bytes
+    __slots__ = ("digest",)
 
-    def __post_init__(self) -> None:
-        if len(self.digest) != 64:
-            raise ParameterError(f"session key must be 64 bytes, got {len(self.digest)}")
+    def __init__(self, digest: bytes):
+        if len(digest) != 64:
+            raise ParameterError(f"session key must be 64 bytes, got {len(digest)}")
+        self._set(digest)
 
     def hex(self) -> str:
         return self.digest.hex()
 
 
-@dataclass(frozen=True, slots=True)
-class SessionTranscript:
+class SessionTranscript(Record):
     """Flattened per-round token and key values, row-major, rounds in order."""
 
-    token_list: tuple[int, ...]
-    key_list: tuple[int, ...]
+    __slots__ = ("token_list", "key_list")
+
+    def __init__(self, token_list: tuple[int, ...], key_list: tuple[int, ...]):
+        self._set(token_list, key_list)
 
 
 def session_digest(key_matrices: Sequence[Matrix]) -> SessionKey:

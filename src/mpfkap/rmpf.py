@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
-from .core import FieldParams, Matrix, mat_scalar_mul_mod
+from .core import FieldParams, Matrix, Record, mat_scalar_mul_mod
 from .errors import ParameterError, ProtocolError
 
 Token = Matrix
@@ -209,25 +208,22 @@ def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
     return mpf_left(xe, mpf_right(Matrix(n, n, block, p), ye))
 
 
-@dataclass(frozen=True, slots=True)
-class RmpfSetup:
+class RmpfSetup(Record):
     """Shared public parameters: p and the Base/X/Y matrices (m > n)."""
 
-    params: FieldParams
-    base: Matrix
-    x: Matrix
-    y: Matrix
+    __slots__ = ("params", "base", "x", "y")
 
-    def __post_init__(self) -> None:
-        rows, cols = _check_same_shape(self.base, self.x, self.y)
+    def __init__(self, params: FieldParams, base: Matrix, x: Matrix, y: Matrix):
+        rows, cols = _check_same_shape(base, x, y)
         if rows <= cols:
             raise ParameterError(f"rows must exceed cols, got {rows}x{cols}")
-        p = self.params.p
-        for name, m in (("base", self.base), ("x", self.x), ("y", self.y)):
+        p = params.p
+        for name, m in (("base", base), ("x", x), ("y", y)):
             if m.modulus != p:
                 raise ParameterError(f"{name} modulus {m.modulus} does not match p={p}")
             if m.has_zero_entry():
                 raise ParameterError(f"{name} must have entries in [1, p-1]")
+        self._set(params, base, x, y)
 
     @property
     def rows(self) -> int:
@@ -249,14 +245,14 @@ class RmpfSetup:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class RmpfPrivate:
-    """One party's private scalars and derived exponent matrices."""
+class RmpfPrivate(Record):
+    """One party's private scalars and derived exponent matrices:
+    a = lam * X and b = omega * Y, mod p-1."""
 
-    lam: int
-    omega: int
-    a: Matrix  # lam * X   mod p-1
-    b: Matrix  # omega * Y mod p-1
+    __slots__ = ("lam", "omega", "a", "b")
+
+    def __init__(self, lam: int, omega: int, a: Matrix, b: Matrix):
+        self._set(lam, omega, a, b)
 
 
 def keygen(

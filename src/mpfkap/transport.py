@@ -7,19 +7,30 @@ listens, alice connects, one peer at a time, no retries beyond the
 connect deadline.  Both refuse a peer frame longer than the payload
 limits they are given (wire.payload_limits) before buffering it, and
 the file transport reads a peer frame only from a regular file.
+
+A poll (the file transport waiting for a frame, alice retrying her
+connect) sleeps FIRST_POLL, then twice as long each time up to
+POLL_INTERVAL: 1, 2, 4, 8, 16, 20, 20, ... ms.  A peer that answers
+within a few milliseconds is seen within a few milliseconds, and a long
+wait still costs one check per 20 ms.  Only a tcp: transport imports
+socket.
 """
 
 from __future__ import annotations
 
 import os
-import socket
 import stat
 import time
+from typing import TYPE_CHECKING
 
 from .errors import FrameError, ProtocolError, TransportError
 from .wire import HEADER_LEN, check_header, decode_frame, encode_frame
 
+if TYPE_CHECKING:
+    import socket
+
 ROLES = ("alice", "bob")
+FIRST_POLL = 0.001
 POLL_INTERVAL = 0.02
 DEFAULT_TIMEOUT = 15.0
 
@@ -58,12 +69,14 @@ class FileTransport:
         path = os.path.join(self.directory, f"{self.peer}.{kind}.frame")
         err_path = os.path.join(self.directory, f"{self.peer}.error.frame")
         deadline = time.monotonic() + self.timeout
+        delay = FIRST_POLL
         while not os.path.exists(path):
             if os.path.exists(err_path):
                 return _expect_kind(self._read(err_path), kind)
             if time.monotonic() > deadline:
                 raise TransportError(f"timed out waiting for {path}")
-            time.sleep(POLL_INTERVAL)
+            time.sleep(delay)
+            delay = min(2 * delay, POLL_INTERVAL)
         return _expect_kind(self._read(path), kind)
 
     def _read(self, path: str) -> bytes:
@@ -102,6 +115,8 @@ class TcpTransport:
         limits: dict[str, int],
         timeout: float = DEFAULT_TIMEOUT,
     ):
+        import socket  # here, so that file: runs never pay for it
+
         self.role = role
         self.limits = limits
         self.timeout = timeout
@@ -115,6 +130,7 @@ class TcpTransport:
                 raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         elif role == "alice":
             deadline = time.monotonic() + timeout
+            delay = FIRST_POLL
             while True:
                 try:
                     self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -124,7 +140,8 @@ class TcpTransport:
                         raise TransportError(
                             f"cannot connect to {host}:{port}: {exc}"
                         ) from exc
-                    time.sleep(POLL_INTERVAL)
+                    time.sleep(delay)
+                    delay = min(2 * delay, POLL_INTERVAL)
             self._sock.settimeout(timeout)
         else:
             raise TransportError(f"unknown role {role!r}")
@@ -134,7 +151,7 @@ class TcpTransport:
             assert self._listener is not None
             try:
                 self._sock, _ = self._listener.accept()
-            except socket.timeout as exc:
+            except TimeoutError as exc:
                 raise TransportError("timed out waiting for the peer to connect") from exc
             self._sock.settimeout(self.timeout)
         return self._sock
@@ -151,7 +168,7 @@ class TcpTransport:
             header = _read_exact(conn, HEADER_LEN)
             length = check_header(header, self.limits)
             data = bytes(header + _read_exact(conn, length))
-        except socket.timeout as exc:
+        except TimeoutError as exc:
             raise TransportError("timed out waiting for a frame") from exc
         except OSError as exc:
             raise TransportError(f"recv failed: {exc}") from exc

@@ -16,12 +16,12 @@ import json
 import os
 import random
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import (
     FieldParams,
     Matrix,
+    Record,
     WORD_BYTES,
     canonical_bytes,
     rank_mod_p,
@@ -237,32 +237,32 @@ def _json_matrix(doc: dict, name: str, p: int) -> Matrix:
         raise ParameterError(f"matrix {name!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(Record):
     """Shared public parameters as they travel in files and setup frames.
 
-    fields holds the protocol's scalars and matrices its public matrices,
-    both keyed by the names in the protocol's layout; seed is the
-    test-mode seed or None.  Construction is the one check of a
-    parameter set's shape, so every set that exists fits both file forms.
+    protocol is "rmpf" or "rdmpf"; fields holds the protocol's scalars and
+    matrices its public matrices, both keyed by the names in the
+    protocol's layout; seed is the test-mode seed or None.  Construction
+    is the one check of a parameter set's shape, so every set that exists
+    fits both file forms.
     """
 
-    protocol: str  # "rmpf" | "rdmpf"
-    p: int
-    fields: dict[str, int]
-    matrices: dict[str, Matrix]
-    seed: int | None = None
+    __slots__ = ("protocol", "p", "fields", "matrices", "seed")
 
-    def __post_init__(self) -> None:
-        layout, fields = _scalars(self.protocol, self.p, self.fields, self.seed)
-        if fields != self.fields or sorted(self.matrices) != sorted(layout.matrices):
+    def __init__(
+        self, protocol: str, p: int, fields: dict[str, int], matrices: dict[str, Matrix],
+        seed: int | None = None
+    ):
+        layout, scalars = _scalars(protocol, p, fields, seed)
+        if scalars != fields or sorted(matrices) != sorted(layout.matrices):
             raise ParameterError(
-                f"a {self.protocol} parameter set has exactly the scalars {list(fields)} "
+                f"a {protocol} parameter set has exactly the scalars {list(scalars)} "
                 f"and the matrices {list(layout.matrices)}"
             )
-        for name, m in self.matrices.items():
-            if not isinstance(m, Matrix) or m.modulus != self.p:
-                raise ParameterError(f"matrix {name!r} must be a Matrix mod p={self.p}")
+        for name, m in matrices.items():
+            if not isinstance(m, Matrix) or m.modulus != p:
+                raise ParameterError(f"matrix {name!r} must be a Matrix mod p={p}")
+        self._set(protocol, p, fields, matrices, seed)
 
     def build_setup(self) -> RmpfSetup | RdmpfSetup:
         """Instantiate (and thereby validate) the owning protocol's setup."""

@@ -13,7 +13,7 @@ import pytest
 from conftest import run_cli, spawn_cli, wait_cli, write_known_rmpf_params
 from mpfkap import FrameError, Matrix, ProtocolError, RdmpfSession, TransportError
 from mpfkap import known_answers as ka
-from mpfkap.transport import FileTransport, TcpTransport, open_transport
+from mpfkap.transport import POLL_INTERVAL, FileTransport, TcpTransport, open_transport
 from mpfkap import cli
 from mpfkap.wire import (
     ERROR_PAYLOAD_MAX,
@@ -216,6 +216,71 @@ class TestFileFrames:
             alice.send("token-list", b"")
         with pytest.raises(TransportError, match="timed out"):
             alice.recv("token-list")
+
+
+# a poll sleeps 1 ms, then twice as long each time, up to POLL_INTERVAL
+SCHEDULE = [0.001, 0.002, 0.004, 0.008, 0.016, 0.02]
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Every time.sleep the transport makes, each still slept."""
+    slept = []
+    real = time.sleep
+
+    def spy(seconds):
+        slept.append(seconds)
+        real(seconds)
+
+    monkeypatch.setattr("mpfkap.transport.time.sleep", spy)
+    return slept
+
+
+def assert_schedule(slept):
+    assert POLL_INTERVAL == SCHEDULE[-1]
+    assert slept[: len(SCHEDULE)] == SCHEDULE[: len(slept)]
+    assert all(s == POLL_INTERVAL for s in slept[len(SCHEDULE) :])
+
+
+class TestPollSchedule:
+    def test_file_recv_backs_off_to_the_poll_interval(self, tmp_path, sleeps):
+        bob = FileTransport(str(tmp_path), "bob", LIMITS, timeout=0.5)
+        with pytest.raises(TransportError, match="timed out waiting for"):
+            bob.recv("token-list")
+        # 0.031 s of doubling, then 20 ms steps to the deadline
+        assert len(sleeps) > len(SCHEDULE)
+        assert_schedule(sleeps)
+
+    def test_file_deadline_exits_4(self, tmp_path, sleeps):
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        code = cli.main([
+            "handshake", "--role", "bob", "--params", params,
+            "--transport", f"file:{tmp_path}", "--out", str(tmp_path / "k"),
+            "--test-mode", "--timeout", "0.2",
+        ])
+        assert code == cli.EXIT_TRANSPORT == 4
+        assert len(sleeps) >= len(SCHEDULE)
+        assert_schedule(sleeps)
+
+    def test_alice_connect_retry_backs_off(self, sleeps):
+        with pytest.raises(TransportError, match="cannot connect"):
+            TcpTransport("127.0.0.1", free_port(), "alice", LIMITS, timeout=0.5)
+        assert len(sleeps) > len(SCHEDULE)
+        assert_schedule(sleeps)
+
+    def test_frame_written_during_the_first_polls_is_returned(self, tmp_path, sleeps):
+        alice = FileTransport(str(tmp_path), "alice", LIMITS, timeout=10)
+        bob = FileTransport(str(tmp_path), "bob", LIMITS, timeout=10)
+        # a Timer waits on a condition, not time.sleep, so only bob's sleeps are seen
+        writer = threading.Timer(0.005, alice.send, ("token-list", b"early"))
+        writer.start()
+        try:
+            assert bob.recv("token-list") == b"early"
+        finally:
+            writer.join(10)
+        assert not writer.is_alive()
+        assert sum(sleeps) < 1
+        assert_schedule(sleeps)
 
 
 def release_fifo(thread, fifo, other_end):

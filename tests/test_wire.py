@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import struct
@@ -22,6 +21,12 @@ from mpfkap.wire import (
     load_paramset,
     save_paramset,
 )
+
+
+def remade(ps, **changes):
+    """ps with the given fields changed, built (and so checked) by ParamSet()."""
+    now = dict(protocol=ps.protocol, p=ps.p, fields=ps.fields, matrices=ps.matrices, seed=ps.seed)
+    return ParamSet(**{**now, **changes})
 
 
 def known_rdmpf_paramset():
@@ -192,7 +197,7 @@ class TestParamSet:
         rm, _ = generate_paramset("rmpf", 65537, rng, rows=4, cols=2)
         rd, _ = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=100, rounds=1)
         for ps, bad in ((rm, {"rows": 5}), (rm, {"cols": 3}), (rd, {"dim": 7})):
-            ps = dataclasses.replace(ps, fields={**ps.fields, **bad})
+            ps = remade(ps, fields={**ps.fields, **bad})
             for loaded in (ParamSet.from_json(ps.to_json()), ParamSet.from_frame(ps.to_frame())):
                 with pytest.raises(ParameterError, match="declares"):
                     loaded.build_setup()
@@ -203,7 +208,7 @@ class TestParamSet:
         flat = list(ps.matrices["w"].entries)
         flat[4] = 0
         w = Matrix(3, 3, tuple(flat), 65537)
-        ps = dataclasses.replace(ps, matrices={**ps.matrices, "w": w})
+        ps = remade(ps, matrices={**ps.matrices, "w": w})
         for loaded in (ParamSet.from_json(ps.to_json()), ParamSet.from_frame(ps.to_frame())):
             with pytest.raises(ParameterError, match="w must have entries"):
                 loaded.build_setup()
@@ -235,14 +240,14 @@ class TestParamSet:
         # construction is the one check: a set that exists fits the frame
         ps = known_rdmpf_paramset()
         with pytest.raises(ParameterError, match="exactly the scalars"):
-            dataclasses.replace(ps, fields={**ps.fields, "extra": 1})
+            remade(ps, fields={**ps.fields, "extra": 1})
         with pytest.raises(ParameterError, match="exp_max=18446744073709551616 does not fit"):
-            dataclasses.replace(ps, fields={**ps.fields, "exp_max": 2**64})
+            remade(ps, fields={**ps.fields, "exp_max": 2**64})
         with pytest.raises(ParameterError, match="matrix 'w' must be a Matrix mod p=65537"):
-            dataclasses.replace(ps, matrices={**ps.matrices, "w": Matrix.identity(5, 65539)})
+            remade(ps, matrices={**ps.matrices, "w": Matrix.identity(5, 65539)})
         with pytest.raises(ParameterError, match="unknown protocol"):
-            dataclasses.replace(ps, protocol="xmpf")
-        seeded = dataclasses.replace(ps, seed=2**64 - 1)
+            remade(ps, protocol="xmpf")
+        seeded = remade(ps, seed=2**64 - 1)
         assert ParamSet.from_frame(seeded.to_frame()) == seeded
         assert ParamSet.from_json(seeded.to_json()) == seeded
 
