@@ -99,6 +99,12 @@ class RdmpfSetup(Record):
             out.append(f"p={self.params.p} is below the recommended 2^64 floor")
         if self.dim < 100:
             out.append(f"dimension {self.dim} is below the recommended order of 100")
+        if self.dim <= 2:
+            out.append(
+                f"at dimension {self.dim} a sampled base repeats its one row, so every "
+                "private power is a scalar multiple of its base and each round is "
+                "one discrete log mod p"
+            )
         return out
 
 

@@ -189,23 +189,49 @@ def mpf_double(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
 
 
 def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
-    """The double action of mpf_double in n^3 + m*n^2 powers instead of m*n^3.
+    """The double action of mpf_double in at most n^3 + m*n^2 powers, not m*n^3.
 
-    It is mpf_left(xe, mpf_right(w_n, ye)), with w_n the top n x n block
-    of w, the only rows the action reads: the right pass forms
-    D[k][j] = prod_l w[k][l] ** ye[l][j] and the left pass forms
-    Q[i][j] = prod_k D[k][j] ** xe[i][k].  Splitting w ** (x*y) into
+    It reads only the top n x n block w_n of w and of ye, and factors
+    w ** (x*y) into one-sided passes over distinct exponent rows:
+      (a) ye rows l equal mod p-1 form one group g, whose block columns
+          merge into W[k][g] = prod_{l in g} w[k][l], as w**e * v**e = (w*v)**e;
+      (b) xe rows equal mod p-1 are computed once and their output copied;
+      (c) with u distinct xe rows and c groups, left-first
+          (prod_k W[k][g] ** xe[i][k], then to the power ye[g][j]) takes
+          2*u*c*n terms and right-first (prod_g W[k][g] ** ye[g][j], then
+          to the power xe[i][k]) takes n*n*c + u*n*n; the cheaper runs,
+          right-first on a tie.
+    A duplicated base row repeats in every rdmpf power, so a dim-2 round
+    action takes 4 pows in place of 16.  Splitting w ** (x*y) into
     (w ** y) ** x relies on Fermat reduction mod p-1, which holds for
-    units only, so a zero in the top n x n block of w is refused.  Both
-    setups are zero-free and peer tokens are checked, so protocol runs
-    never pass one.  The result is a product of units and never holds a
-    zero.
+    units only, so a zero in w_n is refused.  Both setups are zero-free
+    and peer tokens are checked, so protocol runs never pass one.  The
+    result is a product of units and never holds a zero.
     """
     _, n = _check_double(xe, w, ye, p)
+    _check_top_block(w, n)
     block = w.entries[: n * n]
     if 0 in block:
         raise ParameterError("double_action needs a zero-free base block")
-    return mpf_left(xe, mpf_right(Matrix(n, n, block, p), ye))
+    em = p - 1
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for l in range(n):
+        groups.setdefault(tuple(e % em for e in ye.row(l)), []).append(l)
+    merged = [
+        [math.prod(block[k * n + l] for l in ls) % p for ls in groups.values()]
+        for k in range(n)
+    ]
+    ycols = list(zip(*groups))
+    xrows = [tuple(e % em for e in xe.row(i)) for i in range(xe.rows)]
+    distinct = list(dict.fromkeys(xrows))
+    u, c = len(distinct), len(groups)
+    if 2 * u * c * n < n * n * c + u * n * n:
+        out = _multi_exp(zip(*_multi_exp(zip(*merged), distinct, p)), ycols, p)
+    else:
+        out = zip(*_multi_exp(zip(*_multi_exp(merged, ycols, p)), distinct, p))
+    by_row = dict(zip(distinct, out))
+    flat = [q for x in xrows for q in by_row[x]]
+    return Matrix(xe.rows, n, tuple(flat), p)
 
 
 class RmpfSetup(Record):

@@ -13,6 +13,7 @@ from mpfkap import (
     generate_setup,
     mat_mul_mod,
     mat_pow_mod,
+    mpf_double,
     parse_token_list,
     rank_mod_p,
     round_key,
@@ -176,6 +177,10 @@ class TestSetupValidation:
     def test_floor_warnings(self):
         warnings = ka.rdmpf_setup().floor_warnings()
         assert len(warnings) == 2
+        assert not any("discrete log" in w for w in warnings)
+        small = generate_setup(2, 65537, 100, 1, random.Random(2)).floor_warnings()
+        assert len(small) == 3
+        assert any("scalar multiple" in w and "discrete log" in w for w in small)
 
 
 def cycle_matrix(length, dim, modulus):
@@ -355,6 +360,46 @@ class TestRoundOperations:
             la = mat_pow_mod(setup.base_xu, rng.randint(1, 200), em)
             lb = mat_pow_mod(setup.base_xu, rng.randint(1, 200), em)
             assert mat_mul_mod(la, lb, em) == mat_mul_mod(lb, la, em)
+
+
+def equal_row_pairs(m):
+    rows = m.to_rows()
+    n = len(rows)
+    return {(i, j) for i in range(n) for j in range(i + 1, n) if rows[i] == rows[j]}
+
+
+class TestBaseStructure:
+    """What a base with a duplicated row passes on to every token and key."""
+
+    @pytest.mark.parametrize("p", (65537, 2**64 - 59))
+    def test_dim2_tokens_are_entrywise_powers_of_one_public_matrix(self, p):
+        # Bx = [[a, b], [a, b]] gives Bx**k = (a+b)**(k-1) * Bx mod p-1, so
+        # a token is U ** (sigma*s*t) entry-wise for the public
+        # U = mpf_double(Bx, W, By): one discrete log mod p per round
+        rng = random.Random(p)
+        em = p - 1
+        sigma = 5
+        setup = generate_setup(2, p, 2**62, 3, rng, sigma=sigma)
+        (a, b), second = setup.base_xu.to_rows()
+        (c, d), fourth = setup.base_yv.to_rows()
+        assert second == [a, b] and fourth == [c, d]
+        u = mpf_double(setup.base_xu, setup.w, setup.base_yv, p)
+        pairs = [(rng.randint(1, setup.exp_max), rng.randint(1, setup.exp_max)) for _ in range(3)]
+        for (rand_l, rand_r), (_, token) in zip(pairs, round_keygen(setup, pairs)):
+            z = sigma * pow(a + b, rand_l - 1, em) * pow(c + d, rand_r - 1, em) % em
+            assert token.to_rows() == [[pow(v, z, p) for v in row] for row in u.to_rows()]
+
+    @pytest.mark.parametrize("dim", (3, 8))
+    def test_tokens_and_keys_repeat_the_base_row(self, dim):
+        setup = generate_setup(dim, 2**64 - 59, 10**4, 2, random.Random(dim))
+        duplicated = equal_row_pairs(setup.base_xu)
+        assert len(duplicated) == 1
+        alice = RdmpfSession(setup, random.Random(1))
+        bob = RdmpfSession(setup, random.Random(2))
+        tokens = alice.generate_tokens()
+        alice.derive(bob.generate_tokens())
+        for m in tokens + alice.keys:
+            assert equal_row_pairs(m) == duplicated
 
 
 class TestSession:

@@ -11,16 +11,20 @@ from mpfkap import (
     RmpfSession,
     RmpfSetup,
     derive_key,
+    generate_setup,
     keygen,
     mat_mul_mod,
     mat_scalar_mul_mod,
     mpf_double,
     mpf_left,
     mpf_right,
+    round_key,
+    round_keygen,
     sample_matrix,
 )
 from mpfkap import known_answers as ka
 from mpfkap import rmpf as rmpf_mod
+from mpfkap.rdmpf import rdmpf
 from mpfkap.rmpf import _MAX_WINDOW, _multi_exp, _window, double_action
 
 
@@ -325,6 +329,122 @@ class TestMultiExp:
             assert mpf_right(w, e).to_rows() == direct_right(w, e, p)
         assert mpf_left(zeros, w).to_rows() == [[1] * n] * (n + 3)
         assert mpf_right(w, zeros).to_rows() == [[1] * n] * (n + 2)
+
+
+def with_equal_rows(e, count, rng, row=None):
+    """e with count of its rows, at random positions, all set to one row:
+    the given row, or else the first chosen row of e."""
+    rows = e.to_rows()
+    where = rng.sample(range(e.rows), count)
+    src = list(row) if row is not None else rows[where[0]]
+    for i in where:
+        rows[i] = list(src)
+    return Matrix.from_rows(rows, e.modulus)
+
+
+def distinct_rows(e, count, p):
+    return len({tuple(v % (p - 1) for v in e.row(i)) for i in range(count)})
+
+
+def counted_double_action(monkeypatch, xe, w, ye, p):
+    """double_action's result, the terms its passes hand _multi_exp, and the
+    cheaper order by the kernel's cost rule, worked out here from the rows."""
+    terms = []
+    real = rmpf_mod._multi_exp
+
+    def spy(base_sets, exps, p):
+        base_sets = list(base_sets)
+        terms.append(len(base_sets) * len(exps) * len(exps[0]))
+        return real(base_sets, exps, p)
+
+    monkeypatch.setattr(rmpf_mod, "_multi_exp", spy)
+    try:
+        got = double_action(xe, w, ye, p)
+    finally:
+        monkeypatch.setattr(rmpf_mod, "_multi_exp", real)
+    n = xe.cols
+    u, c = distinct_rows(xe, xe.rows, p), distinct_rows(ye, n, p)
+    left, right = 2 * u * c * n, n * n * c + u * n * n
+    assert sum(terms) == min(left, right)
+    return got, "left" if left < right else "right"
+
+
+class TestDistinctRows:
+    """double_action merges equal ye rows, computes equal xe rows once and
+    runs the cheaper pass first; always equal to mpf_double."""
+
+    @pytest.mark.parametrize("p", (65537, P64))
+    def test_square_dims_with_repeated_rows(self, p, monkeypatch):
+        rng = random.Random(p)
+        special = (None, [0] * 8, [p - 2] * 8)
+        orders = set()
+        for n in range(1, 9):
+            flat = list(sample_matrix(n, n, p, rng, mode="unit_entries").entries)
+            for i in rng.sample(range(n * n), -(-n * n // 4)):
+                flat[i] = p - 1
+            w = Matrix(n, n, tuple(flat), p)
+            for t, (kx, ky) in enumerate(
+                (kx, ky) for kx in sorted({1, 2, 3, n}) for ky in sorted({1, 2, n})
+                if kx <= n and ky <= n
+            ):
+                row = special[t % 3]
+                x = with_equal_rows(edge_exponents(n, n, p, rng), kx, rng, row and row[:n])
+                y = with_equal_rows(edge_exponents(n, n, p, rng), ky, rng, row and row[:n])
+                got, order = counted_double_action(monkeypatch, x, w, y, p)
+                orders.add(order)
+                assert got == mpf_double(x, w, y, p)
+        assert orders == {"left", "right"}
+
+    @pytest.mark.parametrize("p", (65537, P64))
+    def test_rows_equal_mod_p_minus_1_merge(self, p, monkeypatch):
+        # as integers the rows differ (0 against p-1), mod p-1 they are equal
+        rng = random.Random(p + 1)
+        w = sample_matrix(3, 3, p, rng, mode="unit_entries")
+        x = Matrix.from_rows([[0, 5, p - 2], [p - 1, 5, p - 2], [0, 5, p - 2]], p)
+        y = Matrix.from_rows([[p - 1, 7, 1], [0, 7, 1], [2, 3, 4]], p)
+        got, order = counted_double_action(monkeypatch, x, w, y, p)
+        assert order == "left"
+        assert got == mpf_double(x, w, y, p)
+        assert got.row(0) == got.row(1) == got.row(2)
+
+    @pytest.mark.parametrize(
+        "rows, cols, p", [(96, 8, 65537), (40, 4, P64), (24, 2, P64), (17, 3, 65537)]
+    )
+    def test_tall_shapes_run_right_first(self, rows, cols, p, monkeypatch):
+        rng = random.Random(rows)
+        w = sample_matrix(rows, cols, p, rng, mode="unit_entries")
+        for kx in (1, 2, 3):
+            x = with_equal_rows(rand_exponents(rows, cols, p - 1, rng), kx, rng)
+            y = rand_exponents(rows, cols, p - 1, rng)
+            got, order = counted_double_action(monkeypatch, x, w, y, p)
+            assert order == "right"
+            assert got == mpf_double(x, w, y, p)
+
+    @pytest.mark.parametrize("p", (65537, P64))
+    def test_zero_in_block_still_refused(self, p):
+        rng = random.Random(p + 2)
+        for n in (1, 2, 5):
+            flat = list(sample_matrix(n, n, p, rng, mode="unit_entries").entries)
+            flat[rng.randrange(n * n)] = 0
+            w = Matrix(n, n, tuple(flat), p)
+            x = with_equal_rows(edge_exponents(n, n, p, rng), n, rng)
+            with pytest.raises(ParameterError, match="zero"):
+                double_action(x, w, x, p)
+
+    def test_dim2_round_action_makes_four_pows(self, monkeypatch):
+        setup = generate_setup(2, P64, 2**63, 1, random.Random(1))
+        (priv, _), (_, peer) = round_keygen(setup, [(12345, 67890), (13579, 24680)])
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(rmpf_mod, "pow", spy, raising=False)
+        key = round_key(priv, peer, setup)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        assert key == rdmpf(priv.l, peer, priv.r, P64, setup.sigma)
 
 
 class TestSetupValidation:
