@@ -10,6 +10,7 @@ every hash, HMAC, and wire payload in the package.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -118,6 +119,14 @@ class FieldParams(Record):
         if p < 3 or not is_probable_prime(p):
             raise ParameterError(f"p must be an odd prime >= 3, got {p}")
         self._set(p, p - 1)
+
+    def floor_warnings(self) -> list[str]:
+        """Advisory warnings on p that every protocol's setup shares."""
+        out = [f"p={self.p} is below the recommended 2^64 floor"] if self.p < 2**64 else []
+        if not is_probable_prime(self.p // 2):
+            out.append(f"(p-1)/2 = {self.p // 2} is not prime, so Pohlig-Hellman reduces "
+                       "each discrete log mod p to the prime factors of p-1")
+        return out
 
 
 class Matrix(Record):
@@ -326,6 +335,7 @@ def mat_pow_mod(
     ]
 
 
+@lru_cache(maxsize=8)  # a setup checks its nucleus twice and eliminates it once
 def rank_mod_p(m: Matrix, p: int) -> int:
     """Rank of m over the field Z_p, by Gaussian elimination on packed rows.
 

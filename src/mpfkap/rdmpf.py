@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import reduce
+from itertools import compress
+from operator import mul, xor
 from typing import Sequence
 
 from .core import (
     FieldParams,
     Matrix,
     Record,
+    _pack,
     canonical_bytes,
     mat_pow_mod,
     mat_scalar_mul_mod,
@@ -81,7 +85,8 @@ class RdmpfSetup(Record):
         if rank_mod_p(w, p) != dim:
             raise ParameterError("nucleus matrix w must have full rank over Z_p")
         for name, m in (("base_xu", base_xu), ("base_yv", base_yv)):
-            if rank_mod_p(m, p) >= dim:
+            # two equal rows already prove rank < dim
+            if len(set(map(m.row, range(dim)))) == dim and rank_mod_p(m, p) >= dim:
                 raise ParameterError(f"{name} must be rank-deficient over Z_p")
         if exp_max < 2:
             raise ParameterError(f"exp_max must be >= 2, got {exp_max}")
@@ -94,9 +99,7 @@ class RdmpfSetup(Record):
         return self.w.rows
 
     def floor_warnings(self) -> list[str]:
-        out = []
-        if self.params.p < 2**64:
-            out.append(f"p={self.params.p} is below the recommended 2^64 floor")
+        out = self.params.floor_warnings()
         if self.dim < 100:
             out.append(f"dimension {self.dim} is below the recommended order of 100")
         if self.dim <= 2:
@@ -113,13 +116,19 @@ def _has_short_cycle(base: Matrix, em: int) -> bool:
 
     base**k == base forces base**k·v == base·v for any vector v, so the
     chain base**k·v, k = 2 .. max probe, with v all ones screens first:
-    one matrix-vector product per step.  Only a probe that survives the
-    screen needs the exact chain of matrix products.
+    each step is one sum of v[j] times column j, packed once with
+    mul_rows_mod's slot width.  Only a probe that survives the screen
+    needs the exact chain of matrix products.
     """
     rows = [[e % em for e in base.row(i)] for i in range(base.rows)]
-    image = first = mul_rows_mod(rows, [[1]] * base.cols, em)
+    width = 2 * (em - 1).bit_length() + base.cols.bit_length()
+    mask = (1 << width) - 1
+    cols = [_pack(col, width) for col in zip(*rows)]
+    shifts = range(0, width * base.rows, width)
+    image = first = [sum(row) % em for row in rows]
     for k in range(2, max(_ORDER_PROBES) + 1):
-        image = mul_rows_mod(rows, image, em)
+        packed = sum(map(mul, image, cols))
+        image = [(packed >> s & mask) % em for s in shifts]
         if k in _ORDER_PROBES and image == first:
             break
     else:
@@ -128,6 +137,22 @@ def _has_short_cycle(base: Matrix, em: int) -> bool:
     for k, i, j in _PROBE_CHAIN:
         powers[k] = mul_rows_mod(powers[i], powers[j], em)
     return any(powers[k] == powers[1] for k in _ORDER_PROBES)
+
+
+def _nilpotent_mod2(m: Matrix) -> bool:
+    """Whether m**dim == 0 mod 2, for square m.
+
+    Each row mod 2 is one integer, bit j holding column j, so a GF(2)
+    product row is the XOR of the rows its set bits pick.  The
+    nilpotency index is at most dim, so m**dim == 0 iff m**(2^k) == 0
+    for 2^k >= dim: ceil(lg dim) squarings decide it.
+    """
+    bits = bytes.maketrans(b"01", b"\0\1")  # bin(r) digits -> compress selectors
+    rows = [int("".join("01"[e & 1] for e in reversed(m.row(i))), 2) for i in range(m.rows)]
+    for _ in range((m.rows - 1).bit_length()):
+        rows = [reduce(xor, compress(rows, bin(r)[:1:-1].encode().translate(bits)), 0)
+                for r in rows]
+    return not any(rows)
 
 
 def sample_rank_deficient_base(
@@ -142,10 +167,9 @@ def sample_rank_deficient_base(
     to the zero matrix and every token degenerates to all-ones.  By
     Cayley-Hamilton, base**dim mod 2 vanishing detects exactly that.
     """
-    zero_mod2 = Matrix.zeros(dim, dim, 2)
     for _ in range(4096):
         cand = sample_matrix(dim, dim, params.p, rng, mode="rank_deficient")
-        if mat_pow_mod(cand, dim, 2) == zero_mod2:
+        if _nilpotent_mod2(cand):
             continue
         if _has_short_cycle(cand, params.exp_modulus):
             continue

@@ -261,13 +261,15 @@ class RmpfSetup(Record):
 
     def floor_warnings(self) -> list[str]:
         """Advisory warnings when parameters sit below real-life floors."""
-        out = []
-        if self.params.p < 2**64:
-            out.append(f"p={self.params.p} is below the recommended 2^64 floor")
+        out = self.params.floor_warnings()
         if self.cols < 100:
             out.append(
                 f"matrix rank bound {self.cols} is below the recommended order of 100"
             )
+        out.append(
+            "rmpf security is one discrete log mod p whatever the dimension: every "
+            "token entry is T[i][j]^(lambda*omega) for the public T = mpf_double(X, Base, Y)"
+        )
         return out
 
 

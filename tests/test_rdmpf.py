@@ -24,6 +24,7 @@ from mpfkap import (
 from mpfkap import known_answers as ka
 from mpfkap import rdmpf as rdmpf_module
 from mpfkap.rdmpf import rdmpf
+from mpfkap.wire import generate_paramset
 
 
 class SeqRng:
@@ -158,6 +159,33 @@ class TestSetupValidation:
         with pytest.raises(ParameterError):
             RdmpfSetup(params, w, base, full, 10, 1)
 
+    def test_distinct_rows_still_eliminated(self):
+        # row 3 = row 1 + row 2 mod p: no two rows equal, yet rank 2 < 3
+        p = 65537
+        params = FieldParams(p)
+        w = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]], p)
+        base = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [5, 7, 9]], p)
+        full = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [5, 7, 10]], p)
+        rank_mod_p.cache_clear()
+        setup = RdmpfSetup(params, w, base, base, 10, 1)
+        assert setup.base_xu == base
+        assert rank_mod_p.cache_info().misses == 2  # w, then the base
+        with pytest.raises(ParameterError, match="base_yv must be rank-deficient"):
+            RdmpfSetup(params, w, base, full, 10, 1)
+
+    def test_equal_rows_prove_rank_deficiency(self):
+        # a sampled base repeats a row, so the setup eliminates only w,
+        # once: the sampler's check and the validation share the answer
+        rank_mod_p.cache_clear()
+        ps, setup = generate_paramset(
+            "rdmpf", 2**64 - 59, random.Random(5), dim=5, rounds=1, exp_max=100)
+        info = rank_mod_p.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert rank_mod_p(setup.w, 2**64 - 59) == 5
+        for base in (setup.base_xu, setup.base_yv):
+            assert len(set(map(tuple, base.to_rows()))) < 5
+            assert rank_mod_p(base, 2**64 - 59) < 5
+
     def test_rounds_and_exp_max_floors(self):
         params = FieldParams(7)
         w = Matrix.from_rows([[1, 2], [3, 4]], 7)
@@ -176,11 +204,76 @@ class TestSetupValidation:
 
     def test_floor_warnings(self):
         warnings = ka.rdmpf_setup().floor_warnings()
-        assert len(warnings) == 2
-        assert not any("discrete log" in w for w in warnings)
+        assert any("2^64" in w for w in warnings)
+        assert any("order of 100" in w for w in warnings)
+        assert not any("scalar multiple" in w for w in warnings)
         small = generate_setup(2, 65537, 100, 1, random.Random(2)).floor_warnings()
-        assert len(small) == 3
         assert any("scalar multiple" in w and "discrete log" in w for w in small)
+
+    @pytest.mark.parametrize("p, safe", [(65537, False), (2**64 - 59, False), (1019, True)])
+    def test_pohlig_hellman_warning(self, p, safe):
+        warnings = generate_setup(3, p, 100, 1, random.Random(3)).floor_warnings()
+        hits = [w for w in warnings if "Pohlig-Hellman" in w]
+        assert len(hits) == (0 if safe else 1)
+        if not safe:
+            assert f"(p-1)/2 = {(p - 1) // 2} is not prime" in hits[0]
+
+
+def shift_matrix(n, modulus, fill=lambda i, j: 0):
+    """Ones just above the diagonal, fill(i, j) elsewhere.  With fill even on and
+    below the diagonal, J**(n-1) != 0 == J**n mod 2."""
+    return Matrix.from_rows(
+        [[1 if j == i + 1 else fill(i, j) for j in range(n)] for i in range(n)], modulus)
+
+
+def nilpotent_by_power(m):
+    return mat_pow_mod(m, m.rows, 2) == Matrix.zeros(m.rows, m.rows, 2)
+
+
+class TestNilpotentMod2:
+    @pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 100])
+    def test_shift_matrix_has_index_n(self, n):
+        # one squaring too few reaches only J**(2^(k-1)), nonzero for 2^(k-1) < n
+        shift = shift_matrix(n, 65537)
+        if n > 1:
+            assert mat_pow_mod(shift, n - 1, 2) != Matrix.zeros(n, n, 2)
+        assert nilpotent_by_power(shift)
+        assert rdmpf_module._nilpotent_mod2(shift)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 17])
+    def test_even_on_and_below_the_diagonal(self, n):
+        rng = random.Random(n)
+        upper = shift_matrix(
+            n, 2**64 - 59, lambda i, j: rng.randrange(1, 2**63) * (2 if j <= i else 1))
+        assert nilpotent_by_power(upper)
+        assert rdmpf_module._nilpotent_mod2(upper)
+        # one odd diagonal entry: trace 1 mod 2, so not nilpotent
+        odd = Matrix.from_rows(
+            [[3 if (i, j) == (n - 1, n - 1) else e for j, e in enumerate(row)]
+             for i, row in enumerate(upper.to_rows())], 2**64 - 59)
+        assert not nilpotent_by_power(odd)
+        assert not rdmpf_module._nilpotent_mod2(odd)
+
+    def test_all_even(self):
+        rng = random.Random(43)
+        m = Matrix.from_rows([[2 * rng.randrange(1, 30000) for _ in range(7)] for _ in range(7)],
+                             65537)
+        assert nilpotent_by_power(m)
+        assert rdmpf_module._nilpotent_mod2(m)
+
+    def test_matches_the_matrix_power(self):
+        # small dims, where about half of the candidates are nilpotent mod 2
+        rng = random.Random(44)
+        decisions = []
+        for p in (5, 7, 65537, 2**64 - 59):
+            for _ in range(50):
+                dim = rng.randrange(2, 7)
+                cand = sample_matrix(dim, dim, p, rng, mode="rank_deficient")
+                expected = nilpotent_by_power(cand)
+                assert rdmpf_module._nilpotent_mod2(cand) == expected
+                decisions.append(expected)
+        assert len(decisions) == 200
+        assert 0 < sum(decisions) < len(decisions)
 
 
 def cycle_matrix(length, dim, modulus):
@@ -273,13 +366,25 @@ class TestBaseProbe:
         assert rdmpf_module._has_short_cycle(m, 6)
         assert product_shapes.count(2) == len(rdmpf_module._PROBE_CHAIN)
 
+    def test_idempotent_at_the_floor_prime(self):
+        # equal 64-bit rows summing to 1 mod p-1: P**2 == P, and each screen
+        # step sums dim products of nearly 2^128, which must not carry
+        p, rng = 2**64 - 59, random.Random(45)
+        while True:
+            row = [rng.randrange(2**63, p) for _ in range(5)]
+            last = (1 - sum(row)) % (p - 1)
+            if last:
+                break
+        m = Matrix.from_rows([row + [last]] * 6, p)
+        assert mat_pow_mod(m, 2, p - 1) == Matrix.from_rows(m.to_rows(), p - 1)
+        assert rdmpf_module._has_short_cycle(m, p - 1)
+
     def test_no_survivor_skips_the_chain(self, product_shapes):
         rng = random.Random(42)
         for _ in range(5):
             cand = sample_matrix(6, 6, 2**64 - 59, rng, mode="rank_deficient")
             assert not rdmpf_module._has_short_cycle(cand, 2**64 - 60)
-        assert product_shapes and set(product_shapes) == {1}
-        assert len(product_shapes) == 5 * max(rdmpf_module._ORDER_PROBES)
+        assert 6 not in product_shapes
 
     def test_sampler_skips_short_cycles(self, monkeypatch):
         # a permutation passes the mod-2 screen, so only the probe rejects it

@@ -471,6 +471,15 @@ class TestSetupValidation:
         warnings = ka.rmpf_setup().floor_warnings()
         assert any("2^64" in w for w in warnings)
         assert any("100" in w for w in warnings)
+        assert any("one discrete log mod p whatever the dimension" in w for w in warnings)
+
+    @pytest.mark.parametrize("p, safe", [(65537, False), (2**64 - 59, False), (1019, True)])
+    def test_pohlig_hellman_warning(self, p, safe):
+        rng = random.Random(p)
+        base, x, y = (sample_matrix(6, 3, p, rng, mode="unit_entries") for _ in range(3))
+        warnings = RmpfSetup(FieldParams(p), base, x, y).floor_warnings()
+        assert any("Pohlig-Hellman" in w for w in warnings) == (not safe)
+        assert any("one discrete log mod p" in w for w in warnings)
 
 
 class TestProtocolRun:
