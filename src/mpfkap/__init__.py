@@ -43,7 +43,6 @@ from .rdmpf import (
     RdmpfSetup,
     SessionKey,
     SessionTranscript,
-    generate_setup,
     parse_token_list,
     round_key,
     round_keygen,
@@ -56,9 +55,8 @@ from .rmpf import (
     derive_key,
     keygen,
     mpf_double,
-    mpf_left,
-    mpf_right,
 )
+from .wire import generate_setup
 
 __version__ = "0.1.0"
 
@@ -98,8 +96,6 @@ __all__ = [
     "mat_scalar_mul_mod",
     "matrix_values",
     "mpf_double",
-    "mpf_left",
-    "mpf_right",
     "parse_token_list",
     "rank_mod_p",
     "round_key",

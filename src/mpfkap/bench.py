@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .core import Record, mat_pow_mod
 from .errors import ParameterError
-from .rdmpf import generate_setup, rdmpf
+from .rdmpf import rdmpf
+from .wire import generate_setup
 
 TABLE_GRID = ((5, 997, 1000), (25, 997, 1000), (5, 4973, 1000), (5, 997, 5000))
 BASELINE_POINT = (5, 997, 1000)

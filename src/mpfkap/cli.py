@@ -56,6 +56,14 @@ SEED_ENV = "MPFKAP_SEED"
 DEFAULT_P = 65537
 
 
+def _timeout(text: str) -> float:
+    """--timeout's type: a finite number of seconds above 0."""
+    seconds = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < seconds < float("inf"):
+        raise argparse.ArgumentTypeError(f"needs a finite number of seconds > 0, got {text!r}")
+    return seconds
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpfkap",
@@ -83,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--transport", required=True, help="file:DIR or tcp:HOST:PORT (bob listens)"
     )
     common.add_argument("--out", required=True, help="where to write the agreed key")
-    common.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
+    common.add_argument("--timeout", type=_timeout, default=DEFAULT_TIMEOUT)
     common.add_argument(
         "--test-mode", action="store_true", help="deterministic seeding; handshake: allow --inject"
     )

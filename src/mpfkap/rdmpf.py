@@ -34,7 +34,7 @@ from .core import (
     sample_matrix,
 )
 from .errors import ParameterError, ProtocolError
-from .rmpf import double_action, mpf_double
+from .rmpf import _check_peer_token, double_action, mpf_double
 
 # Short exponent probe used when sampling bases: reject a base whose power
 # cycle is trivially short (base**k comes straight back to the base).
@@ -92,6 +92,11 @@ class RdmpfSetup(Record):
             raise ParameterError(f"exp_max must be >= 2, got {exp_max}")
         if rounds < 1:
             raise ParameterError(f"rounds must be >= 1, got {rounds}")
+        if sigma % params.exp_modulus == 0:
+            raise ParameterError(
+                f"sigma={sigma} is a multiple of p-1={params.exp_modulus}, "
+                "which makes every token and key all ones"
+            )
         self._set(params, w, base_xu, base_yv, exp_max, rounds, sigma)
 
     @property
@@ -179,25 +184,6 @@ def sample_rank_deficient_base(
     )
 
 
-def generate_setup(
-    dim: int,
-    p: int,
-    exp_max: int,
-    rounds: int,
-    rng: random.Random,
-    sigma: int = 1,
-) -> RdmpfSetup:
-    """Sample a complete public setup with the required rank structure."""
-    params = FieldParams(p)
-    while True:
-        w = sample_matrix(dim, dim, p, rng, mode="unit_entries")
-        if rank_mod_p(w, p) == dim:
-            break
-    base_xu = sample_rank_deficient_base(dim, params, rng)
-    base_yv = sample_rank_deficient_base(dim, params, rng)
-    return RdmpfSetup(params, w, base_xu, base_yv, exp_max, rounds, sigma)
-
-
 class RdmpfRoundPrivate(Record):
     """One round's exponent draws and the derived private matrices:
     l = base_xu ** rand_l and r = base_yv ** rand_r, mod p-1."""
@@ -235,15 +221,7 @@ def round_keygen(
 
 def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> Matrix:
     """Apply the stored round private to the peer's round token."""
-    if (peer_token.rows, peer_token.cols) != (setup.dim, setup.dim):
-        raise ProtocolError(
-            f"peer token is {peer_token.rows}x{peer_token.cols}, expected "
-            f"{setup.dim}x{setup.dim}"
-        )
-    if peer_token.modulus != setup.params.p:
-        raise ProtocolError("peer token modulus does not match the setup prime")
-    if peer_token.has_zero_entry():
-        raise ProtocolError("peer round token contains a zero entry")
+    _check_peer_token(peer_token, setup.dim, setup.dim, setup.params.p)
     return _round_action(priv, peer_token, setup)
 
 

@@ -119,39 +119,6 @@ def _check_top_block(m: Matrix, n: int) -> None:
         raise ParameterError(f"need a top {n}x{n} block, got a {m.rows}x{m.cols} matrix")
 
 
-def mpf_left(xe: Matrix, w: Matrix) -> Matrix:
-    """Left exponential action: C[i][j] = prod_{k<n} w[k][j] ** xe[i][k] mod p.
-
-    xe is r x n and the product reads the top n rows of w, which needs n
-    columns; C is r x n.  Exponent entries are taken mod p-1.
-    """
-    n = xe.cols
-    _check_top_block(w, n)
-    p = w.modulus
-    em = p - 1
-    wcols = [[w.at(k, j) for k in range(n)] for j in range(n)]
-    xrows = [[e % em for e in xe.row(i)] for i in range(xe.rows)]
-    # one output row per column of w: transpose back to r x n
-    flat = [q for row in zip(*_multi_exp(wcols, xrows, p)) for q in row]
-    return Matrix(xe.rows, n, tuple(flat), p)
-
-
-def mpf_right(w: Matrix, ye: Matrix) -> Matrix:
-    """Right exponential action: D[i][j] = prod_{l<n} w[i][l] ** ye[l][j] mod p.
-
-    w is r x n for any r and the product reads the top n rows of ye; D
-    is r x n.  Exponent entries are taken mod p-1.
-    """
-    n = w.cols
-    _check_top_block(ye, n)
-    p = w.modulus
-    em = p - 1
-    ycols = [[ye.at(l, j) % em for l in range(n)] for j in range(n)]
-    wrows = [w.row(i) for i in range(w.rows)]
-    flat = [q for row in _multi_exp(wrows, ycols, p) for q in row]
-    return Matrix(w.rows, n, tuple(flat), p)
-
-
 def _check_double(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> tuple[int, int]:
     rows, cols = _check_same_shape(xe, w, ye)
     if w.modulus != p:
@@ -308,17 +275,19 @@ def keygen(
     return priv, double_action(priv.a, setup.base, priv.b, p)
 
 
+def _check_peer_token(token: Token, rows: int, cols: int, p: int) -> None:
+    """Refuse a peer token of the wrong shape or modulus, or with a zero entry."""
+    if (token.rows, token.cols) != (rows, cols):
+        raise ProtocolError(f"peer token is {token.rows}x{token.cols}, expected {rows}x{cols}")
+    if token.modulus != p:
+        raise ProtocolError("peer token modulus does not match the setup prime")
+    if token.has_zero_entry():
+        raise ProtocolError("peer token contains a zero entry")
+
+
 def derive_key(priv: RmpfPrivate, peer_token: Token, setup: RmpfSetup) -> Matrix:
     """Apply the private action to the peer token; equals the peer's key."""
-    if (peer_token.rows, peer_token.cols) != (setup.rows, setup.cols):
-        raise ProtocolError(
-            f"peer token is {peer_token.rows}x{peer_token.cols}, "
-            f"expected {setup.rows}x{setup.cols}"
-        )
-    if peer_token.modulus != setup.params.p:
-        raise ProtocolError("peer token modulus does not match the setup prime")
-    if peer_token.has_zero_entry():
-        raise ProtocolError("peer token contains a zero entry")
+    _check_peer_token(peer_token, setup.rows, setup.cols, setup.params.p)
     return double_action(priv.a, peer_token, priv.b, setup.params.p)
 
 

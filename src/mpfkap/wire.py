@@ -400,6 +400,15 @@ def generate_paramset(
     return ps, ps.build_setup()
 
 
+def generate_setup(
+    dim: int, p: int, exp_max: int, rounds: int, rng: random.Random, sigma: int = 1
+) -> RdmpfSetup:
+    """The rdmpf setup that generate_paramset, and so `mpfkap setup`, samples from rng."""
+    return generate_paramset(
+        "rdmpf", p, rng, dim=dim, exp_max=exp_max, rounds=rounds, sigma=sigma
+    )[1]
+
+
 def save_paramset(ps: ParamSet, path: str) -> tuple[str, str]:
     """Write the JSON document plus its binary mirror; returns both paths.
 

@@ -28,8 +28,6 @@ from mpfkap import (
     mat_mul_mod,
     mat_scalar_mul_mod,
     mpf_double,
-    mpf_left,
-    mpf_right,
     sample_matrix,
 )
 from mpfkap import known_answers as ka
@@ -46,6 +44,7 @@ from mpfkap.wire import (
     payload_limits,
 )
 from mpfkap.errors import FrameError
+from one_sided import mpf_left, mpf_right
 
 
 @contextmanager

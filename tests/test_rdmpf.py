@@ -202,6 +202,33 @@ class TestSetupValidation:
         assert rank_mod_p(setup.base_xu, 65537) < 4
         assert rank_mod_p(setup.base_yv, 65537) < 4
 
+    @pytest.mark.parametrize("dim", (2, 3, 5))
+    @pytest.mark.parametrize("sigma", (1, 5))
+    def test_library_sampler_is_the_cli_sampler(self, dim, sigma):
+        for seed in range(4):
+            got = generate_setup(dim, 65537, 500, 2, random.Random(seed), sigma=sigma)
+            _, want = generate_paramset("rdmpf", 65537, random.Random(seed), dim=dim,
+                                        exp_max=500, rounds=2, sigma=sigma)
+            assert got == want
+
+    def test_unframeable_sigma_refused_before_any_draw(self):
+        rng = random.Random(8)
+        state = rng.getstate()
+        with pytest.raises(ParameterError, match=f"sigma={2**64} does not fit"):
+            generate_setup(3, 65537, 500, 1, rng, sigma=2**64)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("sigma", (0, 65536, 3 * 65536))
+    def test_sigma_multiple_of_p_minus_1_refused(self, sigma):
+        # every exponent would be 0 mod p-1, so every token and every
+        # session key would be all ones
+        plain = generate_setup(3, 65537, 500, 1, random.Random(9))
+        refused = f"sigma={sigma} is a multiple of p-1=65536"
+        with pytest.raises(ParameterError, match=refused):
+            RdmpfSetup(plain.params, plain.w, plain.base_xu, plain.base_yv, 500, 1, sigma)
+        with pytest.raises(ParameterError, match=refused):
+            generate_setup(3, 65537, 500, 1, random.Random(9), sigma=sigma)
+
     def test_floor_warnings(self):
         warnings = ka.rdmpf_setup().floor_warnings()
         assert any("2^64" in w for w in warnings)
@@ -447,7 +474,10 @@ class TestRoundOperations:
         for p in (65537, 2**64 - 59):
             for dim in (2, 3, 4):
                 sigma = rng.randrange(p - 1, 3 * p)
-                setup = generate_setup(dim, p, 1000, 1, rng, sigma=sigma)
+                plain = generate_setup(dim, p, 1000, 1, rng)
+                setup = RdmpfSetup(
+                    plain.params, plain.w, plain.base_xu, plain.base_yv, 1000, 1, sigma
+                )
                 priv_a, token_a = drawn_round(setup, rng)
                 priv_b, token_b = drawn_round(setup, rng)
                 assert token_a.to_rows() == oracle_rdmpf(priv_a.l, setup.w, priv_a.r, p, sigma)

@@ -16,8 +16,6 @@ from mpfkap import (
     mat_mul_mod,
     mat_scalar_mul_mod,
     mpf_double,
-    mpf_left,
-    mpf_right,
     round_key,
     round_keygen,
     sample_matrix,
@@ -26,6 +24,7 @@ from mpfkap import known_answers as ka
 from mpfkap import rmpf as rmpf_mod
 from mpfkap.rdmpf import rdmpf
 from mpfkap.rmpf import _MAX_WINDOW, _multi_exp, _window, double_action
+from one_sided import mpf_left, mpf_right
 
 
 def direct_double(xe, w, ye, p, r):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 import socket
 import subprocess
@@ -23,6 +24,7 @@ from mpfkap.wire import (
     ParamSet,
     encode_frame,
     encode_matrix,
+    generate_paramset,
     load_paramset,
     payload_limits,
     save_paramset,
@@ -372,6 +374,17 @@ class TestSetupCommand:
         assert f"p={2**64 + 13} does not fit the setup frame's 8-byte field" in r.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sigma", ("0", "65536"))
+    def test_sigma_multiple_of_p_minus_1_writes_nothing(self, tmp_path, sigma):
+        # such a sigma makes every token all ones: unrelated sessions
+        # would derive the same key
+        r = run_cli(["setup", "--protocol", "rdmpf", "--p", "65537", "--dim", "3",
+                     "--rounds", "1", "--sigma", sigma, "--seed", "1",
+                     "--out", str(tmp_path / "p.json")])
+        assert r.returncode == 2
+        assert f"parameter error: sigma={sigma} is a multiple of p-1=65536" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_unsamplable_base_is_parameter_error(self, tmp_path):
         # at dim 2, p=5 no sampled base passes the order screens; no peer
         # is involved, so this is a parameter error, not a protocol error
@@ -475,6 +488,23 @@ class TestHandshakeCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "bob.key", "params.bin", "params.json", "xch"]
 
+    @pytest.mark.parametrize("timeout", ("-1", "0", "nan"))
+    @pytest.mark.parametrize("scheme", ("file", "tcp"))
+    def test_bad_timeout_exits_2_before_the_transport_opens(self, tmp_path, scheme, timeout):
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        spec = f"file:{xch}" if scheme == "file" else f"tcp:127.0.0.1:{free_port()}"
+        r = run_cli([
+            "handshake", "--role", "bob", "--params", params, "--transport", spec,
+            "--out", str(tmp_path / "k"), "--test-mode", "--timeout", timeout,
+        ], timeout=30)
+        assert r.returncode == 2, r.stderr
+        assert f"--timeout: needs a finite number of seconds > 0, got '{timeout}'" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.bin", "params.json", "xch"]
+        assert list(xch.iterdir()) == []
+
     def test_tcp_listener_times_out(self, tmp_path):
         params, _ = write_known_rmpf_params(tmp_path / "params.json")
         r = run_cli([
@@ -545,6 +575,23 @@ class TestHandshakeCommand:
             assert "w must have entries" in r.stderr
         assert not any(xch.iterdir())
 
+
+    def test_sigma_multiple_of_p_minus_1_refused_at_load(self, tmp_path):
+        # a file that setup would refuse, written by hand, is refused on
+        # both sides before the transport opens
+        ps, _ = generate_paramset("rdmpf", 65537, random.Random(1), dim=3, exp_max=100,
+                                  rounds=1)
+        ps = ParamSet("rdmpf", 65537, {**ps.fields, "sigma": 0}, ps.matrices)
+        params, _ = save_paramset(ps, str(tmp_path / "p.json"))
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        for role in ("bob", "alice"):
+            r = run_cli(["handshake", "--role", role, "--params", params,
+                         "--transport", f"file:{xch}", "--out", str(tmp_path / f"{role}.key"),
+                         "--test-mode", "--timeout", "5"])
+            assert r.returncode == 2, (role, r.stderr)
+            assert "sigma=0 is a multiple of p-1=65536" in r.stderr
+        assert not any(xch.iterdir())
 
     def test_json_prime_beyond_the_word_refused_on_both_sides(self, tmp_path):
         # 2^64+13 is prime and the known rmpf matrices are a setup under it,
