@@ -54,13 +54,20 @@ SEED_ENV = "MPFKAP_SEED"
 # the known-answer vectors' prime (known_answers.P); that module loads
 # only for the vectors command
 DEFAULT_P = 65537
+# the longest --timeout in seconds; socket.settimeout refuses values of
+# about 1e10 s and more, so tcp: needs a bound that file: does not
+MAX_TIMEOUT = 10**6
 
 
 def _timeout(text: str) -> float:
-    """--timeout's type: a finite number of seconds above 0."""
+    """--timeout's type: a number of seconds above 0 and at most MAX_TIMEOUT."""
     seconds = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0 < seconds < float("inf"):
+    if not seconds > 0:  # nan too
         raise argparse.ArgumentTypeError(f"needs a finite number of seconds > 0, got {text!r}")
+    if seconds > MAX_TIMEOUT:
+        raise argparse.ArgumentTypeError(
+            f"needs at most {MAX_TIMEOUT} seconds, which both transports accept, got {text!r}"
+        )
     return seconds
 
 

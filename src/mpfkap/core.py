@@ -10,6 +10,7 @@ every hash, HMAC, and wire payload in the package.
 from __future__ import annotations
 
 import random
+import struct
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
@@ -147,7 +148,7 @@ class Matrix(Record):
             raise ParameterError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        if any(e < 0 or e >= modulus for e in entries):
+        if min(entries) < 0 or max(entries) >= modulus:
             raise ParameterError("matrix entry out of [0, modulus) range")
         # spelled out rather than _set: every kernel result is a Matrix
         _store(self, "rows", rows)
@@ -207,12 +208,36 @@ def mat_scalar_mul_mod(s: int, m: Matrix, modulus: int) -> Matrix:
     return Matrix(m.rows, m.cols, flat, modulus)
 
 
+# Row length from which _pack joins bytes: at the floor's 136-bit slots
+# the shift loop was faster up to 25 entries and the join from 26 on.
+_JOIN_FROM = 26
+
+
+def _slot_width(bits: int, length: int) -> int:
+    """A slot width of at least bits for rows of length entries.
+
+    It is bits rounded up to whole bytes when _pack joins such rows, and
+    bits itself when it shifts them in.  A wider slot never carries.
+    """
+    return -(-bits // 8) * 8 if length >= _JOIN_FROM else bits
+
+
 def _pack(row: Sequence[int], width: int) -> int:
-    """One integer holding row[k] in bits [k·width, (k+1)·width)."""
-    acc = 0
-    for e in reversed(row):
-        acc = acc << width | e
-    return acc
+    """One integer holding row[k] in bits [k·width, (k+1)·width).
+
+    A row of _JOIN_FROM entries or more is one int.from_bytes over its
+    entries' little-endian byte strings, linear in its length, so width
+    must then be whole bytes.  A shorter row shifts its entries in one
+    by one, which copies the growing integer each time but costs less
+    there.
+    """
+    if len(row) < _JOIN_FROM:
+        acc = 0
+        for e in reversed(row):
+            acc = acc << width | e
+        return acc
+    size = width // 8
+    return int.from_bytes(b"".join([e.to_bytes(size, "little") for e in row]), "little")
 
 
 def mul_rows_mod(
@@ -223,11 +248,12 @@ def mul_rows_mod(
     The only matrix-product kernel.  Each row of B is packed into one
     integer with fixed-width slots, so row i of the product is a sum of
     len(b) scalar-times-packed-row products, unpacked slot by slot and
-    reduced once.  A slot of 2·bitlen(modulus-1) + bitlen(len(b)) bits
-    holds len(b)·(modulus-1)^2 without carrying into the next slot; an
-    unreduced entry could overflow it silently.
+    reduced once.  A slot of 2·bitlen(modulus-1) + bitlen(len(b)) bits,
+    rounded up by _slot_width for long rows, holds len(b)·(modulus-1)^2
+    without carrying into the next slot; an unreduced entry could
+    overflow it silently.
     """
-    width = 2 * (modulus - 1).bit_length() + len(b).bit_length()
+    width = _slot_width(2 * (modulus - 1).bit_length() + len(b).bit_length(), len(b[0]))
     mask = (1 << width) - 1
     packed = [_pack(row, width) for row in b]
     shifts = range(0, width * len(b[0]), width)
@@ -346,13 +372,14 @@ def rank_mod_p(m: Matrix, p: int) -> int:
     lead, plus one multiply-add of its reduced lead times that packed row.
     Slots are never reduced in between.  A row starts reduced and takes at
     most min(rows, cols) updates of less than p^2 each, so a slot of
-    2·bitlen(p) + bitlen(min(rows, cols)) + 1 bits holds
-    p + min(rows, cols)·p^2 without carrying into the next slot; a
-    narrower slot could corrupt its neighbour silently.
+    2·bitlen(p) + bitlen(min(rows, cols)) + 1 bits, rounded up by
+    _slot_width for long rows, holds p + min(rows, cols)·p^2 without
+    carrying into the next slot; a narrower slot could corrupt its
+    neighbour silently.
     """
     if not is_probable_prime(p):
         raise ParameterError(f"rank is only defined over a prime modulus, got {p}")
-    width = 2 * p.bit_length() + min(m.rows, m.cols).bit_length() + 1
+    width = _slot_width(2 * p.bit_length() + min(m.rows, m.cols).bit_length() + 1, m.cols)
     mask = (1 << width) - 1
     live = [_pack([e % p for e in m.row(i)], width) for i in range(m.rows)]
     rank = 0
@@ -376,6 +403,28 @@ def rank_mod_p(m: Matrix, p: int) -> int:
     return rank
 
 
+def _draw(rng: random.Random, count: int, low: int, stop: int) -> list[int]:
+    """count values in [low, stop), as count calls of rng.randrange(low, stop) draw them.
+
+    This is randrange's own rejection loop over getrandbits
+    (Random._randbelow_with_getrandbits, which Random and SystemRandom
+    both use), so the values and the state it leaves in rng are the
+    same, without randrange's argument handling per value.  Needs
+    stop > low.
+    """
+    n = stop - low
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(r + low)
+    return out
+
+
 def sample_matrix(
     rows: int,
     cols: int,
@@ -390,21 +439,25 @@ def sample_matrix(
       unit_entries   uniform entries in [1, modulus), so no zero bases
       rank_deficient sample (rows-1) x cols with unit entries, then insert
                      a duplicate of one of those rows at a random position
+
+    Entries are drawn row-major, as rng.randrange draws them.
     """
+    if modulus < 2:
+        raise ParameterError(f"modulus must be >= 2, got {modulus}")
     if mode == "general":
-        flat = tuple(rng.randrange(modulus) for _ in range(rows * cols))
-        return Matrix(rows, cols, flat, modulus)
-    if mode == "unit_entries":
-        flat = tuple(rng.randrange(1, modulus) for _ in range(rows * cols))
-        return Matrix(rows, cols, flat, modulus)
-    if mode == "rank_deficient":
+        flat = _draw(rng, rows * cols, 0, modulus)
+    elif mode == "unit_entries":
+        flat = _draw(rng, rows * cols, 1, modulus)
+    elif mode == "rank_deficient":
         if rows < 2:
             raise ParameterError("rank_deficient mode needs at least 2 rows")
-        base = [[rng.randrange(1, modulus) for _ in range(cols)] for _ in range(rows - 1)]
-        extra = list(base[rng.randrange(rows - 1)])
-        base.insert(rng.randrange(rows), extra)
-        return Matrix.from_rows(base, modulus)
-    raise ParameterError(f"unknown sampling mode {mode!r}")
+        flat = _draw(rng, (rows - 1) * cols, 1, modulus)
+        start = rng.randrange(rows - 1) * cols
+        at = rng.randrange(rows) * cols
+        flat[at:at] = flat[start : start + cols]
+    else:
+        raise ParameterError(f"unknown sampling mode {mode!r}")
+    return Matrix(rows, cols, tuple(flat), modulus)
 
 
 WORD_BYTES = 8
@@ -418,12 +471,11 @@ def canonical_bytes(values: Iterable[int]) -> bytes:
     fit in 8 bytes; larger moduli still work in-process but cannot be
     serialized.
     """
-    out = bytearray()
-    for v in values:
-        if v < 0 or v >= _WORD_LIMIT:
-            raise SerializationError(f"value {v} does not fit in {WORD_BYTES} bytes")
-        out += v.to_bytes(WORD_BYTES, "big")
-    return bytes(out)
+    values = list(values)
+    if values and (min(values) < 0 or max(values) >= _WORD_LIMIT):
+        v = next(v for v in values if v < 0 or v >= _WORD_LIMIT)
+        raise SerializationError(f"value {v} does not fit in {WORD_BYTES} bytes")
+    return struct.pack(f">{len(values)}Q", *values)
 
 
 def matrix_values(matrices: Iterable[Matrix]) -> list[int]:

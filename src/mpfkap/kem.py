@@ -10,8 +10,6 @@ generate them before it arrives.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import random
 from .core import WORD_BYTES, Record, canonical_bytes
 from .errors import ParameterError, ProtocolError
@@ -24,11 +22,16 @@ AUTH_TAG_BYTES = 32  # authA/authB are 256 bits
 
 def hmac512(key: bytes, msg: bytes) -> bytes:
     """HMAC with SHA3-512 (64-byte tags, 72-byte block size)."""
+    import hashlib  # on first hash: it loads OpenSSL, which setup never needs
+    import hmac
+
     return hmac.new(key, msg, hashlib.sha3_512).digest()
 
 
 def auth_tag(identity: bytes | str) -> bytes:
     """Derive a 256-bit public authentication tag from a party identity."""
+    import hashlib  # on first hash, as in hmac512
+
     if isinstance(identity, str):
         identity = identity.encode()
     return hashlib.sha3_256(identity).digest()

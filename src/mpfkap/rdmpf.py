@@ -13,7 +13,6 @@ sigma without breaking agreement; sigma = 1 is the plain protocol.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from functools import reduce
 from itertools import compress
@@ -25,6 +24,7 @@ from .core import (
     Matrix,
     Record,
     _pack,
+    _slot_width,
     canonical_bytes,
     mat_pow_mod,
     mat_scalar_mul_mod,
@@ -88,6 +88,12 @@ class RdmpfSetup(Record):
             # two equal rows already prove rank < dim
             if len(set(map(m.row, range(dim)))) == dim and rank_mod_p(m, p) >= dim:
                 raise ParameterError(f"{name} must be rank-deficient over Z_p")
+        self.check_scalars(params, exp_max, rounds, sigma)
+        self._set(params, w, base_xu, base_yv, exp_max, rounds, sigma)
+
+    @staticmethod
+    def check_scalars(params: FieldParams, exp_max: int, rounds: int, sigma: int) -> None:
+        """The checks that need no matrix, so a sampler can run them before its first draw."""
         if exp_max < 2:
             raise ParameterError(f"exp_max must be >= 2, got {exp_max}")
         if rounds < 1:
@@ -97,7 +103,6 @@ class RdmpfSetup(Record):
                 f"sigma={sigma} is a multiple of p-1={params.exp_modulus}, "
                 "which makes every token and key all ones"
             )
-        self._set(params, w, base_xu, base_yv, exp_max, rounds, sigma)
 
     @property
     def dim(self) -> int:
@@ -126,7 +131,7 @@ def _has_short_cycle(base: Matrix, em: int) -> bool:
     needs the exact chain of matrix products.
     """
     rows = [[e % em for e in base.row(i)] for i in range(base.rows)]
-    width = 2 * (em - 1).bit_length() + base.cols.bit_length()
+    width = _slot_width(2 * (em - 1).bit_length() + base.cols.bit_length(), base.rows)
     mask = (1 << width) - 1
     cols = [_pack(col, width) for col in zip(*rows)]
     shifts = range(0, width * base.rows, width)
@@ -250,6 +255,8 @@ class SessionTranscript(Record):
 
 def session_digest(key_matrices: Sequence[Matrix]) -> SessionKey:
     """SHA3-512 over the canonical bytes of the concatenated key list."""
+    import hashlib  # on first hash: it loads OpenSSL, which setup never needs
+
     data = canonical_bytes(matrix_values(key_matrices))
     return SessionKey(hashlib.sha3_512(data).digest())
 

@@ -375,8 +375,10 @@ def generate_paramset(
     """Sample public matrices for the requested protocol and validate them.
 
     The protocol's scalars are taken from fields (any others are ignored)
-    and checked, with p and seed, before anything is sampled.  Returns the
-    parameter set and the setup that validated it.
+    and checked, with p and seed, before anything is sampled: against
+    their frame fields, and for rdmpf by every RdmpfSetup check that
+    needs no matrix.  Returns the parameter set and the setup that
+    validated it.
     """
     layout, fields = _scalars(protocol, p, fields, seed)
     params = FieldParams(p)
@@ -386,6 +388,7 @@ def generate_paramset(
             for name in layout.matrices
         }
     else:
+        RdmpfSetup.check_scalars(params, fields["exp_max"], fields["rounds"], fields["sigma"])
         dim = fields["dim"]
         while True:
             w = sample_matrix(dim, dim, p, rng, mode="unit_entries")

@@ -527,6 +527,75 @@ class TestSampleMatrix:
         with pytest.raises(ParameterError):
             sample_matrix(2, 2, 7, random.Random(0), mode="bogus")
 
+    @pytest.mark.parametrize("low", [0, 1])
+    @pytest.mark.parametrize("modulus", [2, 3, 65537, 2**64 - 59, 2**64 + 13])
+    def test_draws_are_randranges(self, modulus, low):
+        # the same values, and the same state left behind, as randrange
+        for seed in range(4):
+            fast, slow = random.Random(seed), random.Random(seed)
+            drawn = core._draw(fast, 300, low, modulus)
+            assert drawn == [slow.randrange(low, modulus) for _ in range(300)]
+            assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("modulus", [2, 3, 65537, 2**64 - 59])
+    def test_modes_draw_as_randrange_did(self, modulus):
+        # each mode's definition spelled with randrange, row by row
+        def reference(rows, cols, rng, mode):
+            low = 0 if mode == "general" else 1
+            drawn = [[rng.randrange(low, modulus) for _ in range(cols)]
+                     for _ in range(rows - (mode == "rank_deficient"))]
+            if mode == "rank_deficient":
+                extra = list(drawn[rng.randrange(rows - 1)])
+                drawn.insert(rng.randrange(rows), extra)
+            return Matrix.from_rows(drawn, modulus)
+
+        for mode in ("general", "unit_entries", "rank_deficient"):
+            for rows, cols in ((2, 1), (3, 5), (6, 6)):
+                fast, slow = random.Random(rows * cols), random.Random(rows * cols)
+                m = sample_matrix(rows, cols, modulus, fast, mode)
+                assert m == reference(rows, cols, slow, mode), (mode, rows, cols)
+                assert fast.getstate() == slow.getstate()
+
+    def test_modulus_below_2_refused_before_drawing(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        for mode in ("general", "unit_entries", "rank_deficient"):
+            with pytest.raises(ParameterError, match="modulus must be >= 2, got 1"):
+                sample_matrix(2, 2, 1, rng, mode)
+        assert rng.getstate() == state
+
+    def test_entry_out_of_range_refused(self):
+        for entries in ((0, -1), (6, 7)):
+            with pytest.raises(ParameterError, match=r"matrix entry out of \[0, modulus\) range"):
+                Matrix(1, 2, entries, 7)
+
+
+def shifted_pack(row, width):
+    # oracle: every entry shifted in, one at a time
+    acc = 0
+    for e in reversed(row):
+        acc = acc << width | e
+    return acc
+
+
+class TestPack:
+    @pytest.mark.parametrize("width", [8, 40, 136])
+    @pytest.mark.parametrize("length", [1, core._JOIN_FROM - 1, core._JOIN_FROM, 100])
+    def test_pack_equals_the_shift_loop(self, width, length):
+        rng = random.Random(width * length)
+        top = (1 << width) - 1
+        row = [rng.choice((0, top, rng.randrange(top + 1))) for _ in range(length)]
+        row[0], row[-1] = 0, top
+        assert core._pack(row, width) == shifted_pack(row, width)
+        assert core._pack([0] * length, width) == 0
+        assert core._pack([top] * length, width) == (1 << width * length) - 1
+
+    def test_slot_widths_are_whole_bytes_where_rows_are_joined(self):
+        long, short = core._JOIN_FROM, core._JOIN_FROM - 1
+        assert [core._slot_width(b, long) for b in (1, 8, 9, 130, 135, 136, 137)] == [
+            8, 8, 16, 136, 136, 136, 144]
+        assert [core._slot_width(b, short) for b in (1, 9, 130, 135)] == [1, 9, 130, 135]
+
 
 class TestCanonicalBytes:
     def test_zero(self):
@@ -542,6 +611,21 @@ class TestCanonicalBytes:
     def test_negative(self):
         with pytest.raises(SerializationError):
             canonical_bytes([-1])
+
+    def test_matches_word_by_word_encoding(self):
+        rng = random.Random(8)
+        values = [0, 1, 2**64 - 1] + [rng.getrandbits(64) for _ in range(200)]
+        expected = b"".join(v.to_bytes(8, "big") for v in values)
+        assert canonical_bytes(values) == expected
+        assert canonical_bytes(tuple(values)) == expected
+        assert canonical_bytes(iter(values)) == expected
+        assert canonical_bytes([]) == b""
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_refusal_names_the_value(self, bad):
+        for values in ([5, bad, 7], iter([bad])):
+            with pytest.raises(SerializationError, match=f"value {bad} does not fit in 8 bytes"):
+                canonical_bytes(values)
 
     @settings(max_examples=200)
     @given(

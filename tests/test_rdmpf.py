@@ -21,6 +21,7 @@ from mpfkap import (
     sample_matrix,
     session_digest,
 )
+from mpfkap import core
 from mpfkap import known_answers as ka
 from mpfkap import rdmpf as rdmpf_module
 from mpfkap.rdmpf import rdmpf
@@ -393,18 +394,30 @@ class TestBaseProbe:
         assert rdmpf_module._has_short_cycle(m, 6)
         assert product_shapes.count(2) == len(rdmpf_module._PROBE_CHAIN)
 
-    def test_idempotent_at_the_floor_prime(self):
+    @staticmethod
+    def floor_idempotent(dim, rng):
         # equal 64-bit rows summing to 1 mod p-1: P**2 == P, and each screen
         # step sums dim products of nearly 2^128, which must not carry
-        p, rng = 2**64 - 59, random.Random(45)
+        p = 2**64 - 59
         while True:
-            row = [rng.randrange(2**63, p) for _ in range(5)]
+            row = [rng.randrange(2**63, p) for _ in range(dim - 1)]
             last = (1 - sum(row)) % (p - 1)
             if last:
-                break
-        m = Matrix.from_rows([row + [last]] * 6, p)
+                return Matrix.from_rows([row + [last]] * dim, p)
+
+    def test_idempotent_at_the_floor_prime(self):
+        p = 2**64 - 59
+        m = self.floor_idempotent(6, random.Random(45))
         assert mat_pow_mod(m, 2, p - 1) == Matrix.from_rows(m.to_rows(), p - 1)
         assert rdmpf_module._has_short_cycle(m, p - 1)
+
+    def test_idempotent_at_the_floor(self):
+        # columns long enough that the screen packs them byte-wise
+        p = 2**64 - 59
+        for dim in (core._JOIN_FROM, 100):
+            m = self.floor_idempotent(dim, random.Random(dim))
+            assert mat_pow_mod(m, 2, p - 1) == Matrix.from_rows(m.to_rows(), p - 1)
+            assert rdmpf_module._has_short_cycle(m, p - 1)
 
     def test_no_survivor_skips_the_chain(self, product_shapes):
         rng = random.Random(42)

@@ -385,6 +385,20 @@ class TestSetupCommand:
         assert f"parameter error: sigma={sigma} is a multiple of p-1=65536" in r.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option, cause", [
+        (("--exp-max", "1"), "exp_max must be >= 2, got 1"),
+        (("--rounds", "0"), "rounds must be >= 1, got 0"),
+        (("--sigma", "0"), f"sigma=0 is a multiple of p-1={2**64 - 60}"),
+    ])
+    def test_floor_setup_scalars_refused(self, tmp_path, option, cause):
+        # test_wire checks that the library refuses these before its first draw
+        r = run_cli(["setup", "--protocol", "rdmpf", "--p", str(2**64 - 59), "--dim", "100",
+                     "--seed", "1", *option, "--out", str(tmp_path / "p.json")])
+        assert r.returncode == 2
+        assert f"parameter error: {cause}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_unsamplable_base_is_parameter_error(self, tmp_path):
         # at dim 2, p=5 no sampled base passes the order screens; no peer
         # is involved, so this is a parameter error, not a protocol error
@@ -504,6 +518,37 @@ class TestHandshakeCommand:
         assert "Traceback" not in r.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["params.bin", "params.json", "xch"]
         assert list(xch.iterdir()) == []
+
+    @pytest.mark.parametrize("timeout", ("1e10", "1e300", "inf"))
+    @pytest.mark.parametrize("scheme", ("file", "tcp"))
+    def test_too_long_timeout_exits_2_before_the_transport_opens(self, tmp_path, scheme,
+                                                                  timeout):
+        # socket.settimeout overflows at about 1e10 s; file: would just wait
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        spec = f"file:{xch}" if scheme == "file" else f"tcp:127.0.0.1:{free_port()}"
+        r = run_cli([
+            "handshake", "--role", "bob", "--params", params, "--transport", spec,
+            "--out", str(tmp_path / "k"), "--test-mode", "--timeout", timeout,
+        ], timeout=30)
+        assert r.returncode == 2, r.stderr
+        assert (f"--timeout: needs at most {cli.MAX_TIMEOUT} seconds, which both transports "
+                f"accept, got '{timeout}'") in r.stderr
+        assert "Traceback" not in r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.bin", "params.json", "xch"]
+        assert list(xch.iterdir()) == []
+
+    def test_longest_timeout_opens_both_tcp_ends(self):
+        seconds = cli._timeout(str(cli.MAX_TIMEOUT))
+        assert seconds == cli.MAX_TIMEOUT
+        bob = TcpTransport("127.0.0.1", 0, "bob", LIMITS, timeout=seconds)
+        try:
+            host, port = bob._listener.getsockname()[:2]
+            alice = TcpTransport(host, port, "alice", LIMITS, timeout=seconds)
+            alice.close()
+        finally:
+            bob.close()
 
     def test_tcp_listener_times_out(self, tmp_path):
         params, _ = write_known_rmpf_params(tmp_path / "params.json")

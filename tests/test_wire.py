@@ -236,6 +236,22 @@ class TestParamSet:
                 generate_paramset(protocol, p, random.Random(1), **kwargs)
         assert drawn == []
 
+    def test_generate_checks_setup_scalars_before_the_first_draw(self):
+        # RdmpfSetup's scalar checks run before a dim-100 setup is sampled
+        p = 2**64 - 59
+        cases = [
+            (dict(exp_max=1, rounds=1, sigma=1), "exp_max must be >= 2, got 1"),
+            (dict(exp_max=10000, rounds=0, sigma=1), "rounds must be >= 1, got 0"),
+            (dict(exp_max=10000, rounds=1, sigma=0), f"sigma=0 is a multiple of p-1={p - 1}"),
+            (dict(exp_max=10000, rounds=1, sigma=p - 1), f"sigma={p - 1} is a multiple of p-1"),
+        ]
+        for kwargs, cause in cases:
+            rng = random.Random(1)
+            state = rng.getstate()
+            with pytest.raises(ParameterError, match=cause):
+                generate_paramset("rdmpf", p, rng, dim=100, **kwargs)
+            assert rng.getstate() == state
+
     def test_both_forms_accept_the_same_sets(self):
         # construction is the one check: a set that exists fits the frame
         ps = known_rdmpf_paramset()
