@@ -213,23 +213,19 @@ def mat_scalar_mul_mod(s: int, m: Matrix, modulus: int) -> Matrix:
 _JOIN_FROM = 26
 
 
-def _slot_width(bits: int, length: int) -> int:
-    """A slot width of at least bits for rows of length entries.
-
-    It is bits rounded up to whole bytes when _pack joins such rows, and
-    bits itself when it shifts them in.  A wider slot never carries.
-    """
-    return -(-bits // 8) * 8 if length >= _JOIN_FROM else bits
+def _slot_width(bits: int) -> int:
+    """bits rounded up to whole bytes, as _pack's join needs; a wider slot never carries."""
+    return -(-bits // 8) * 8
 
 
 def _pack(row: Sequence[int], width: int) -> int:
     """One integer holding row[k] in bits [k·width, (k+1)·width).
 
-    A row of _JOIN_FROM entries or more is one int.from_bytes over its
-    entries' little-endian byte strings, linear in its length, so width
-    must then be whole bytes.  A shorter row shifts its entries in one
-    by one, which copies the growing integer each time but costs less
-    there.
+    width must be whole bytes, as _slot_width gives.  A row of _JOIN_FROM
+    entries or more is one int.from_bytes over its entries' little-endian
+    byte strings, linear in its length.  A shorter row shifts its entries
+    in one by one, which copies the growing integer each time but costs
+    less there.
     """
     if len(row) < _JOIN_FROM:
         acc = 0
@@ -249,11 +245,11 @@ def mul_rows_mod(
     integer with fixed-width slots, so row i of the product is a sum of
     len(b) scalar-times-packed-row products, unpacked slot by slot and
     reduced once.  A slot of 2·bitlen(modulus-1) + bitlen(len(b)) bits,
-    rounded up by _slot_width for long rows, holds len(b)·(modulus-1)^2
-    without carrying into the next slot; an unreduced entry could
-    overflow it silently.
+    rounded up to whole bytes, holds len(b)·(modulus-1)^2 without
+    carrying into the next slot; an unreduced entry could overflow it
+    silently.
     """
-    width = _slot_width(2 * (modulus - 1).bit_length() + len(b).bit_length(), len(b[0]))
+    width = _slot_width(2 * (modulus - 1).bit_length() + len(b).bit_length())
     mask = (1 << width) - 1
     packed = [_pack(row, width) for row in b]
     shifts = range(0, width * len(b[0]), width)
@@ -372,14 +368,13 @@ def rank_mod_p(m: Matrix, p: int) -> int:
     lead, plus one multiply-add of its reduced lead times that packed row.
     Slots are never reduced in between.  A row starts reduced and takes at
     most min(rows, cols) updates of less than p^2 each, so a slot of
-    2·bitlen(p) + bitlen(min(rows, cols)) + 1 bits, rounded up by
-    _slot_width for long rows, holds p + min(rows, cols)·p^2 without
-    carrying into the next slot; a narrower slot could corrupt its
-    neighbour silently.
+    2·bitlen(p) + bitlen(min(rows, cols)) + 1 bits, rounded up to whole
+    bytes, holds p + min(rows, cols)·p^2 without carrying into the next
+    slot; a narrower slot could corrupt its neighbour silently.
     """
     if not is_probable_prime(p):
         raise ParameterError(f"rank is only defined over a prime modulus, got {p}")
-    width = _slot_width(2 * p.bit_length() + min(m.rows, m.cols).bit_length() + 1, m.cols)
+    width = _slot_width(2 * p.bit_length() + min(m.rows, m.cols).bit_length() + 1)
     mask = (1 << width) - 1
     live = [_pack([e % p for e in m.row(i)], width) for i in range(m.rows)]
     rank = 0
@@ -406,12 +401,15 @@ def rank_mod_p(m: Matrix, p: int) -> int:
 def _draw(rng: random.Random, count: int, low: int, stop: int) -> list[int]:
     """count values in [low, stop), as count calls of rng.randrange(low, stop) draw them.
 
-    This is randrange's own rejection loop over getrandbits
-    (Random._randbelow_with_getrandbits, which Random and SystemRandom
-    both use), so the values and the state it leaves in rng are the
-    same, without randrange's argument handling per value.  Needs
-    stop > low.
+    Where rng's randrange runs Random._randbelow_with_getrandbits, as
+    Random and SystemRandom do, this is that rejection loop over
+    getrandbits, so the values and the state it leaves in rng are the
+    same, without randrange's argument handling per value.  Any other
+    source, such as a subclass that overrides only random(), is drawn
+    through its own randrange.  Needs stop > low.
     """
+    if getattr(type(rng), "_randbelow", None) is not random.Random._randbelow_with_getrandbits:
+        return [rng.randrange(low, stop) for _ in range(count)]
     n = stop - low
     k = n.bit_length()
     getrandbits = rng.getrandbits

@@ -131,7 +131,7 @@ def _has_short_cycle(base: Matrix, em: int) -> bool:
     needs the exact chain of matrix products.
     """
     rows = [[e % em for e in base.row(i)] for i in range(base.rows)]
-    width = _slot_width(2 * (em - 1).bit_length() + base.cols.bit_length(), base.rows)
+    width = _slot_width(2 * (em - 1).bit_length() + base.cols.bit_length())
     mask = (1 << width) - 1
     cols = [_pack(col, width) for col in zip(*rows)]
     shifts = range(0, width * base.rows, width)

@@ -537,6 +537,23 @@ class TestSampleMatrix:
             assert drawn == [slow.randrange(low, modulus) for _ in range(300)]
             assert fast.getstate() == slow.getstate()
 
+    @pytest.mark.parametrize("modulus", [3, 65537, 2**40 + 15])
+    def test_sources_with_their_own_randrange_draw_through_it(self, modulus):
+        # a subclass that overrides only random() rejection-samples from
+        # random() in randrange, not from getrandbits
+        class FloatSource(random.Random):
+            def random(self):
+                return super().random()
+
+        fast, slow = FloatSource(5), FloatSource(5)
+        drawn = core._draw(fast, 50, 1, modulus)
+        assert drawn == [slow.randrange(1, modulus) for _ in range(50)]
+        assert fast.getstate() == slow.getstate()
+        assert drawn != core._draw(random.Random(5), 50, 1, modulus)
+        fast, slow = FloatSource(6), FloatSource(6)
+        m = sample_matrix(3, 3, modulus, fast, "unit_entries")
+        assert list(m.entries) == [slow.randrange(1, modulus) for _ in range(9)]
+
     @pytest.mark.parametrize("modulus", [2, 3, 65537, 2**64 - 59])
     def test_modes_draw_as_randrange_did(self, modulus):
         # each mode's definition spelled with randrange, row by row
@@ -590,11 +607,9 @@ class TestPack:
         assert core._pack([0] * length, width) == 0
         assert core._pack([top] * length, width) == (1 << width * length) - 1
 
-    def test_slot_widths_are_whole_bytes_where_rows_are_joined(self):
-        long, short = core._JOIN_FROM, core._JOIN_FROM - 1
-        assert [core._slot_width(b, long) for b in (1, 8, 9, 130, 135, 136, 137)] == [
+    def test_slot_widths_are_whole_bytes(self):
+        assert [core._slot_width(b) for b in (1, 8, 9, 130, 135, 136, 137)] == [
             8, 8, 16, 136, 136, 136, 144]
-        assert [core._slot_width(b, short) for b in (1, 9, 130, 135)] == [1, 9, 130, 135]
 
 
 class TestCanonicalBytes:
