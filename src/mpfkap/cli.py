@@ -253,8 +253,6 @@ def _cmd_kem(args) -> int:
     rng = _session_rng(args, ps)
     with open(args.eta0, "rb") as fh:
         eta0 = fh.read()
-    if len(eta0) != NONCE_BYTES:
-        raise ParameterError(f"eta0 file must hold {NONCE_BYTES} bytes, got {len(eta0)}")
     ctx = KemContext(eta0, auth_tag(args.auth_a), auth_tag(args.auth_b))
 
     with _key_file(args.out) as out:

@@ -376,7 +376,7 @@ def rank_mod_p(m: Matrix, p: int) -> int:
         raise ParameterError(f"rank is only defined over a prime modulus, got {p}")
     width = _slot_width(2 * p.bit_length() + min(m.rows, m.cols).bit_length() + 1)
     mask = (1 << width) - 1
-    live = [_pack([e % p for e in m.row(i)], width) for i in range(m.rows)]
+    live = [_pack(row, width) for row in _reduced_rows(m, p)]
     rank = 0
     for col in range(m.cols):
         leads = [(r & mask) % p for r in live]
@@ -474,6 +474,11 @@ def canonical_bytes(values: Iterable[int]) -> bytes:
         v = next(v for v in values if v < 0 or v >= _WORD_LIMIT)
         raise SerializationError(f"value {v} does not fit in {WORD_BYTES} bytes")
     return struct.pack(f">{len(values)}Q", *values)
+
+
+def canonical_values(data: bytes) -> tuple[int, ...]:
+    """The integers canonical_bytes encoded; len(data) must be a multiple of WORD_BYTES."""
+    return struct.unpack(f">{len(data) // WORD_BYTES}Q", data)
 
 
 def matrix_values(matrices: Iterable[Matrix]) -> list[int]:

@@ -11,7 +11,7 @@ generate them before it arrives.
 from __future__ import annotations
 
 import random
-from .core import WORD_BYTES, Record, canonical_bytes
+from .core import WORD_BYTES, Record, canonical_bytes, canonical_values, matrix_values
 from .errors import ParameterError, ProtocolError
 from .rdmpf import RdmpfSession, RdmpfSetup, parse_token_list
 
@@ -40,7 +40,7 @@ def auth_tag(identity: bytes | str) -> bytes:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ParameterError(f"xor needs equal lengths, got {len(a)} and {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def mask_stream(key: bytes, context: bytes, length: int) -> bytes:
@@ -57,6 +57,11 @@ def mask_stream(key: bytes, context: bytes, length: int) -> bytes:
         out += hmac512(key, context + counter.to_bytes(8, "big"))
         counter += 1
     return bytes(out[:length])
+
+
+def _mask(data: bytes, key: bytes, context: bytes) -> bytes:
+    """data XOR the mask_stream keyed by key over context; it is its own inverse."""
+    return xor_bytes(data, mask_stream(key, context, len(data)))
 
 
 class KemContext(Record):
@@ -92,22 +97,17 @@ class KemMessage(Record):
 class KemResponderState:
     """Bob's retained state between initiate and decapsulate."""
 
-    def __init__(self, ctx: KemContext, setup: RdmpfSetup, session: RdmpfSession):
+    def __init__(self, ctx: KemContext, session: RdmpfSession):
         self.ctx = ctx
-        self.setup = setup
         self.session = session
 
 
-def _token_byte_len(setup: RdmpfSetup) -> int:
-    return setup.rounds * setup.dim * setup.dim * WORD_BYTES
-
-
-def _unmask_tokens(masked: bytes, key: bytes, context: bytes, setup: RdmpfSetup):
-    plain = xor_bytes(masked, mask_stream(key, context, len(masked)))
-    values = [
-        int.from_bytes(plain[i : i + WORD_BYTES], "big")
-        for i in range(0, len(plain), WORD_BYTES)
-    ]
+def _unmask_tokens(name: str, masked: bytes, key: bytes, context: bytes, setup: RdmpfSetup):
+    """The peer's round tokens from its masked list, which must be exactly their size."""
+    expected = setup.rounds * setup.dim * setup.dim * WORD_BYTES
+    if len(masked) != expected:
+        raise ProtocolError(f"{name} is {len(masked)} bytes, expected {expected}")
+    values = canonical_values(_mask(masked, key, context))
     return parse_token_list(values, setup.dim, setup.rounds, setup.params.p)
 
 
@@ -117,11 +117,8 @@ def kem_initiate(
     """Bob's opening move: run his rounds and send the masked token list."""
     session = RdmpfSession(setup, rng)
     session.generate_tokens()
-    token_bytes = canonical_bytes(session.token_values())
-    close_b = xor_bytes(
-        token_bytes, mask_stream(ctx.eta0, ctx.auth_pair, len(token_bytes))
-    )
-    return KemResponderState(ctx, setup, session), close_b
+    close_b = _mask(canonical_bytes(matrix_values(session.tokens)), ctx.eta0, ctx.auth_pair)
+    return KemResponderState(ctx, session), close_b
 
 
 def kem_encapsulate(
@@ -132,11 +129,7 @@ def kem_encapsulate(
     session holds her generated rounds, which need nothing from close_b;
     eta_m and then K come from its rng, after her exponents.
     """
-    setup = session.setup
-    expected = _token_byte_len(setup)
-    if len(close_b) != expected:
-        raise ProtocolError(f"close_b is {len(close_b)} bytes, expected {expected}")
-    peer_tokens = _unmask_tokens(close_b, ctx.eta0, ctx.auth_pair, setup)
+    peer_tokens = _unmask_tokens("close_b", close_b, ctx.eta0, ctx.auth_pair, session.setup)
     shared = session.derive(peer_tokens)
 
     rng = session.rng
@@ -144,20 +137,15 @@ def kem_encapsulate(
     k = rng.getrandbits(8 * KEY_BYTES).to_bytes(KEY_BYTES, "big")
 
     bound_context = xor_bytes(ctx.auth_pair, eta_m)
-    ta_bytes = canonical_bytes(session.token_values())
-    close_a = xor_bytes(ta_bytes, mask_stream(ctx.eta0, bound_context, len(ta_bytes)))
+    close_a = _mask(canonical_bytes(matrix_values(session.tokens)), ctx.eta0, bound_context)
     encap = xor_bytes(k, hmac512(shared.digest, bound_context))
     return k, KemMessage(encap, close_a, eta_m)
 
 
 def kem_decapsulate(state: KemResponderState, msg: KemMessage) -> bytes:
     """Bob's closing move: recover the peer tokens and unmask K."""
-    setup = state.setup
-    ctx = state.ctx
-    expected = _token_byte_len(setup)
-    if len(msg.close_a) != expected:
-        raise ProtocolError(f"close_a is {len(msg.close_a)} bytes, expected {expected}")
+    ctx, session = state.ctx, state.session
     bound_context = xor_bytes(ctx.auth_pair, msg.eta_m)
-    peer_tokens = _unmask_tokens(msg.close_a, ctx.eta0, bound_context, setup)
-    shared = state.session.derive(peer_tokens)
+    peer_tokens = _unmask_tokens("close_a", msg.close_a, ctx.eta0, bound_context, session.setup)
+    shared = session.derive(peer_tokens)
     return xor_bytes(msg.encap, hmac512(shared.digest, bound_context))

@@ -24,12 +24,12 @@ from .core import (
     Matrix,
     Record,
     _pack,
+    _reduced_rows,
     _slot_width,
     canonical_bytes,
     mat_pow_mod,
     mat_scalar_mul_mod,
     matrix_values,
-    mul_rows_mod,
     rank_mod_p,
     sample_matrix,
 )
@@ -39,9 +39,6 @@ from .rmpf import _check_peer_token, double_action, mpf_double
 # Short exponent probe used when sampling bases: reject a base whose power
 # cycle is trivially short (base**k comes straight back to the base).
 _ORDER_PROBES = (2, 3, 5, 9, 17)
-# One addition chain 1, 2, 3, 5, 8, 9, 17 through every probe: step
-# (k, i, j) forms base**k = base**i · base**j, 6 products in all.
-_PROBE_CHAIN = ((2, 1, 1), (3, 2, 1), (5, 3, 2), (8, 5, 3), (9, 8, 1), (17, 9, 8))
 
 Token = Matrix
 
@@ -125,12 +122,13 @@ def _has_short_cycle(base: Matrix, em: int) -> bool:
     """Whether base**k == base mod em for some k in _ORDER_PROBES.
 
     base**k == base forces base**k·v == base·v for any vector v, so the
-    chain base**k·v, k = 2 .. max probe, with v all ones screens first:
+    images base**k·v, k = 2 .. max probe, with v all ones screen first:
     each step is one sum of v[j] times column j, packed once with
-    mul_rows_mod's slot width.  Only a probe that survives the screen
-    needs the exact chain of matrix products.
+    mul_rows_mod's slot width.  Only when some probe survives the screen
+    does the exact check run: one mat_pow_mod over all the probes, each
+    power compared with the base reduced mod em.
     """
-    rows = [[e % em for e in base.row(i)] for i in range(base.rows)]
+    rows = _reduced_rows(base, em)
     width = _slot_width(2 * (em - 1).bit_length() + base.cols.bit_length())
     mask = (1 << width) - 1
     cols = [_pack(col, width) for col in zip(*rows)]
@@ -143,10 +141,7 @@ def _has_short_cycle(base: Matrix, em: int) -> bool:
             break
     else:
         return False
-    powers = {1: rows}
-    for k, i, j in _PROBE_CHAIN:
-        powers[k] = mul_rows_mod(powers[i], powers[j], em)
-    return any(powers[k] == powers[1] for k in _ORDER_PROBES)
+    return Matrix.from_rows(rows, em) in mat_pow_mod(base, _ORDER_PROBES, em)
 
 
 def _nilpotent_mod2(m: Matrix) -> bool:
@@ -329,10 +324,6 @@ class RdmpfSession:
         if not self._keys:
             raise ProtocolError("round keys are available only after derive")
         return list(self._keys)
-
-    def token_values(self) -> list[int]:
-        """Own token list, flattened for the KEM's masked exchange."""
-        return matrix_values(self.tokens)
 
     def derive(self, peer_tokens: Sequence[Token]) -> SessionKey:
         """Apply each round's private to the peer's token and hash the round keys."""

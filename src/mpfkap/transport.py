@@ -223,7 +223,9 @@ def open_transport(
             raise TransportError(f"tcp transport needs tcp:HOST:PORT, got {spec!r}")
         try:
             port_no = int(port)
-        except ValueError as exc:
-            raise TransportError(f"bad port in {spec!r}") from exc
+        except ValueError:
+            port_no = -1
+        if not 0 <= port_no <= 65535:
+            raise TransportError(f"bad port in {spec!r}")
         return TcpTransport(host, port_no, role, limits, timeout)
     raise TransportError(f"unknown transport {spec!r} (use file:DIR or tcp:HOST:PORT)")

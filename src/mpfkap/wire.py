@@ -24,6 +24,7 @@ from .core import (
     Record,
     WORD_BYTES,
     canonical_bytes,
+    canonical_values,
     rank_mod_p,
     sample_matrix,
 )
@@ -136,11 +137,7 @@ def decode_matrix(data: bytes, modulus: int) -> tuple[Matrix, bytes]:
     need = 8 + rows * cols * WORD_BYTES
     if len(data) < need:
         raise FrameError("matrix entries truncated")
-    body = data[8:need]
-    entries = tuple(
-        int.from_bytes(body[i : i + WORD_BYTES], "big")
-        for i in range(0, len(body), WORD_BYTES)
-    )
+    entries = canonical_values(data[8:need])
     if any(e >= modulus for e in entries):
         raise FrameError("matrix entry not reduced mod the session modulus")
     return Matrix(rows, cols, entries, modulus), data[need:]
@@ -434,4 +431,10 @@ def load_paramset(path: str) -> ParamSet:
         raw = fh.read()
     if raw[:4] == MAGIC:
         return ParamSet.from_frame(raw)
-    return ParamSet.from_json(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(
+            f"parameter file {path} is neither a setup frame nor UTF-8 text: {exc}"
+        ) from exc
+    return ParamSet.from_json(text)

@@ -636,6 +636,12 @@ class TestCanonicalBytes:
         assert canonical_bytes(iter(values)) == expected
         assert canonical_bytes([]) == b""
 
+    def test_canonical_values_inverts_it(self):
+        rng = random.Random(9)
+        token = sample_matrix(8, 8, 2**64 - 59, rng)
+        for values in ([], [0], [2**64 - 1], list(token.entries)):
+            assert core.canonical_values(canonical_bytes(values)) == tuple(values)
+
     @pytest.mark.parametrize("bad", [-1, 2**64])
     def test_refusal_names_the_value(self, bad):
         for values in ([5, bad, 7], iter([bad])):

@@ -21,7 +21,9 @@ from mpfkap import (
     kem_encapsulate,
     kem_initiate,
     mask_stream,
+    matrix_values,
 )
+from mpfkap.kem import xor_bytes
 
 
 def manual_hmac_sha3_512(key: bytes, msg: bytes) -> bytes:
@@ -115,6 +117,21 @@ class TestMaskStream:
             mask_stream(b"k", b"c", -1)
 
 
+class TestXorBytes:
+    @pytest.mark.parametrize("length", [0, 1, 63, 4096])
+    def test_matches_the_bytewise_xor(self, length):
+        # leading zero bytes must survive the integer round trip
+        rng = random.Random(length)
+        a = (bytes(2) + rng.randbytes(length))[:length]
+        b = (bytes(1) + rng.randbytes(length))[:length]
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+        assert xor_bytes(a, a) == bytes(length)
+
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ParameterError, match="xor needs equal lengths, got 3 and 2"):
+            xor_bytes(b"abc", b"ab")
+
+
 class TestContextValidation:
     def test_auth_tag_size(self):
         assert len(auth_tag("anyone")) == 32
@@ -172,7 +189,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         state, close_b = kem_initiate(ctx, setup, random.Random(3))
-        token_bytes = canonical_bytes(state.session.token_values())
+        token_bytes = canonical_bytes(matrix_values(state.session.tokens))
         keystream = mask_stream(ctx.eta0, ctx.auth_pair, len(token_bytes))
         assert bytes(a ^ b for a, b in zip(close_b, keystream)) == token_bytes
         # the masked difference IS the keystream: nothing token-shaped on the wire
@@ -215,6 +232,33 @@ class TestRoundTrip:
         ctx = make_ctx(rng)
         with pytest.raises(ProtocolError):
             kem_encapsulate(ctx, alice_rounds(setup, random.Random(1)), b"\x00" * 10)
+
+    @staticmethod
+    def tokens_with_p(setup):
+        # a valid-length token list whose first value is p, outside [0, p)
+        values = [1] * (setup.rounds * setup.dim * setup.dim)
+        values[0] = setup.params.p
+        return canonical_bytes(values)
+
+    def test_close_b_token_equal_to_p_refused(self):
+        rng = random.Random(45)
+        setup = generate_setup(3, 65537, 500, 1, rng)
+        ctx = make_ctx(rng)
+        tokens = self.tokens_with_p(setup)
+        close_b = xor_bytes(tokens, mask_stream(ctx.eta0, ctx.auth_pair, len(tokens)))
+        with pytest.raises(ProtocolError, match=r"peer token value out of \[0, p\) range"):
+            kem_encapsulate(ctx, alice_rounds(setup, random.Random(1)), close_b)
+
+    def test_close_a_token_equal_to_p_refused(self):
+        rng = random.Random(45)
+        setup = generate_setup(3, 65537, 500, 1, rng)
+        ctx = make_ctx(rng)
+        state, _ = kem_initiate(ctx, setup, random.Random(1))
+        tokens, eta_m = self.tokens_with_p(setup), bytes(range(64))
+        bound = xor_bytes(ctx.auth_pair, eta_m)
+        close_a = xor_bytes(tokens, mask_stream(ctx.eta0, bound, len(tokens)))
+        with pytest.raises(ProtocolError, match=r"peer token value out of \[0, p\) range"):
+            kem_decapsulate(state, KemMessage(bytes(64), close_a, eta_m))
 
     def test_truncated_close_a_rejected(self):
         rng = random.Random(46)

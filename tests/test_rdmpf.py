@@ -319,14 +319,6 @@ def separate_probes(cand, em):
 
 
 class TestBaseProbe:
-    def test_chain_reaches_every_probe(self):
-        reached = {1}
-        for k, i, j in rdmpf_module._PROBE_CHAIN:
-            assert k == i + j and i in reached and j in reached
-            reached.add(k)
-        assert set(rdmpf_module._ORDER_PROBES) <= reached
-        assert len(rdmpf_module._PROBE_CHAIN) == 6
-
     def test_matches_separate_powers(self):
         # small primes reject about a third of the candidates, so both
         # decisions are compared
@@ -360,15 +352,16 @@ class TestBaseProbe:
 
     @pytest.fixture
     def product_shapes(self, monkeypatch):
-        # the column count of every right factor the probe multiplies by
+        # the column count of every right factor multiplied, in the one
+        # product kernel that the exact check's mat_pow_mod runs
         shapes = []
-        kernel = rdmpf_module.mul_rows_mod
+        kernel = core.mul_rows_mod
 
         def spy(a, b, modulus):
             shapes.append(len(b[0]))
             return kernel(a, b, modulus)
 
-        monkeypatch.setattr(rdmpf_module, "mul_rows_mod", spy)
+        monkeypatch.setattr(core, "mul_rows_mod", spy)
         return shapes
 
     @staticmethod
@@ -383,16 +376,18 @@ class TestBaseProbe:
         return Matrix.from_rows(rows, em + 1)
 
     def test_screen_passes_and_the_chain_rejects(self, product_shapes):
+        # the screen passes, so the exact check runs 4-wide products and refuses
         m = self.stochastic_matrix(4, 65536, random.Random(41))
         assert not separate_probes(m, 65536)
         assert not rdmpf_module._has_short_cycle(m, 65536)
-        assert product_shapes.count(4) == len(rdmpf_module._PROBE_CHAIN)
+        assert product_shapes.count(4) >= 1
 
     def test_screen_passes_and_the_chain_accepts(self, product_shapes):
-        # the idempotent projection's rows sum to 7 = 1 mod 6
+        # the idempotent projection's rows sum to 7 = 1 mod 6, so the screen
+        # passes and the exact check runs 2-wide products and finds P**2 == P
         m = Matrix.from_rows([[3, 4], [3, 4]], 7)
         assert rdmpf_module._has_short_cycle(m, 6)
-        assert product_shapes.count(2) == len(rdmpf_module._PROBE_CHAIN)
+        assert product_shapes.count(2) >= 1
 
     @staticmethod
     def floor_idempotent(dim, rng):

@@ -550,6 +550,23 @@ class TestHandshakeCommand:
         finally:
             bob.close()
 
+    @pytest.mark.parametrize("port", ["65536", "-1"])
+    @pytest.mark.parametrize("role", ["bob", "alice"])
+    def test_port_out_of_range_exits_4_before_a_socket_opens(self, tmp_path, monkeypatch,
+                                                             capsys, role, port):
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(TcpTransport, "__init__", no_socket)
+        spec = f"tcp:127.0.0.1:{port}"
+        code = cli.main(["handshake", "--role", role, "--params", params, "--transport", spec,
+                         "--out", str(tmp_path / "k"), "--test-mode", "--timeout", "5"])
+        assert code == 4
+        assert f"transport error: bad port in {spec!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.bin", "params.json"]
+
     def test_tcp_listener_times_out(self, tmp_path):
         params, _ = write_known_rmpf_params(tmp_path / "params.json")
         r = run_cli([
@@ -773,6 +790,8 @@ class TestKemCommand:
                      "--transport", f"file:{xch}", "--out", str(tmp_path / "k"),
                      "--test-mode"])
         assert r.returncode == 2
+        assert "parameter error: eta0 must be 64 bytes, got 10" in r.stderr
+        assert list(xch.iterdir()) == []
 
     def test_kem_has_no_inject_option(self, tmp_path):
         params, eta0 = self._setup_files(tmp_path)

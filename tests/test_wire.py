@@ -95,9 +95,10 @@ class TestMatrixCodec:
         assert decoded == m and rest == b""
 
     def test_entry_range_checked(self):
-        m = Matrix.from_rows([[70000]], 2**17)
-        with pytest.raises(FrameError):
-            decode_matrix(encode_matrix(m), 65537)
+        for entry in (65537, 70000):  # p itself, and above it
+            m = Matrix.from_rows([[1, entry]], 2**17)
+            with pytest.raises(FrameError, match="entry not reduced mod the session modulus"):
+                decode_matrix(encode_matrix(m), 65537)
 
     def test_truncation_detected(self):
         data = encode_matrix(Matrix.from_rows([[1, 2], [3, 4]], 7))
@@ -334,6 +335,8 @@ def frame_with_tag(tag):
                      id="bin-seed-flag-7"),
         pytest.param(json_edit(lambda d: d.update(protocol=["rdmpf"])), ParameterError,
                      "unknown protocol", 2, id="protocol-list"),
+        pytest.param(lambda ps: ("params.json", b"\xff\xfe{}"), ParameterError,
+                     "params.json is neither a setup frame nor UTF-8 text", 2, id="not-utf8"),
     ],
 )
 def test_malformed_parameter_file(tmp_path, build, error, cause, code):
@@ -347,3 +350,4 @@ def test_malformed_parameter_file(tmp_path, build, error, cause, code):
     assert r.returncode == code
     assert cause in r.stderr
     assert "Traceback" not in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == [name]  # no frame, no key
