@@ -29,7 +29,6 @@ from .errors import (
 from .kem import (
     KemContext,
     KemMessage,
-    KemResponderState,
     auth_tag,
     hmac512,
     kem_decapsulate,
@@ -50,7 +49,6 @@ from .rdmpf import (
 )
 from .rmpf import (
     RmpfPrivate,
-    RmpfSession,
     RmpfSetup,
     derive_key,
     keygen,
@@ -65,7 +63,6 @@ __all__ = [
     "FrameError",
     "KemContext",
     "KemMessage",
-    "KemResponderState",
     "Matrix",
     "MpfKapError",
     "ParameterError",
@@ -74,7 +71,6 @@ __all__ = [
     "RdmpfSession",
     "RdmpfSetup",
     "RmpfPrivate",
-    "RmpfSession",
     "RmpfSetup",
     "SerializationError",
     "SessionKey",

@@ -97,6 +97,12 @@ def bench_rdmpf(
     """
     if not points:
         raise ParameterError("benchmark grid is empty")
+    if trials < 10:
+        raise ParameterError(f"need at least 10 trials, got {trials}")
+    repeated = next((pt for i, pt in enumerate(points) if pt in points[:i]), None)
+    if repeated is not None:
+        # ratios key on the point, so a repeat would hide one of its rows
+        raise ParameterError(f"grid point {':'.join(map(str, repeated))} is given twice")
     if rng is None:
         rng = random.Random(0x5EED)
     workloads = [_Workload(dim, p, exp_max, rng) for dim, p, exp_max in points]

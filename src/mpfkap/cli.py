@@ -15,6 +15,7 @@ import os
 import random
 import sys
 
+from . import rmpf  # keygen, derive_key: looked up at each call, as perfbench's trace wraps them
 from .errors import (
     ParameterError,
     ProtocolError,
@@ -32,7 +33,6 @@ from .kem import (
     kem_initiate,
 )
 from .rdmpf import RdmpfSession, RdmpfSetup
-from .rmpf import RmpfSession, RmpfSetup
 from .transport import DEFAULT_TIMEOUT, open_transport
 from .wire import (
     ERROR_PAYLOAD_MAX,
@@ -193,32 +193,43 @@ def _session_rng(args, ps) -> random.Random:
     return random.Random(f"{seed}/{args.role}")
 
 
-def _cmd_handshake(args) -> int:
-    ps = load_paramset(args.params)
-    setup = ps.build_setup()
-    inject = _parse_injections(args, ps.protocol)
-    rng = _session_rng(args, ps)
+def _exchange(args, setup, what: str, steps) -> int:
+    """Open --out, then the transport; run steps(transport) and write the key it returns.
+
+    Callers check their own arguments first, so a bad value sends no
+    frame; a ProtocolError sends the peer an error frame and propagates.
+    """
     with _key_file(args.out) as out:
         transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
         try:
-            key_bytes = _handshake(setup, rng, transport, args.role, inject)
+            key = steps(transport)
         except ProtocolError as exc:
             _report_error(transport, exc)
             raise
         finally:
             transport.close()
-        out.write(key_bytes)
-    print(f"wrote {len(key_bytes)}-byte key to {args.out}")
+        out.write(key)
+    print(f"wrote {len(key)}-byte {what} to {args.out}")
     return EXIT_OK
 
 
+def _cmd_handshake(args) -> int:
+    ps = load_paramset(args.params)
+    setup = ps.build_setup()
+    inject = _parse_injections(args, ps.protocol)
+    rng = _session_rng(args, ps)
+    return _exchange(
+        args, setup, "key", lambda transport: _handshake(setup, rng, transport, args.role, inject)
+    )
+
+
 def _handshake(
-    setup: RmpfSetup | RdmpfSetup, rng, transport, role: str, inject: dict
+    setup: rmpf.RmpfSetup | RdmpfSetup, rng, transport, role: str, inject: dict
 ) -> bytes:
     """Exchange one token list (alice sends first) and return the key bytes."""
-    if isinstance(setup, RmpfSetup):
-        session = RmpfSession(setup, rng)
-        tokens = [session.generate_token(inject.get("lambda"), inject.get("omega"))]
+    if isinstance(setup, rmpf.RmpfSetup):
+        priv, token = rmpf.keygen(setup, rng, inject.get("lambda"), inject.get("omega"))
+        tokens = [token]
     else:
         session = RdmpfSession(setup, rng)
         injected = None
@@ -240,8 +251,8 @@ def _handshake(
         raise ProtocolError(
             f"peer sent {len(peer_mats)} token matrices, expected {len(tokens)}"
         )
-    if isinstance(session, RmpfSession):
-        return encode_matrix(session.derive_key(peer_mats[0]))
+    if isinstance(setup, rmpf.RmpfSetup):
+        return encode_matrix(rmpf.derive_key(priv, peer_mats[0], setup))
     return session.derive(peer_mats).digest
 
 
@@ -255,28 +266,18 @@ def _cmd_kem(args) -> int:
         eta0 = fh.read()
     ctx = KemContext(eta0, auth_tag(args.auth_a), auth_tag(args.auth_b))
 
-    with _key_file(args.out) as out:
-        transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
-        try:
-            if args.role == "bob":
-                state, close_b = kem_initiate(ctx, setup, rng)
-                transport.send("kem-close-b", close_b)
-                payload = transport.recv("kem-encap-msg")
-                k = kem_decapsulate(state, _parse_encap_payload(payload))
-            else:
-                session = RdmpfSession(setup, rng)
-                session.generate_tokens()  # while bob generates his
-                close_b = transport.recv("kem-close-b")
-                k, msg = kem_encapsulate(ctx, session, close_b)
-                transport.send("kem-encap-msg", msg.encap + msg.eta_m + msg.close_a)
-        except ProtocolError as exc:
-            _report_error(transport, exc)
-            raise
-        finally:
-            transport.close()
-        out.write(k)
-    print(f"wrote {len(k)}-byte encapsulated key to {args.out}")
-    return EXIT_OK
+    def steps(transport) -> bytes:
+        session = RdmpfSession(setup, rng)
+        session.generate_tokens()  # while the peer generates its own
+        if args.role == "bob":
+            transport.send("kem-close-b", kem_initiate(ctx, session))
+            payload = transport.recv("kem-encap-msg")
+            return kem_decapsulate(ctx, session, _parse_encap_payload(payload))
+        k, msg = kem_encapsulate(ctx, session, transport.recv("kem-close-b"))
+        transport.send("kem-encap-msg", msg.encap + msg.eta_m + msg.close_a)
+        return k
+
+    return _exchange(args, setup, "encapsulated key", steps)
 
 
 def _parse_encap_payload(payload: bytes) -> KemMessage:

@@ -4,13 +4,13 @@ All otherwise-public token traffic is masked with an HMAC-SHA3-512
 keystream keyed by a 512-bit shared root nonce, and the encapsulated
 512-bit key K is masked with an HMAC keyed by the agreed session digest.
 Bob initiates (CloseB), Alice encapsulates ({Encap, CloseA, eta_m}), Bob
-decapsulates.  Alice's rounds need nothing from CloseB, so she can
-generate them before it arrives.
+decapsulates.  Each party holds one RdmpfSession whose rounds it
+generates before it waits for the peer, since neither side's rounds need
+anything from the other; every move takes that session.
 """
 
 from __future__ import annotations
 
-import random
 from .core import WORD_BYTES, Record, canonical_bytes, canonical_values, matrix_values
 from .errors import ParameterError, ProtocolError
 from .rdmpf import RdmpfSession, RdmpfSetup, parse_token_list
@@ -94,14 +94,6 @@ class KemMessage(Record):
         self._set(encap, close_a, eta_m)
 
 
-class KemResponderState:
-    """Bob's retained state between initiate and decapsulate."""
-
-    def __init__(self, ctx: KemContext, session: RdmpfSession):
-        self.ctx = ctx
-        self.session = session
-
-
 def _unmask_tokens(name: str, masked: bytes, key: bytes, context: bytes, setup: RdmpfSetup):
     """The peer's round tokens from its masked list, which must be exactly their size."""
     expected = setup.rounds * setup.dim * setup.dim * WORD_BYTES
@@ -111,14 +103,12 @@ def _unmask_tokens(name: str, masked: bytes, key: bytes, context: bytes, setup: 
     return parse_token_list(values, setup.dim, setup.rounds, setup.params.p)
 
 
-def kem_initiate(
-    ctx: KemContext, setup: RdmpfSetup, rng: random.Random | None = None
-) -> tuple[KemResponderState, bytes]:
-    """Bob's opening move: run his rounds and send the masked token list."""
-    session = RdmpfSession(setup, rng)
-    session.generate_tokens()
-    close_b = _mask(canonical_bytes(matrix_values(session.tokens)), ctx.eta0, ctx.auth_pair)
-    return KemResponderState(ctx, session), close_b
+def kem_initiate(ctx: KemContext, session: RdmpfSession) -> bytes:
+    """Bob's opening move: close_b, his masked token list.
+
+    session holds his generated rounds, as kem_encapsulate's holds alice's.
+    """
+    return _mask(canonical_bytes(matrix_values(session.tokens)), ctx.eta0, ctx.auth_pair)
 
 
 def kem_encapsulate(
@@ -142,9 +132,8 @@ def kem_encapsulate(
     return k, KemMessage(encap, close_a, eta_m)
 
 
-def kem_decapsulate(state: KemResponderState, msg: KemMessage) -> bytes:
+def kem_decapsulate(ctx: KemContext, session: RdmpfSession, msg: KemMessage) -> bytes:
     """Bob's closing move: recover the peer tokens and unmask K."""
-    ctx, session = state.ctx, state.session
     bound_context = xor_bytes(ctx.auth_pair, msg.eta_m)
     peer_tokens = _unmask_tokens("close_a", msg.close_a, ctx.eta0, bound_context, session.setup)
     shared = session.derive(peer_tokens)

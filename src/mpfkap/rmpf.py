@@ -123,6 +123,7 @@ def _check_double(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> tuple[int, int]:
     rows, cols = _check_same_shape(xe, w, ye)
     if w.modulus != p:
         raise ParameterError(f"base matrix modulus {w.modulus} does not match p={p}")
+    _check_top_block(w, cols)
     return rows, cols
 
 
@@ -176,7 +177,6 @@ def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
     result is a product of units and never holds a zero.
     """
     _, n = _check_double(xe, w, ye, p)
-    _check_top_block(w, n)
     block = w.entries[: n * n]
     if 0 in block:
         raise ParameterError("double_action needs a zero-free base block")
@@ -289,21 +289,3 @@ def derive_key(priv: RmpfPrivate, peer_token: Token, setup: RmpfSetup) -> Matrix
     """Apply the private action to the peer token; equals the peer's key."""
     _check_peer_token(peer_token, setup.rows, setup.cols, setup.params.p)
     return double_action(priv.a, peer_token, priv.b, setup.params.p)
-
-
-class RmpfSession:
-    """One party's state: setup and private draw."""
-
-    def __init__(self, setup: RmpfSetup, rng: random.Random | None = None):
-        self.setup = setup
-        self._rng = rng if rng is not None else random.SystemRandom()
-        self._private: RmpfPrivate | None = None
-
-    def generate_token(self, lam: int | None = None, omega: int | None = None) -> Token:
-        self._private, token = keygen(self.setup, self._rng, lam, omega)
-        return token
-
-    def derive_key(self, peer_token: Token) -> Matrix:
-        if self._private is None:
-            raise ParameterError("generate_token must run before derive_key")
-        return derive_key(self._private, peer_token, self.setup)

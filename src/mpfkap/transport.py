@@ -225,7 +225,7 @@ def open_transport(
             port_no = int(port)
         except ValueError:
             port_no = -1
-        if not 0 <= port_no <= 65535:
+        if not 0 < port_no <= 65535:  # port 0 would listen where no peer can find it
             raise TransportError(f"bad port in {spec!r}")
         return TcpTransport(host, port_no, role, limits, timeout)
     raise TransportError(f"unknown transport {spec!r} (use file:DIR or tcp:HOST:PORT)")

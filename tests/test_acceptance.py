@@ -63,8 +63,8 @@ def rand_exponents(rows, cols, em, rng):
     )
 
 
-def alice_rounds(setup, rng):
-    """Alice's session with her rounds generated, as kem_encapsulate takes it."""
+def party(setup, rng):
+    """One party's session with its rounds generated, as every KEM move takes it."""
     session = RdmpfSession(setup, rng)
     session.generate_tokens()
     return session
@@ -254,9 +254,10 @@ def test_criterion_6_kem_round_trips_and_tampering():
             ctx = KemContext(
                 rng.getrandbits(512).to_bytes(64, "big"), auth_tag("a"), auth_tag("b")
             )
-            state, close_b = kem_initiate(ctx, setup, rng)
-            k, msg = kem_encapsulate(ctx, alice_rounds(setup, rng), close_b)
-            assert kem_decapsulate(state, msg) == k
+            bob = party(setup, rng)
+            close_b = kem_initiate(ctx, bob)
+            k, msg = kem_encapsulate(ctx, party(setup, rng), close_b)
+            assert kem_decapsulate(ctx, bob, msg) == k
 
         # tampering: flip one bit in each wire field, every trial must
         # yield a mismatched K or a protocol error
@@ -266,7 +267,8 @@ def test_criterion_6_kem_round_trips_and_tampering():
             ctx = KemContext(
                 rng.getrandbits(512).to_bytes(64, "big"), auth_tag("a"), auth_tag("b")
             )
-            state, close_b = kem_initiate(ctx, setup, rng)
+            bob = party(setup, rng)
+            close_b = kem_initiate(ctx, bob)
 
             def flip(data):
                 out = bytearray(data)
@@ -275,15 +277,15 @@ def test_criterion_6_kem_round_trips_and_tampering():
 
             try:
                 if field == "close_b":
-                    k, msg = kem_encapsulate(ctx, alice_rounds(setup, rng), flip(close_b))
+                    k, msg = kem_encapsulate(ctx, party(setup, rng), flip(close_b))
                 else:
-                    k, msg = kem_encapsulate(ctx, alice_rounds(setup, rng), close_b)
+                    k, msg = kem_encapsulate(ctx, party(setup, rng), close_b)
                     msg = KemMessage(
                         flip(msg.encap) if field == "encap" else msg.encap,
                         flip(msg.close_a) if field == "close_a" else msg.close_a,
                         flip(msg.eta_m) if field == "eta_m" else msg.eta_m,
                     )
-                assert kem_decapsulate(state, msg) != k
+                assert kem_decapsulate(ctx, bob, msg) != k
             except MpfKapError:
                 pass
 

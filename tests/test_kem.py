@@ -41,8 +41,8 @@ def make_ctx(rng: random.Random) -> KemContext:
     return KemContext(eta0, auth_tag("party-a"), auth_tag("party-b"))
 
 
-def alice_rounds(setup, rng):
-    """Alice's session with her rounds generated, as kem_encapsulate takes it."""
+def party(setup, rng):
+    """One party's session with its rounds generated, as every KEM move takes it."""
     session = RdmpfSession(setup, rng)
     session.generate_tokens()
     return session
@@ -157,9 +157,10 @@ class TestRoundTrip:
         rng = random.Random(41)
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
-        state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
-        assert kem_decapsulate(state, msg) == k
+        bob = party(setup, random.Random(1))
+        close_b = kem_initiate(ctx, bob)
+        k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
+        assert kem_decapsulate(ctx, bob, msg) == k
         assert len(k) == 64
 
     @pytest.mark.parametrize("seed, dim, p, exp_max, rounds, digest", [
@@ -178,9 +179,10 @@ class TestRoundTrip:
         rng = random.Random(seed)
         setup = generate_setup(dim, p, exp_max, rounds, rng)
         ctx = make_ctx(rng)
-        state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
-        assert kem_decapsulate(state, msg) == k
+        bob = party(setup, random.Random(1))
+        close_b = kem_initiate(ctx, bob)
+        k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
+        assert kem_decapsulate(ctx, bob, msg) == k
         wire = close_b + k + msg.encap + msg.eta_m + msg.close_a
         assert hashlib.sha256(wire).hexdigest() == digest
 
@@ -188,8 +190,9 @@ class TestRoundTrip:
         rng = random.Random(42)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        state, close_b = kem_initiate(ctx, setup, random.Random(3))
-        token_bytes = canonical_bytes(matrix_values(state.session.tokens))
+        bob = party(setup, random.Random(3))
+        close_b = kem_initiate(ctx, bob)
+        token_bytes = canonical_bytes(matrix_values(bob.tokens))
         keystream = mask_stream(ctx.eta0, ctx.auth_pair, len(token_bytes))
         assert bytes(a ^ b for a, b in zip(close_b, keystream)) == token_bytes
         # the masked difference IS the keystream: nothing token-shaped on the wire
@@ -199,8 +202,8 @@ class TestRoundTrip:
         rng = random.Random(43)
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
-        _, one = kem_initiate(ctx, setup, random.Random(7))
-        _, two = kem_initiate(ctx, setup, random.Random(7))
+        one = kem_initiate(ctx, party(setup, random.Random(7)))
+        two = kem_initiate(ctx, party(setup, random.Random(7)))
         assert one == two
 
     def test_zero_eta_m_still_round_trips(self):
@@ -221,17 +224,18 @@ class TestRoundTrip:
         rng = random.Random(44)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        state, close_b = kem_initiate(ctx, setup, random.Random(9))
-        k, msg = kem_encapsulate(ctx, alice_rounds(setup, ZeroNonceRng()), close_b)
+        bob = party(setup, random.Random(9))
+        close_b = kem_initiate(ctx, bob)
+        k, msg = kem_encapsulate(ctx, party(setup, ZeroNonceRng()), close_b)
         assert msg.eta_m == b"\x00" * 64
-        assert kem_decapsulate(state, msg) == k
+        assert kem_decapsulate(ctx, bob, msg) == k
 
     def test_wrong_close_b_length(self):
         rng = random.Random(45)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         with pytest.raises(ProtocolError):
-            kem_encapsulate(ctx, alice_rounds(setup, random.Random(1)), b"\x00" * 10)
+            kem_encapsulate(ctx, party(setup, random.Random(1)), b"\x00" * 10)
 
     @staticmethod
     def tokens_with_p(setup):
@@ -247,53 +251,56 @@ class TestRoundTrip:
         tokens = self.tokens_with_p(setup)
         close_b = xor_bytes(tokens, mask_stream(ctx.eta0, ctx.auth_pair, len(tokens)))
         with pytest.raises(ProtocolError, match=r"peer token value out of \[0, p\) range"):
-            kem_encapsulate(ctx, alice_rounds(setup, random.Random(1)), close_b)
+            kem_encapsulate(ctx, party(setup, random.Random(1)), close_b)
 
     def test_close_a_token_equal_to_p_refused(self):
         rng = random.Random(45)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        state, _ = kem_initiate(ctx, setup, random.Random(1))
+        bob = party(setup, random.Random(1))
         tokens, eta_m = self.tokens_with_p(setup), bytes(range(64))
         bound = xor_bytes(ctx.auth_pair, eta_m)
         close_a = xor_bytes(tokens, mask_stream(ctx.eta0, bound, len(tokens)))
         with pytest.raises(ProtocolError, match=r"peer token value out of \[0, p\) range"):
-            kem_decapsulate(state, KemMessage(bytes(64), close_a, eta_m))
+            kem_decapsulate(ctx, bob, KemMessage(bytes(64), close_a, eta_m))
 
     def test_truncated_close_a_rejected(self):
         rng = random.Random(46)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
+        bob = party(setup, random.Random(1))
+        close_b = kem_initiate(ctx, bob)
+        k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
         truncated = KemMessage(msg.encap, msg.close_a[:-8], msg.eta_m)
         with pytest.raises(ProtocolError):
-            kem_decapsulate(state, truncated)
+            kem_decapsulate(ctx, bob, truncated)
 
     def test_zero_entry_in_close_a_rejected(self):
         rng = random.Random(49)
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
-        state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        _, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
+        bob = party(setup, random.Random(1))
+        close_b = kem_initiate(ctx, bob)
+        _, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
         bound = bytes(a ^ b for a, b in zip(ctx.auth_pair, msg.eta_m))
         keystream = mask_stream(ctx.eta0, bound, len(msg.close_a))
         plain = bytearray(a ^ b for a, b in zip(msg.close_a, keystream))
         plain[8 * 13 : 8 * 14] = bytes(8)  # second round token, entry (1, 1)
         close_a = bytes(a ^ b for a, b in zip(plain, keystream))
         with pytest.raises(ProtocolError, match="zero"):
-            kem_decapsulate(state, KemMessage(msg.encap, close_a, msg.eta_m))
+            kem_decapsulate(ctx, bob, KemMessage(msg.encap, close_a, msg.eta_m))
 
     def test_tampered_close_b_breaks_agreement(self):
         rng = random.Random(47)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        state, close_b = kem_initiate(ctx, setup, random.Random(1))
+        bob = party(setup, random.Random(1))
+        close_b = kem_initiate(ctx, bob)
         tampered = bytearray(close_b)
         tampered[5] ^= 0x08
         try:
-            k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), bytes(tampered))
-            assert kem_decapsulate(state, msg) != k
+            k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), bytes(tampered))
+            assert kem_decapsulate(ctx, bob, msg) != k
         except MpfKapError:
             pass  # strict parsing may reject the garbled token list outright
 
@@ -301,11 +308,12 @@ class TestRoundTrip:
         rng = random.Random(48)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        state, close_b = kem_initiate(ctx, setup, random.Random(1))
-        k, msg = kem_encapsulate(ctx, alice_rounds(setup, random.Random(2)), close_b)
+        bob = party(setup, random.Random(1))
+        close_b = kem_initiate(ctx, bob)
+        k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
         swapped = KemMessage(msg.encap, msg.close_a, bytes(64))
         try:
-            assert kem_decapsulate(state, swapped) != k
+            assert kem_decapsulate(ctx, bob, swapped) != k
         except MpfKapError:
             pass
 

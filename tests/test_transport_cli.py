@@ -550,7 +550,7 @@ class TestHandshakeCommand:
         finally:
             bob.close()
 
-    @pytest.mark.parametrize("port", ["65536", "-1"])
+    @pytest.mark.parametrize("port", ["65536", "-1", "0"])
     @pytest.mark.parametrize("role", ["bob", "alice"])
     def test_port_out_of_range_exits_4_before_a_socket_opens(self, tmp_path, monkeypatch,
                                                              capsys, role, port):
@@ -685,18 +685,23 @@ class TestKemCommand:
         return params, eta0
 
     def test_loopback_k_files_match(self, tmp_path):
+        # the same seeds over both transports: four equal keys, byte for byte
         params, eta0 = self._setup_files(tmp_path)
         xch = tmp_path / "xch"
         xch.mkdir()
-        common = ["--params", str(params), "--eta0", str(eta0),
-                  "--auth-a", "alice@example", "--auth-b", "bob@example",
-                  "--transport", f"file:{xch}", "--test-mode"]
-        bob = spawn_cli(["kem", "--role", "bob", "--out", str(tmp_path / "b.k")] + common)
-        alice = run_cli(["kem", "--role", "alice", "--out", str(tmp_path / "a.k")] + common)
-        assert wait_cli(bob, 60) == 0 and alice.returncode == 0
-        a = (tmp_path / "a.k").read_bytes()
-        assert a == (tmp_path / "b.k").read_bytes()
-        assert len(a) == 64
+        keys = []
+        for name, spec in (("file", f"file:{xch}"), ("tcp", f"tcp:127.0.0.1:{free_port()}")):
+            common = ["--params", str(params), "--eta0", str(eta0),
+                      "--auth-a", "alice@example", "--auth-b", "bob@example",
+                      "--transport", spec, "--test-mode"]
+            keys += [tmp_path / f"{name}-bob.k", tmp_path / f"{name}-alice.k"]
+            bob = spawn_cli(["kem", "--role", "bob", "--out", str(keys[-2])] + common)
+            alice = run_cli(["kem", "--role", "alice", "--out", str(keys[-1])] + common)
+            assert wait_cli(bob, 60) == 0 and alice.returncode == 0, alice.stderr
+            assert "wrote 64-byte encapsulated key to" in alice.stdout
+        first = keys[0].read_bytes()
+        assert len(first) == 64
+        assert all(k.read_bytes() == first for k in keys)
 
     def test_unwritable_out_sends_no_frame(self, tmp_path):
         params, eta0 = self._setup_files(tmp_path)
@@ -756,6 +761,31 @@ class TestKemCommand:
         assert "close_b is 72 bytes, expected 144" in capsys.readouterr().err
         assert (xch / "alice.error.frame").is_file()
         assert wait_cli(bob, 60) == 3
+        assert not any(p.name.startswith(("a.k", "b.k")) for p in tmp_path.iterdir())
+
+    def test_tcp_rounds_mismatch_exits_3_on_both_sides(self, tmp_path):
+        # bob runs 1 round and alice 2: alice refuses his close_b and
+        # reports it in an error frame, which bob reads in place of her message
+        files = {}
+        for rounds in (1, 2):
+            files[rounds] = tmp_path / f"r{rounds}.json"
+            r = run_cli(["setup", "--protocol", "rdmpf", "--dim", "3", "--rounds", str(rounds),
+                         "--seed", "9", "--out", str(files[rounds])])
+            assert r.returncode == 0
+        eta0 = tmp_path / "eta0.bin"
+        eta0.write_bytes(b"\xab" * 64)
+        common = ["--eta0", str(eta0), "--auth-a", "a", "--auth-b", "b",
+                  "--transport", f"tcp:127.0.0.1:{free_port()}", "--test-mode",
+                  "--timeout", "30"]
+        bob = spawn_cli(["kem", "--role", "bob", "--params", str(files[1]),
+                         "--out", str(tmp_path / "b.k")] + common)
+        alice = run_cli(["kem", "--role", "alice", "--params", str(files[2]),
+                         "--out", str(tmp_path / "a.k")] + common)
+        _, bob_err = bob.communicate(timeout=60)
+        assert alice.returncode == 3
+        assert "protocol error: close_b is 72 bytes, expected 144" in alice.stderr
+        assert bob.returncode == 3
+        assert "protocol error: peer reported: close_b is 72 bytes, expected 144" in bob_err
         assert not any(p.name.startswith(("a.k", "b.k")) for p in tmp_path.iterdir())
 
     def test_mismatched_eta0_diverges(self, tmp_path):
@@ -881,6 +911,22 @@ class TestBenchCommand:
 
     def test_bad_point_spec(self):
         assert run_cli(["bench", "--point", "nope"]).returncode == 2
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--trials", "0"], "need at least 10 trials, got 0"),
+        (["--trials", "3"], "need at least 10 trials, got 3"),
+        (["--point", "2:7:10", "--point", "3:7:10", "--point", "2:7:10"],
+         "grid point 2:7:10 is given twice"),
+    ])
+    def test_bad_grid_exits_2_before_anything_is_timed(self, monkeypatch, capsys, argv, cause):
+        from mpfkap import bench
+
+        def no_workload(*args, **kwargs):
+            raise AssertionError("a grid point was sampled")
+
+        monkeypatch.setattr(bench, "_Workload", no_workload)
+        assert cli.main(["bench", *argv]) == 2
+        assert f"parameter error: {cause}" in capsys.readouterr().err
 
 
 class TestVectorsCommand:
