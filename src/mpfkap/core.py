@@ -313,8 +313,66 @@ def mat_pow_mod(
 ) -> Matrix | list[Matrix]:
     """M**e mod modulus; for a sequence of exponents, the list of M**e.
 
-    The only matrix-power loop.  A sequence shares one fixed-base table
-    walk (Brickell, Gordon, McCurley and Wilson 1992; HAC §14.6.3).  The
+    The only matrix-power function; _merged_powers and _table_walk below
+    do the work.  e = 0 gives the identity.
+    """
+    if isinstance(e, int):
+        return mat_pow_mod(m, [e], modulus)[0]
+    exps = e
+    if not m.is_square:
+        raise ParameterError(f"matrix power needs a square matrix, got {m.rows}x{m.cols}")
+    if any(x < 0 for x in exps):
+        raise ParameterError(f"exponent must be non-negative, got {min(exps)}")
+    return [
+        Matrix.identity(m.rows, modulus) if r is None else _from_product_rows(r, modulus)
+        for r in _merged_powers(_reduced_rows(m, modulus), exps, modulus)
+    ]
+
+
+def _merged_powers(rows: list[list[int]], exps: Sequence[int], modulus: int) -> list:
+    """Rows of B**x for each x in exps, B given by its reduced rows; None for x = 0.
+
+    Equal rows make B a smaller matrix's power in disguise.  Write
+    B = E·B', where B' holds the d distinct rows and E (n x d) copies
+    them back into place.  Then B**x = E·C**(x-1)·B' for x >= 1, with the
+    d x d core C = B'·E, whose column t sums the columns of B' that
+    class t's members index.  A 1x1 core is B's row sum s, so B**x is
+    s**(x-1)·B, one builtin pow; a larger core is powered the same way,
+    so its own equal rows merge in turn.  A matrix with no equal rows
+    runs _table_walk.  A result may share row lists with rows and with
+    other results.
+    """
+    classes: dict[tuple[int, ...], int] = {}
+    place = [classes.setdefault(tuple(r), len(classes)) for r in rows]
+    if len(classes) == len(rows):
+        return _table_walk(rows, exps, modulus)
+    distinct = list(classes)
+    if len(distinct) == 1:
+        row = distinct[0]
+        s = sum(row) % modulus
+        scales = [pow(s, x - 1, modulus) if x else None for x in exps]
+        return [None if f is None else [[f * v % modulus for v in row]] * len(rows) for f in scales]
+    merged = []
+    for r in distinct:
+        sums = [0] * len(distinct)
+        for t, v in zip(place, r):
+            sums[t] += v
+        merged.append([v % modulus for v in sums])
+    out: list = []
+    for x, c in zip(exps, _merged_powers(merged, [max(x - 1, 0) for x in exps], modulus)):
+        if not x:
+            out.append(None)
+            continue
+        product = distinct if c is None else mul_rows_mod(c, distinct, modulus)
+        out.append([product[t] for t in place])
+    return out
+
+
+def _table_walk(rows: list[list[int]], exps: Sequence[int], modulus: int) -> list:
+    """Rows of B**x for each x in exps, B given by its reduced rows; None for x = 0.
+
+    All exponents share one fixed-base table walk (Brickell, Gordon,
+    McCurley and Wilson 1992; HAC §14.6.3).  The
     exponents are cut into c-bit digits from the bottom.  Position j's
     table holds M^(d·2^(c·j)) for 0 < d < 2^c; its first entry is the
     previous position's first entry times its top entry, and each
@@ -325,21 +383,13 @@ def mat_pow_mod(
     largest digit.  c comes from _window's exact product count.  For one
     exponent that count picks c = 1, plain square-and-multiply:
     bitlen(e) - 1 squarings and popcount(e) - 1 products, with no
-    product by the identity and no unused last squaring.  e = 0 gives
-    the identity.
+    product by the identity and no unused last squaring.
     """
-    if isinstance(e, int):
-        return mat_pow_mod(m, [e], modulus)[0]
-    exps = e
-    if not m.is_square:
-        raise ParameterError(f"matrix power needs a square matrix, got {m.rows}x{m.cols}")
-    if any(x < 0 for x in exps):
-        raise ParameterError(f"exponent must be non-negative, got {min(exps)}")
     results: list = [None] * len(exps)
     if any(exps):
         _, c, positions = _window(exps)
         full = (1 << c) - 1
-        first = _reduced_rows(m, modulus)
+        first = rows
         for j in range(positions):
             if j:
                 first = mul_rows_mod(table[-1], first, modulus)
@@ -351,10 +401,7 @@ def mat_pow_mod(
                 if d:
                     acc = results[i]
                     results[i] = table[d] if acc is None else mul_rows_mod(acc, table[d], modulus)
-    return [
-        Matrix.identity(m.rows, modulus) if r is None else _from_product_rows(r, modulus)
-        for r in results
-    ]
+    return results
 
 
 @lru_cache(maxsize=8)  # a setup checks its nucleus twice and eliminates it once

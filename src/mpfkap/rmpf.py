@@ -160,21 +160,25 @@ def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
     """The double action of mpf_double in at most n^3 + m*n^2 powers, not m*n^3.
 
     It reads only the top n x n block w_n of w and of ye, and factors
-    w ** (x*y) into one-sided passes over distinct exponent rows:
+    w ** (x*y) into one-sided passes over distinct rows:
       (a) ye rows l equal mod p-1 form one group g, whose block columns
           merge into W[k][g] = prod_{l in g} w[k][l], as w**e * v**e = (w*v)**e;
-      (b) xe rows equal mod p-1 are computed once and their output copied;
-      (c) with u distinct xe rows and c groups, left-first
-          (prod_k W[k][g] ** xe[i][k], then to the power ye[g][j]) takes
-          2*u*c*n terms and right-first (prod_g W[k][g] ** ye[g][j], then
-          to the power xe[i][k]) takes n*n*c + u*n*n; the cheaper runs,
-          right-first on a tie.
-    A duplicated base row repeats in every rdmpf power, so a dim-2 round
-    action takes 4 pows in place of 16.  Splitting w ** (x*y) into
-    (w ** y) ** x relies on Fermat reduction mod p-1, which holds for
-    units only, so a zero in w_n is refused.  Both setups are zero-free
-    and peer tokens are checked, so protocol runs never pass one.  The
-    result is a product of units and never holds a zero.
+      (b) equal rows k of W merge into one, and the xe columns k of each
+          merged row add mod p-1, as w**a * w**b = w**(a+b);
+      (c) xe rows equal mod p-1 after (b) are computed once and their
+          output copied;
+      (d) with u distinct xe rows, c groups and d distinct W rows,
+          left-first (prod_k W[k][g] ** xe[i][k], then to the power
+          ye[g][j]) takes u*c*(d+n) terms and right-first
+          (prod_g W[k][g] ** ye[g][j], then to the power xe[i][k]) takes
+          n*d*(c+u); the cheaper runs, right-first on a tie.
+    A duplicated base row repeats in every rdmpf power and so in every
+    peer token, so a dim-2 round takes 4 pows for its token and 3 for its
+    key in place of 16 each.  Splitting w ** (x*y) into (w ** y) ** x
+    relies on Fermat reduction mod p-1, which holds for units only, so a
+    zero in w_n is refused.  Both setups are zero-free and peer tokens are
+    checked, so protocol runs never pass one.  The result is a product of
+    units and never holds a zero.
     """
     _, n = _check_double(xe, w, ye, p)
     block = w.entries[: n * n]
@@ -184,15 +188,19 @@ def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
     groups: dict[tuple[int, ...], list[int]] = {}
     for l in range(n):
         groups.setdefault(tuple(e % em for e in ye.row(l)), []).append(l)
-    merged = [
-        [math.prod(block[k * n + l] for l in ls) % p for ls in groups.values()]
+    wrows = [
+        tuple([math.prod(block[k * n + l] for l in ls) % p for ls in groups.values()])
         for k in range(n)
     ]
+    merged = list(dict.fromkeys(wrows))
     ycols = list(zip(*groups))
     xrows = [tuple(e % em for e in xe.row(i)) for i in range(xe.rows)]
+    if len(merged) < n:
+        members = [[k for k in range(n) if wrows[k] == row] for row in merged]
+        xrows = [tuple(sum(x[k] for k in ks) % em for ks in members) for x in xrows]
     distinct = list(dict.fromkeys(xrows))
-    u, c = len(distinct), len(groups)
-    if 2 * u * c * n < n * n * c + u * n * n:
+    u, c, d = len(distinct), len(groups), len(merged)
+    if u * c * (d + n) < n * d * (c + u):
         out = _multi_exp(zip(*_multi_exp(zip(*merged), distinct, p)), ycols, p)
     else:
         out = zip(*_multi_exp(zip(*_multi_exp(merged, ycols, p)), distinct, p))

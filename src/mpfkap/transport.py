@@ -10,10 +10,9 @@ the file transport reads a peer frame only from a regular file.
 
 A poll (the file transport waiting for a frame, alice retrying her
 connect) sleeps FIRST_POLL, then twice as long each time up to
-POLL_INTERVAL: 1, 2, 4, 8, 16, 20, 20, ... ms.  A peer that answers
-within a few milliseconds is seen within a few milliseconds, and a long
-wait still costs one check per 20 ms.  Only a tcp: transport imports
-socket.
+POLL_INTERVAL: 1, 2, 4, 4, 4, ... ms.  A frame is seen at most ~4 ms
+after it lands, and a long wait costs one check per 4 ms, a stat call or
+a refused connect each.  Only a tcp: transport imports socket.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ if TYPE_CHECKING:
 
 ROLES = ("alice", "bob")
 FIRST_POLL = 0.001
-POLL_INTERVAL = 0.02
+POLL_INTERVAL = 0.004
 DEFAULT_TIMEOUT = 15.0
 
 

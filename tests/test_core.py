@@ -363,6 +363,94 @@ class TestMatPows:
             assert len(product_count) <= sum(per_product_count(e) for e in exps)
 
 
+def repeated_powers(a, exps, modulus):
+    # oracle: a**e as e products by a, starting from the identity
+    out, acc = {}, Matrix.identity(a.rows, modulus)
+    for e in range(max(exps) + 1):
+        out[e] = acc
+        acc = mat_mul_mod(acc, a, modulus)
+    return [out[e] for e in exps]
+
+
+def rows_from(pattern, rng, p):
+    # a matrix whose row i is drawn row pattern[i]: equal labels, equal rows
+    drawn = {}
+    for label in pattern:
+        drawn.setdefault(label, [rng.randrange(p) for _ in pattern])
+    return Matrix.from_rows([drawn[label] for label in pattern], p)
+
+
+MERGE_PRIMES = (65537, P64)
+SMALL_EXPS = [0, 1, 0, 2, 1, 3, 7, 1, 0, 16, 31, 40]
+
+
+class TestMergedPowers:
+    """Powers of matrices with equal rows, through the d x d core, against
+    repeated mat_mul_mod, and against square-and-multiply for large exponents."""
+
+    def check(self, a, modulus, rng):
+        assert mat_pow_mod(a, SMALL_EXPS, modulus) == repeated_powers(a, SMALL_EXPS, modulus)
+        big = [0, 1, modulus - 1, 2**63 + 1] + [rng.randrange(2**64) for _ in range(4)]
+        got = mat_pow_mod(a, big, modulus)
+        assert [g.to_rows() for g in got] == [naive_pow(a.to_rows(), e, modulus) for e in big]
+        assert got[0] == Matrix.identity(a.rows, modulus)
+        assert got[1] == Matrix.from_rows(a.to_rows(), modulus)
+
+    @pytest.mark.parametrize("p", MERGE_PRIMES)
+    @pytest.mark.parametrize("pattern", [
+        "a",  # 1x1: no equal rows
+        "aa",  # dim 2, both rows equal: a 1x1 core
+        "aaaaa",  # dim 5, all rows equal
+        "ababa", "aabbb",  # dim 5, two classes
+        "abcab", "abcdeafgha",  # larger cores
+    ])
+    def test_row_patterns(self, pattern, p, product_count):
+        rng = random.Random(f"{pattern}/{p}")
+        for modulus in (p, p - 1):
+            a = rows_from(pattern, rng, p)
+            self.check(a, modulus, rng)
+        if len(set(pattern)) == 1 and len(pattern) > 1:
+            # the core is the row sum: one pow per exponent, no product
+            product_count.clear()
+            mat_pow_mod(a, [0, 1, 2, 2**63], p - 1)
+            assert product_count == []
+
+    @pytest.mark.parametrize("p", MERGE_PRIMES)
+    def test_rows_equal_only_mod_the_power_modulus(self, p, product_count):
+        # mod p the rows differ in p-1 against 0; raised mod p-1 they are equal
+        rng = random.Random(p)
+        tail = [rng.randrange(1, p) for _ in range(2)]
+        a = Matrix.from_rows([[p - 1, *tail], [0, *tail], [p - 1, *tail]], p)
+        assert len({a.row(i) for i in range(3)}) == 2
+        self.check(a, p - 1, rng)
+        product_count.clear()
+        mat_pow_mod(a, [5, 2**40], p - 1)
+        assert product_count == []
+        b = Matrix.from_rows([[p - 1, 2, 3], [0, 2, 3], [4, 5, 6]], p)
+        self.check(b, p - 1, rng)
+
+    @pytest.mark.parametrize("p", MERGE_PRIMES)
+    def test_rank_deficient_without_equal_rows(self, p):
+        # row 2 = row 0 + row 1: singular, but every row distinct
+        rng = random.Random(p + 1)
+        r0, r1 = ([rng.randrange(p) for _ in range(3)] for _ in range(2))
+        a = Matrix.from_rows([r0, r1, [x + y for x, y in zip(r0, r1)]], p)
+        assert rank_mod_p(a, p) == 2
+        self.check(a, p, rng)
+        self.check(a, p - 1, rng)
+
+    @pytest.mark.parametrize("p", MERGE_PRIMES)
+    def test_zero_entries(self, p):
+        rng = random.Random(p + 2)
+        for rows in ([[0, 5, 0], [0, 5, 0], [7, 0, 0]],
+                     [[0, 0], [0, 0]],
+                     [[0] * 4] * 4,
+                     [[0, 1, 0], [0, 1, 0], [0, 1, 0]]):
+            a = Matrix.from_rows(rows, p)
+            self.check(a, p, rng)
+            self.check(a, p - 1, rng)
+
+
 def duplicate_row_pairs(m):
     return [
         (i, j) for i in range(m.rows) for j in range(i + 1, m.rows) if m.row(i) == m.row(j)

@@ -345,10 +345,6 @@ def with_equal_rows(e, count, rng, row=None):
     return Matrix.from_rows(rows, e.modulus)
 
 
-def distinct_rows(e, count, p):
-    return len({tuple(v % (p - 1) for v in e.row(i)) for i in range(count)})
-
-
 def counted_double_action(monkeypatch, xe, w, ye, p):
     """double_action's result, the terms its passes hand _multi_exp, and the
     cheaper order by the kernel's cost rule, worked out here from the rows."""
@@ -366,8 +362,18 @@ def counted_double_action(monkeypatch, xe, w, ye, p):
     finally:
         monkeypatch.setattr(rmpf_mod, "_multi_exp", real)
     n = xe.cols
-    u, c = distinct_rows(xe, xe.rows, p), distinct_rows(ye, n, p)
-    left, right = 2 * u * c * n, n * n * c + u * n * n
+    em = p - 1
+    groups = {}
+    for l in range(n):
+        groups.setdefault(tuple(v % em for v in ye.row(l)), []).append(l)
+    wrows = {}
+    for k in range(n):
+        row = tuple(math.prod(w.at(k, l) for l in ls) % p for ls in groups.values())
+        wrows.setdefault(row, []).append(k)
+    xrows = {tuple(sum(xe.at(i, k) for k in ks) % em for ks in wrows.values())
+             for i in range(xe.rows)}
+    u, c, d = len(xrows), len(groups), len(wrows)
+    left, right = u * c * (d + n), n * d * (c + u)
     assert sum(terms) == min(left, right)
     return got, "left" if left < right else "right"
 
@@ -434,7 +440,9 @@ class TestDistinctRows:
             with pytest.raises(ParameterError, match="zero"):
                 double_action(x, w, x, p)
 
-    def test_dim2_round_action_makes_four_pows(self, monkeypatch):
+    def test_dim2_round_actions_make_four_and_three_pows(self, monkeypatch):
+        # the token action runs on the full-rank nucleus; the key action's
+        # peer token repeats its row, so its two rows merge into one
         setup = generate_setup(2, P64, 2**63, 1, random.Random(1))
         (priv, _), (_, peer) = round_keygen(setup, [(12345, 67890), (13579, 24680)])
         calls = []
@@ -444,10 +452,93 @@ class TestDistinctRows:
             return pow(*args)
 
         monkeypatch.setattr(rmpf_mod, "pow", spy, raising=False)
-        key = round_key(priv, peer, setup)
+        token = rmpf_mod.double_action(
+            mat_scalar_mul_mod(setup.sigma, priv.l, P64 - 1), setup.w, priv.r, P64)
         assert len(calls) == 4
+        calls.clear()
+        key = round_key(priv, peer, setup)
+        assert len(calls) == 3
         monkeypatch.undo()
+        assert token == rdmpf(priv.l, setup.w, priv.r, P64, setup.sigma)
         assert key == rdmpf(priv.l, peer, priv.r, P64, setup.sigma)
+
+
+def with_equal_w_rows(w, pairs):
+    """w with row dst set to row src for each (src, dst) in pairs."""
+    rows = w.to_rows()
+    for src, dst in pairs:
+        rows[dst] = list(rows[src])
+    return Matrix.from_rows(rows, w.modulus)
+
+
+class TestBaseRowMerge:
+    """double_action merges equal rows of the base block and adds their xe
+    columns; always equal to mpf_double, with the cost rule's terms."""
+
+    @pytest.mark.parametrize("p", (65537, P64))
+    def test_rectangular_rows_inside_and_outside_the_block(self, p, monkeypatch):
+        # 12x4: rows 0..3 are the block the action reads, rows 4.. are not
+        rng = random.Random(p + 3)
+        base = sample_matrix(12, 4, p, rng, mode="unit_entries")
+        for pairs, merged in (
+            ([(1, 3)], 3),  # inside: two block rows merge
+            ([(0, 1), (0, 2), (0, 3)], 1),  # the whole block is one row
+            ([(0, 6), (2, 11)], 4),  # outside: copies below the block change nothing
+            ([(1, 3), (1, 7)], 3),
+        ):
+            w = with_equal_w_rows(base, pairs)
+            assert len({w.row(k) for k in range(4)}) == merged
+            for _ in range(3):
+                x = edge_exponents(12, 4, p, rng)
+                y = edge_exponents(12, 4, p, rng)
+                got, _ = counted_double_action(monkeypatch, x, w, y, p)
+                assert got == mpf_double(x, w, y, p)
+
+    @pytest.mark.parametrize("p", (65537, P64))
+    def test_xe_rows_equal_only_after_the_column_merge(self, p, monkeypatch):
+        # w rows 0 and 1 are equal, so xe rows (a, b, z) and (b, a, z)
+        # act alike: their merged rows are both (a + b, z)
+        rng = random.Random(p + 4)
+        w = with_equal_w_rows(sample_matrix(3, 3, p, rng, mode="unit_entries"), [(0, 1)])
+        a, b, z = p - 2, 5, rng.randrange(p - 1)
+        x = Matrix.from_rows([[a, b, z], [b, a, z], [0, p - 2, 1]], p - 1)
+        y = edge_exponents(3, 3, p, rng)
+        got, _ = counted_double_action(monkeypatch, x, w, y, p)
+        assert got == mpf_double(x, w, y, p)
+        assert got.row(0) == got.row(1) != got.row(2)
+        # merged entries 2p-4, p-3 and p-3: equal mod p-1, unequal as integers
+        x = Matrix.from_rows([[p - 2, p - 2, z], [p - 3, 0, z], [1, p - 4, z]], p - 1)
+        got, _ = counted_double_action(monkeypatch, x, w, y, p)
+        assert got == mpf_double(x, w, y, p)
+        assert got.row(0) == got.row(1) == got.row(2)
+
+    @pytest.mark.parametrize("p", (65537, P64))
+    @pytest.mark.parametrize("dim", (2, 3, 8))
+    def test_peer_tokens(self, dim, p, monkeypatch):
+        # a token repeats rows where base_xu does, so the key action merges them
+        setup = generate_setup(dim, p, 2**20, 2, random.Random(dim))
+        (priv, token), (_, peer) = round_keygen(setup, [(1234, 5678), (2468, 1357)])
+        assert len({peer.row(k) for k in range(dim)}) < dim
+        xe = mat_scalar_mul_mod(setup.sigma, priv.l, p - 1)
+        key, _ = counted_double_action(monkeypatch, xe, peer, priv.r, p)
+        assert key == round_key(priv, peer, setup)
+        assert key == rdmpf(priv.l, peer, priv.r, p, setup.sigma)
+        assert token == rdmpf(priv.l, setup.w, priv.r, p, setup.sigma)
+
+    def test_merge_flips_the_pass_order(self, monkeypatch):
+        # n = 4, one base row, 4 xe rows with 2 distinct sums, 2 ye groups.
+        # Unmerged (d = n = 4, u = 4): left 2*u*c*n = 64 < right n*n*(c+u) = 96.
+        # Merged (d = 1, u = 2): left u*c*(d+n) = 20 > right n*d*(c+u) = 16.
+        p = P64
+        rng = random.Random(17)
+        w = with_equal_w_rows(sample_matrix(4, 4, p, rng, mode="unit_entries"),
+                              [(0, 1), (0, 2), (0, 3)])
+        x = Matrix.from_rows([[1, 2, 3, 4], [4, 3, 2, 1], [2, 2, 2, 2], [5, 0, 0, 0]], p - 1)
+        r1, r2 = rand_exponents(2, 4, p - 1, rng).to_rows()
+        y = Matrix.from_rows([r1, r2, r2, r1], p - 1)
+        got, order = counted_double_action(monkeypatch, x, w, y, p)
+        assert order == "right"
+        assert got == mpf_double(x, w, y, p)
 
 
 class TestSetupValidation:
