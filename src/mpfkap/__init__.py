@@ -40,8 +40,6 @@ from .rdmpf import (
     RdmpfRoundPrivate,
     RdmpfSession,
     RdmpfSetup,
-    SessionKey,
-    SessionTranscript,
     parse_token_list,
     round_key,
     round_keygen,
@@ -73,8 +71,6 @@ __all__ = [
     "RmpfPrivate",
     "RmpfSetup",
     "SerializationError",
-    "SessionKey",
-    "SessionTranscript",
     "TransportError",
     "auth_tag",
     "canonical_bytes",

@@ -231,14 +231,14 @@ def _handshake(
         priv, token = rmpf.keygen(setup, rng, inject.get("lambda"), inject.get("omega"))
         tokens = [token]
     else:
-        session = RdmpfSession(setup, rng)
         injected = None
         if inject:
             ls, rs = inject.get("rand_l"), inject.get("rand_r")
             if ls is None or rs is None or len(ls) != len(rs):
                 raise ParameterError("rdmpf injection needs matching rand_l and rand_r lists")
             injected = list(zip(ls, rs))
-        tokens = session.generate_tokens(injected)
+        session = RdmpfSession(setup, rng, injected)
+        tokens = session.tokens
     payload = encode_token_list(tokens)
     if role == "alice":
         transport.send("token-list", payload)
@@ -253,7 +253,7 @@ def _handshake(
         )
     if isinstance(setup, rmpf.RmpfSetup):
         return encode_matrix(rmpf.derive_key(priv, peer_mats[0], setup))
-    return session.derive(peer_mats).digest
+    return session.derive(peer_mats)
 
 
 def _cmd_kem(args) -> int:
@@ -267,13 +267,12 @@ def _cmd_kem(args) -> int:
     ctx = KemContext(eta0, auth_tag(args.auth_a), auth_tag(args.auth_b))
 
     def steps(transport) -> bytes:
-        session = RdmpfSession(setup, rng)
-        session.generate_tokens()  # while the peer generates its own
+        session = RdmpfSession(setup, rng)  # while the peer generates its own
         if args.role == "bob":
             transport.send("kem-close-b", kem_initiate(ctx, session))
             payload = transport.recv("kem-encap-msg")
             return kem_decapsulate(ctx, session, _parse_encap_payload(payload))
-        k, msg = kem_encapsulate(ctx, session, transport.recv("kem-close-b"))
+        k, msg = kem_encapsulate(ctx, session, transport.recv("kem-close-b"), rng)
         transport.send("kem-encap-msg", msg.encap + msg.eta_m + msg.close_a)
         return k
 

@@ -187,10 +187,6 @@ class Matrix(Record):
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.cols, self.rows, flat, self.modulus)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -475,12 +471,11 @@ def sample_matrix(
     cols: int,
     modulus: int,
     rng: random.Random,
-    mode: str = "general",
+    mode: str,
 ) -> Matrix:
     """Draw a random matrix from the injected randomness source.
 
     Modes:
-      general        uniform entries in [0, modulus)
       unit_entries   uniform entries in [1, modulus), so no zero bases
       rank_deficient sample (rows-1) x cols with unit entries, then insert
                      a duplicate of one of those rows at a random position
@@ -489,9 +484,7 @@ def sample_matrix(
     """
     if modulus < 2:
         raise ParameterError(f"modulus must be >= 2, got {modulus}")
-    if mode == "general":
-        flat = _draw(rng, rows * cols, 0, modulus)
-    elif mode == "unit_entries":
+    if mode == "unit_entries":
         flat = _draw(rng, rows * cols, 1, modulus)
     elif mode == "rank_deficient":
         if rows < 2:

@@ -4,12 +4,14 @@ All otherwise-public token traffic is masked with an HMAC-SHA3-512
 keystream keyed by a 512-bit shared root nonce, and the encapsulated
 512-bit key K is masked with an HMAC keyed by the agreed session digest.
 Bob initiates (CloseB), Alice encapsulates ({Encap, CloseA, eta_m}), Bob
-decapsulates.  Each party holds one RdmpfSession whose rounds it
-generates before it waits for the peer, since neither side's rounds need
+decapsulates.  Each party builds one RdmpfSession, which generates its
+rounds, before it waits for the peer, since neither side's rounds need
 anything from the other; every move takes that session.
 """
 
 from __future__ import annotations
+
+import random
 
 from .core import WORD_BYTES, Record, canonical_bytes, canonical_values, matrix_values
 from .errors import ParameterError, ProtocolError
@@ -106,29 +108,28 @@ def _unmask_tokens(name: str, masked: bytes, key: bytes, context: bytes, setup: 
 def kem_initiate(ctx: KemContext, session: RdmpfSession) -> bytes:
     """Bob's opening move: close_b, his masked token list.
 
-    session holds his generated rounds, as kem_encapsulate's holds alice's.
+    session holds his rounds, as kem_encapsulate's holds alice's.
     """
     return _mask(canonical_bytes(matrix_values(session.tokens)), ctx.eta0, ctx.auth_pair)
 
 
 def kem_encapsulate(
-    ctx: KemContext, session: RdmpfSession, close_b: bytes
+    ctx: KemContext, session: RdmpfSession, close_b: bytes, rng: random.Random
 ) -> tuple[bytes, KemMessage]:
     """Alice's move: agree on the session key and encapsulate a fresh K.
 
-    session holds her generated rounds, which need nothing from close_b;
-    eta_m and then K come from its rng, after her exponents.
+    session holds her rounds, which need nothing from close_b; eta_m and
+    then K come from rng, which the CLI also drew her exponents from.
     """
     peer_tokens = _unmask_tokens("close_b", close_b, ctx.eta0, ctx.auth_pair, session.setup)
     shared = session.derive(peer_tokens)
 
-    rng = session.rng
     eta_m = rng.getrandbits(8 * NONCE_BYTES).to_bytes(NONCE_BYTES, "big")
     k = rng.getrandbits(8 * KEY_BYTES).to_bytes(KEY_BYTES, "big")
 
     bound_context = xor_bytes(ctx.auth_pair, eta_m)
     close_a = _mask(canonical_bytes(matrix_values(session.tokens)), ctx.eta0, bound_context)
-    encap = xor_bytes(k, hmac512(shared.digest, bound_context))
+    encap = xor_bytes(k, hmac512(shared, bound_context))
     return k, KemMessage(encap, close_a, eta_m)
 
 
@@ -137,4 +138,4 @@ def kem_decapsulate(ctx: KemContext, session: RdmpfSession, msg: KemMessage) -> 
     bound_context = xor_bytes(ctx.auth_pair, msg.eta_m)
     peer_tokens = _unmask_tokens("close_a", msg.close_a, ctx.eta0, bound_context, session.setup)
     shared = session.derive(peer_tokens)
-    return xor_bytes(msg.encap, hmac512(shared.digest, bound_context))
+    return xor_bytes(msg.encap, hmac512(shared, bound_context))

@@ -12,8 +12,8 @@ pin rather than an externally published value.
 
 from __future__ import annotations
 
-from .core import FieldParams, Matrix, Record, mat_pow_mod, mat_scalar_mul_mod
-from .rdmpf import RdmpfSession, RdmpfSetup
+from .core import FieldParams, Matrix, Record, mat_pow_mod, mat_scalar_mul_mod, matrix_values
+from .rdmpf import RdmpfSession, RdmpfSetup, session_digest
 from .rmpf import RmpfSetup, derive_key, keygen, mpf_double
 
 P = 65537
@@ -336,10 +336,9 @@ def check_rdmpf_vectors() -> list[tuple[str, bool]]:
         results.append((f"rdmpf round {idx} private U", u.to_rows() == vec.u))
         results.append((f"rdmpf round {idx} private V", v.to_rows() == vec.v))
 
-    alice = RdmpfSession(setup, _NoRng())
-    bob = RdmpfSession(setup, _NoRng())
-    alice.generate_tokens([(v.rand_x, v.rand_y) for v in RDMPF_ROUND_VECTORS])
-    bob.generate_tokens([(v.rand_u, v.rand_v) for v in RDMPF_ROUND_VECTORS])
+    alice = RdmpfSession(setup, injected=[(v.rand_x, v.rand_y) for v in RDMPF_ROUND_VECTORS])
+    bob = RdmpfSession(setup, injected=[(v.rand_u, v.rand_v) for v in RDMPF_ROUND_VECTORS])
+    keys_a, keys_b = alice.round_keys(bob.tokens), bob.round_keys(alice.tokens)
     for idx, vec in enumerate(RDMPF_ROUND_VECTORS, start=1):
         results.append(
             (f"rdmpf round {idx} token A", alice.tokens[idx - 1].to_rows() == vec.token_a)
@@ -347,44 +346,33 @@ def check_rdmpf_vectors() -> list[tuple[str, bool]]:
         results.append(
             (f"rdmpf round {idx} token B", bob.tokens[idx - 1].to_rows() == vec.token_b)
         )
-
-    key_a = alice.derive(bob.tokens)
-    key_b = bob.derive(alice.tokens)
     for idx, vec in enumerate(RDMPF_ROUND_VECTORS, start=1):
-        results.append(
-            (f"rdmpf round {idx} key A", alice.keys[idx - 1].to_rows() == vec.key)
-        )
-        results.append(
-            (f"rdmpf round {idx} key B", bob.keys[idx - 1].to_rows() == vec.key)
-        )
+        results.append((f"rdmpf round {idx} key A", keys_a[idx - 1].to_rows() == vec.key))
+        results.append((f"rdmpf round {idx} key B", keys_b[idx - 1].to_rows() == vec.key))
 
-    ta = alice.transcript
-    tb = bob.transcript
+    tokens_a, tokens_b = matrix_values(alice.tokens), matrix_values(bob.tokens)
+    key_list_a, key_list_b = matrix_values(keys_a), matrix_values(keys_b)
     results.append(
         (
             "rdmpf token list A ends",
-            (ta.token_list[0], ta.token_list[-1]) == TOKEN_LIST_A_ENDS
-            and len(ta.token_list) == COMBINED_LIST_LEN,
+            (tokens_a[0], tokens_a[-1]) == TOKEN_LIST_A_ENDS and len(tokens_a) == COMBINED_LIST_LEN,
         )
     )
     results.append(
         (
             "rdmpf token list B ends",
-            (tb.token_list[0], tb.token_list[-1]) == TOKEN_LIST_B_ENDS
-            and len(tb.token_list) == COMBINED_LIST_LEN,
+            (tokens_b[0], tokens_b[-1]) == TOKEN_LIST_B_ENDS and len(tokens_b) == COMBINED_LIST_LEN,
         )
     )
     results.append(
         (
             "rdmpf key list ends",
-            (ta.key_list[0], ta.key_list[-1]) == KEY_LIST_ENDS
-            and ta.key_list == tb.key_list,
+            (key_list_a[0], key_list_a[-1]) == KEY_LIST_ENDS and key_list_a == key_list_b,
         )
     )
+    key_a, key_b = session_digest(keys_a), session_digest(keys_b)
     results.append(("rdmpf session digest agreement", key_a == key_b))
-    results.append(
-        ("rdmpf pinned session digest", key_a.hex() == PINNED_SESSION_DIGEST_HEX)
-    )
+    results.append(("rdmpf pinned session digest", key_a.hex() == PINNED_SESSION_DIGEST_HEX))
     return results
 
 
@@ -396,7 +384,4 @@ class _NoRng:
     """Randomness source that must never be consulted (injected replays)."""
 
     def randrange(self, *args):  # pragma: no cover - defensive
-        raise AssertionError("replay paths must not draw randomness")
-
-    def randint(self, *args):  # pragma: no cover - defensive
         raise AssertionError("replay paths must not draw randomness")

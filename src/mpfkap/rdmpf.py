@@ -225,35 +225,11 @@ def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> 
     return _round_action(priv, peer_token, setup)
 
 
-class SessionKey(Record):
-    """512-bit session digest; equal on both sides of an honest run."""
-
-    __slots__ = ("digest",)
-
-    def __init__(self, digest: bytes):
-        if len(digest) != 64:
-            raise ParameterError(f"session key must be 64 bytes, got {len(digest)}")
-        self._set(digest)
-
-    def hex(self) -> str:
-        return self.digest.hex()
-
-
-class SessionTranscript(Record):
-    """Flattened per-round token and key values, row-major, rounds in order."""
-
-    __slots__ = ("token_list", "key_list")
-
-    def __init__(self, token_list: tuple[int, ...], key_list: tuple[int, ...]):
-        self._set(token_list, key_list)
-
-
-def session_digest(key_matrices: Sequence[Matrix]) -> SessionKey:
-    """SHA3-512 over the canonical bytes of the concatenated key list."""
+def session_digest(key_matrices: Sequence[Matrix]) -> bytes:
+    """The 64-byte SHA3-512 digest of the canonical bytes of the concatenated key list."""
     import hashlib  # on first hash: it loads OpenSSL, which setup never needs
 
-    data = canonical_bytes(matrix_values(key_matrices))
-    return SessionKey(hashlib.sha3_512(data).digest())
+    return hashlib.sha3_512(canonical_bytes(matrix_values(key_matrices))).digest()
 
 
 def parse_token_list(
@@ -275,74 +251,44 @@ def parse_token_list(
     return out
 
 
-class RdmpfSession:
-    """One party's state machine: round privates, token list, derived keys.
+class RdmpfSession(Record):
+    """One party of a session: its rounds' private pairs and public tokens.
 
-    Usage: generate_tokens(), ship tokens to the peer, then derive() on
-    the peer's token matrices.  rng draws the exponents; the KEM draws
-    its nonce and key from it afterwards.  Distinct sessions are
-    independent.
+    The rounds are generated when the session is built: rng draws each
+    round's (rand_l, rand_r) in turn, or injected pairs replay a
+    transcript, and one round_keygen makes every round's powers and
+    token.  A session holds nothing else, so distinct sessions are
+    independent.  The CLI's KEM then draws alice's nonce and key from
+    the same rng.
     """
 
-    def __init__(self, setup: RdmpfSetup, rng: random.Random | None = None):
-        self.setup = setup
-        self.rng = rng if rng is not None else random.SystemRandom()
-        self._privates: list[RdmpfRoundPrivate] = []
-        self._tokens: list[Token] = []
-        self._keys: list[Matrix] = []
+    __slots__ = ("setup", "privates", "tokens")
 
-    def generate_tokens(
-        self, injected: Sequence[tuple[int, int]] | None = None
-    ) -> list[Token]:
-        """Run every round's keygen; injected pairs replay a transcript.
-
-        All rounds' pairs are drawn first, (rand_l, rand_r) round by
-        round, then every round's powers and token come from one
-        round_keygen.
-        """
-        rounds, top, rng = self.setup.rounds, self.setup.exp_max, self.rng
+    def __init__(
+        self,
+        setup: RdmpfSetup,
+        rng: random.Random | None = None,
+        injected: Sequence[tuple[int, int]] | None = None,
+    ):
+        rounds, top = setup.rounds, setup.exp_max
         if injected is None:
+            rng = rng if rng is not None else random.SystemRandom()
             injected = [(rng.randint(1, top), rng.randint(1, top)) for _ in range(rounds)]
         elif len(injected) != rounds:
             raise ParameterError(
                 f"need {rounds} injected exponent pairs, got {len(injected)}"
             )
-        generated = round_keygen(self.setup, injected)
-        self._privates = [priv for priv, _ in generated]
-        self._tokens = [token for _, token in generated]
-        self._keys = []
-        return list(self._tokens)
+        privates, tokens = zip(*round_keygen(setup, injected))
+        self._set(setup, privates, tokens)
 
-    @property
-    def tokens(self) -> list[Token]:
-        if not self._tokens:
-            raise ProtocolError("generate_tokens must run before the exchange")
-        return list(self._tokens)
-
-    @property
-    def keys(self) -> list[Matrix]:
-        if not self._keys:
-            raise ProtocolError("round keys are available only after derive")
-        return list(self._keys)
-
-    def derive(self, peer_tokens: Sequence[Token]) -> SessionKey:
-        """Apply each round's private to the peer's token and hash the round keys."""
-        if not self._privates:
-            raise ProtocolError("generate_tokens must run before derive")
+    def round_keys(self, peer_tokens: Sequence[Token]) -> list[Matrix]:
+        """Each round's private applied to the peer's token for that round."""
         if len(peer_tokens) != self.setup.rounds:
             raise ProtocolError(
                 f"peer sent {len(peer_tokens)} round tokens, expected {self.setup.rounds}"
             )
-        self._keys = [
-            round_key(priv, tok, self.setup)
-            for priv, tok in zip(self._privates, peer_tokens)
-        ]
-        return session_digest(self._keys)
+        return [round_key(priv, tok, self.setup) for priv, tok in zip(self.privates, peer_tokens)]
 
-    @property
-    def transcript(self) -> SessionTranscript:
-        if not self._keys:
-            raise ProtocolError("transcript is available only after derive")
-        return SessionTranscript(
-            tuple(matrix_values(self._tokens)), tuple(matrix_values(self._keys))
-        )
+    def derive(self, peer_tokens: Sequence[Token]) -> bytes:
+        """The 64-byte session key: session_digest of the round keys."""
+        return session_digest(self.round_keys(peer_tokens))

@@ -2,7 +2,8 @@
 
 The file transport drops each frame into the shared directory under
 "<role>.<kind>.frame" (written atomically) and polls for the peer's
-file.  The TCP transport is a minimal length-prefixed exchange: bob
+file; it refuses a directory that already holds a frame of its role's,
+left by an earlier session.  The TCP transport is a minimal length-prefixed exchange: bob
 listens, alice connects, one peer at a time, no retries beyond the
 connect deadline.  Both refuse a peer frame longer than the payload
 limits they are given (wire.payload_limits) before buffering it, and
@@ -53,6 +54,18 @@ class FileTransport:
         self.timeout = timeout
         if not os.path.isdir(directory):
             raise TransportError(f"transport directory {directory!r} does not exist")
+        # a frame of our own is an earlier session's: the peer would read it
+        # as this one's, and the two sides would end with different keys
+        try:
+            stale = sorted(n for n in os.listdir(directory)
+                           if n.startswith(role + ".") and n.endswith(".frame"))
+        except OSError as exc:
+            raise TransportError(f"cannot list {directory}: {exc}") from exc
+        if stale:
+            raise TransportError(
+                f"{os.path.join(directory, stale[0])} is left from an earlier session; "
+                "each session needs a fresh exchange directory"
+            )
 
     def send(self, kind: str, payload: bytes) -> None:
         final = os.path.join(self.directory, f"{self.role}.{kind}.frame")

@@ -1,4 +1,4 @@
-"""The paper's one-sided exponential actions, kept for the lemma tests.
+"""The paper's one-sided exponential actions and the transpose, kept for the lemma tests.
 
 The package runs only the double action (rmpf.double_action); these
 are the left and right actions the paper's lemmas are stated in, on the
@@ -40,3 +40,8 @@ def mpf_right(w: Matrix, ye: Matrix) -> Matrix:
     wrows = [w.row(i) for i in range(w.rows)]
     flat = [q for row in _multi_exp(wrows, ycols, p) for q in row]
     return Matrix(w.rows, n, tuple(flat), p)
+
+
+def transpose(m: Matrix) -> Matrix:
+    flat = tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows))
+    return Matrix(m.cols, m.rows, flat, m.modulus)

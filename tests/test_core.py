@@ -21,6 +21,11 @@ from mpfkap import core
 from mpfkap import known_answers as ka
 
 
+def uniform_matrix(rows, cols, modulus, rng):
+    """Entries uniform in [0, modulus), zero included, drawn row-major with randrange."""
+    return Matrix(rows, cols, tuple(rng.randrange(modulus) for _ in range(rows * cols)), modulus)
+
+
 def naive_mul(a, b, m):
     # oracle: textbook triple loop over nested lists, one reduction per entry
     return [
@@ -89,10 +94,6 @@ class TestMatrix:
     def test_from_rows_reduces(self):
         m = Matrix.from_rows([[8, 14], [3, 6]], 7)
         assert m.entries == (1, 0, 3, 6)
-
-    def test_transpose(self):
-        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]], 7)
-        assert m.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
 
     def test_ragged_rejected(self):
         with pytest.raises(ParameterError):
@@ -174,8 +175,8 @@ class TestMatMul:
     def test_larger_source_modulus(self, source, target):
         rng = random.Random(source ^ target)
         for rows, inner, cols in self.SHAPES:
-            a = sample_matrix(rows, inner, source, rng)
-            b = sample_matrix(inner, cols, source, rng)
+            a = uniform_matrix(rows, inner, source, rng)
+            b = uniform_matrix(inner, cols, source, rng)
             got = mat_mul_mod(a, b, target)
             assert got.modulus == target
             assert got.to_rows() == naive_mul(a.to_rows(), b.to_rows(), target)
@@ -205,7 +206,7 @@ class TestMatPow:
     def test_against_iterated_product(self):
         rng = random.Random(2)
         for _ in range(50):
-            m = sample_matrix(3, 3, 11, rng)
+            m = uniform_matrix(3, 3, 11, rng)
             e = rng.randrange(0, 12)
             expected = Matrix.identity(3, 11)
             for _ in range(e):
@@ -215,7 +216,7 @@ class TestMatPow:
     @pytest.mark.parametrize("m", [7, 65536, 2**64 - 60])
     def test_against_repeated_multiplication(self, m):
         rng = random.Random(m)
-        a = sample_matrix(3, 3, m, rng)
+        a = uniform_matrix(3, 3, m, rng)
         expected = Matrix.identity(3, m)
         for e in range(41):
             assert mat_pow_mod(a, e, m) == expected
@@ -223,7 +224,7 @@ class TestMatPow:
 
     def test_63_bit_exponent(self):
         m = 2**64 - 60
-        a = sample_matrix(4, 4, m, random.Random(63))
+        a = uniform_matrix(4, 4, m, random.Random(63))
         e = (1 << 62) + 0x1234_5678_9ABC_DEF1
         assert e.bit_length() == 63
         assert mat_pow_mod(a, e, m).to_rows() == naive_pow(a.to_rows(), e, m)
@@ -232,7 +233,7 @@ class TestMatPow:
     def test_source_modulus_differs(self, target):
         # a base sampled mod p, raised mod p-1 (private powers) and mod 2
         # (the nilpotency screen)
-        a = sample_matrix(5, 5, 2**64 - 59, random.Random(target))
+        a = uniform_matrix(5, 5, 2**64 - 59, random.Random(target))
         for e in (1, 2, 5, 40, 2**63 - 25):
             got = mat_pow_mod(a, e, target)
             assert got.modulus == target
@@ -241,7 +242,7 @@ class TestMatPow:
     def test_product_count(self, product_count):
         # bitlen(e)-1 squarings and popcount(e)-1 multiplications: no
         # product with the identity and no unused last squaring
-        a = sample_matrix(2, 2, 65537, random.Random(1))
+        a = uniform_matrix(2, 2, 65537, random.Random(1))
         for e in [*range(1, 41), (1 << 62) + 0x1234_5678_9ABC_DEF1]:
             product_count.clear()
             mat_pow_mod(a, e, 65536)
@@ -253,7 +254,7 @@ class TestMatPow:
     def test_powers_of_common_base_commute(self):
         rng = random.Random(8)
         for _ in range(50):
-            b = sample_matrix(3, 3, 65537, rng)
+            b = uniform_matrix(3, 3, 65537, rng)
             x, y = rng.randrange(1, 100), rng.randrange(1, 100)
             bx = mat_pow_mod(b, x, 65536)
             by = mat_pow_mod(b, y, 65536)
@@ -271,7 +272,7 @@ def per_product_count(e):
 class TestMatPows:
     def test_edge_exponents_match_separate_powers(self):
         em = P64 - 1
-        a = sample_matrix(3, 3, P64, random.Random(3))
+        a = uniform_matrix(3, 3, P64, random.Random(3))
         exps = [0, 1, P64 - 2, 2**63, 2**63, 1, 0, 12345, P64 - 2, 2**64 - 1]
         got = mat_pow_mod(a, exps, em)
         assert got == [mat_pow_mod(a, e, em) for e in exps]
@@ -283,7 +284,7 @@ class TestMatPows:
         # has a nonzero digit somewhere, plus all-ones and random ones
         em = P64 - 1
         rng = random.Random(64)
-        a = sample_matrix(2, 2, P64, rng)
+        a = uniform_matrix(2, 2, P64, rng)
         exps = [1 << k for k in range(64)] + [2**64 - 1]
         exps += [rng.randrange(2**64) for _ in range(64)]
         _, c, positions = core._window(exps)
@@ -292,7 +293,7 @@ class TestMatPows:
         assert [m.to_rows() for m in got] == [naive_pow(a.to_rows(), e, em) for e in exps]
 
     def test_one_exponent(self):
-        a = sample_matrix(4, 4, 65537, random.Random(1))
+        a = uniform_matrix(4, 4, 65537, random.Random(1))
         for e in (0, 1, 2, 3, 65535, 2**40 + 7):
             assert mat_pow_mod(a, [e], 65536) == [mat_pow_mod(a, e, 65536)]
             assert mat_pow_mod(a, [e], 65536)[0].to_rows() == naive_pow(a.to_rows(), e, 65536)
@@ -328,7 +329,7 @@ class TestMatPows:
             assert core._window([e]) == (per_product_count(e), 1, e.bit_length())
 
     def test_one_exponent_product_count(self, product_count):
-        a = sample_matrix(2, 2, 65537, random.Random(1))
+        a = uniform_matrix(2, 2, 65537, random.Random(1))
         rng = random.Random(2)
         for e in [*range(0, 300), 2**63, 2**64 - 1] + [rng.randrange(2**64) for _ in range(50)]:
             product_count.clear()
@@ -354,7 +355,7 @@ class TestMatPows:
 
     def test_batch_product_count_is_the_model(self, product_count):
         rng = random.Random(3)
-        a = sample_matrix(2, 2, P64, rng)
+        a = uniform_matrix(2, 2, P64, rng)
         for n, bits in ((2, 8), (3, 64), (16, 20), (128, 63), (40, 2)):
             exps = [rng.randrange(1 << bits) for _ in range(n)]
             product_count.clear()
@@ -534,7 +535,7 @@ class TestRank:
             "zero": Matrix.zeros(rows, cols, p),
             "all p-1": Matrix.from_rows([[p - 1] * cols for _ in range(rows)], p),
             "leading zero columns": Matrix.from_rows(late, p),
-            "general": sample_matrix(rows, cols, p, rng),
+            "uniform": uniform_matrix(rows, cols, p, rng),
         }
         if rows > 1:
             base = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows // 2)]
@@ -586,11 +587,6 @@ class TestRank:
 
 
 class TestSampleMatrix:
-    def test_general_range(self):
-        rng = random.Random(4)
-        m = sample_matrix(4, 6, 13, rng)
-        assert all(0 <= e < 13 for e in m.entries)
-
     def test_unit_entries_range(self):
         rng = random.Random(5)
         m = sample_matrix(5, 3, 65537, rng, mode="unit_entries")
@@ -603,17 +599,18 @@ class TestSampleMatrix:
             assert rank_mod_p(m, 65537) <= 4
 
     def test_seeded_reproducibility(self):
-        a = sample_matrix(2, 2, 7, random.Random(99), mode="general")
-        b = sample_matrix(2, 2, 7, random.Random(99), mode="general")
+        a = sample_matrix(2, 2, 7, random.Random(99), mode="unit_entries")
+        b = sample_matrix(2, 2, 7, random.Random(99), mode="unit_entries")
         assert a == b
 
     def test_rank_deficient_needs_two_rows(self):
         with pytest.raises(ParameterError):
             sample_matrix(1, 4, 7, random.Random(0), mode="rank_deficient")
 
-    def test_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            sample_matrix(2, 2, 7, random.Random(0), mode="bogus")
+    @pytest.mark.parametrize("mode", ["bogus", "general"])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(ParameterError, match=f"unknown sampling mode '{mode}'"):
+            sample_matrix(2, 2, 7, random.Random(0), mode=mode)
 
     @pytest.mark.parametrize("low", [0, 1])
     @pytest.mark.parametrize("modulus", [2, 3, 65537, 2**64 - 59, 2**64 + 13])
@@ -646,15 +643,14 @@ class TestSampleMatrix:
     def test_modes_draw_as_randrange_did(self, modulus):
         # each mode's definition spelled with randrange, row by row
         def reference(rows, cols, rng, mode):
-            low = 0 if mode == "general" else 1
-            drawn = [[rng.randrange(low, modulus) for _ in range(cols)]
+            drawn = [[rng.randrange(1, modulus) for _ in range(cols)]
                      for _ in range(rows - (mode == "rank_deficient"))]
             if mode == "rank_deficient":
                 extra = list(drawn[rng.randrange(rows - 1)])
                 drawn.insert(rng.randrange(rows), extra)
             return Matrix.from_rows(drawn, modulus)
 
-        for mode in ("general", "unit_entries", "rank_deficient"):
+        for mode in ("unit_entries", "rank_deficient"):
             for rows, cols in ((2, 1), (3, 5), (6, 6)):
                 fast, slow = random.Random(rows * cols), random.Random(rows * cols)
                 m = sample_matrix(rows, cols, modulus, fast, mode)
@@ -664,7 +660,7 @@ class TestSampleMatrix:
     def test_modulus_below_2_refused_before_drawing(self):
         rng = random.Random(0)
         state = rng.getstate()
-        for mode in ("general", "unit_entries", "rank_deficient"):
+        for mode in ("unit_entries", "rank_deficient"):
             with pytest.raises(ParameterError, match="modulus must be >= 2, got 1"):
                 sample_matrix(2, 2, 1, rng, mode)
         assert rng.getstate() == state
@@ -726,7 +722,7 @@ class TestCanonicalBytes:
 
     def test_canonical_values_inverts_it(self):
         rng = random.Random(9)
-        token = sample_matrix(8, 8, 2**64 - 59, rng)
+        token = uniform_matrix(8, 8, 2**64 - 59, rng)
         for values in ([], [0], [2**64 - 1], list(token.entries)):
             assert core.canonical_values(canonical_bytes(values)) == tuple(values)
 

@@ -41,11 +41,9 @@ def make_ctx(rng: random.Random) -> KemContext:
     return KemContext(eta0, auth_tag("party-a"), auth_tag("party-b"))
 
 
-def party(setup, rng):
-    """One party's session with its rounds generated, as every KEM move takes it."""
-    session = RdmpfSession(setup, rng)
-    session.generate_tokens()
-    return session
+def encapsulate(ctx, setup, rng, close_b):
+    """Alice's move with a fresh session; eta_m and K come from rng after her exponents."""
+    return kem_encapsulate(ctx, RdmpfSession(setup, rng), close_b, rng)
 
 
 class TestHmac512:
@@ -157,9 +155,9 @@ class TestRoundTrip:
         rng = random.Random(41)
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(1))
+        bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
-        k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
+        k, msg = encapsulate(ctx, setup, random.Random(2), close_b)
         assert kem_decapsulate(ctx, bob, msg) == k
         assert len(k) == 64
 
@@ -179,9 +177,9 @@ class TestRoundTrip:
         rng = random.Random(seed)
         setup = generate_setup(dim, p, exp_max, rounds, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(1))
+        bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
-        k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
+        k, msg = encapsulate(ctx, setup, random.Random(2), close_b)
         assert kem_decapsulate(ctx, bob, msg) == k
         wire = close_b + k + msg.encap + msg.eta_m + msg.close_a
         assert hashlib.sha256(wire).hexdigest() == digest
@@ -190,7 +188,7 @@ class TestRoundTrip:
         rng = random.Random(42)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(3))
+        bob = RdmpfSession(setup, random.Random(3))
         close_b = kem_initiate(ctx, bob)
         token_bytes = canonical_bytes(matrix_values(bob.tokens))
         keystream = mask_stream(ctx.eta0, ctx.auth_pair, len(token_bytes))
@@ -202,8 +200,8 @@ class TestRoundTrip:
         rng = random.Random(43)
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
-        one = kem_initiate(ctx, party(setup, random.Random(7)))
-        two = kem_initiate(ctx, party(setup, random.Random(7)))
+        one = kem_initiate(ctx, RdmpfSession(setup, random.Random(7)))
+        two = kem_initiate(ctx, RdmpfSession(setup, random.Random(7)))
         assert one == two
 
     def test_zero_eta_m_still_round_trips(self):
@@ -224,10 +222,25 @@ class TestRoundTrip:
         rng = random.Random(44)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(9))
+        bob = RdmpfSession(setup, random.Random(9))
         close_b = kem_initiate(ctx, bob)
-        k, msg = kem_encapsulate(ctx, party(setup, ZeroNonceRng()), close_b)
+        k, msg = encapsulate(ctx, setup, ZeroNonceRng(), close_b)
         assert msg.eta_m == b"\x00" * 64
+        assert kem_decapsulate(ctx, bob, msg) == k
+
+    def test_nonce_and_key_come_from_the_rng_passed(self):
+        # eta_m and then K are the first two 512-bit draws of the rng
+        # kem_encapsulate is given, whatever source drew the exponents
+        rng = random.Random(47)
+        setup = generate_setup(3, 65537, 500, 1, rng)
+        ctx = make_ctx(rng)
+        bob = RdmpfSession(setup, random.Random(1))
+        source, twin = random.Random(5), random.Random(5)
+        k, msg = kem_encapsulate(ctx, RdmpfSession(setup, random.Random(2)),
+                                 kem_initiate(ctx, bob), source)
+        assert msg.eta_m == twin.getrandbits(512).to_bytes(64, "big")
+        assert k == twin.getrandbits(512).to_bytes(64, "big")
+        assert source.getstate() == twin.getstate()
         assert kem_decapsulate(ctx, bob, msg) == k
 
     def test_wrong_close_b_length(self):
@@ -235,7 +248,7 @@ class TestRoundTrip:
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
         with pytest.raises(ProtocolError):
-            kem_encapsulate(ctx, party(setup, random.Random(1)), b"\x00" * 10)
+            encapsulate(ctx, setup, random.Random(1), b"\x00" * 10)
 
     @staticmethod
     def tokens_with_p(setup):
@@ -251,13 +264,13 @@ class TestRoundTrip:
         tokens = self.tokens_with_p(setup)
         close_b = xor_bytes(tokens, mask_stream(ctx.eta0, ctx.auth_pair, len(tokens)))
         with pytest.raises(ProtocolError, match=r"peer token value out of \[0, p\) range"):
-            kem_encapsulate(ctx, party(setup, random.Random(1)), close_b)
+            encapsulate(ctx, setup, random.Random(1), close_b)
 
     def test_close_a_token_equal_to_p_refused(self):
         rng = random.Random(45)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(1))
+        bob = RdmpfSession(setup, random.Random(1))
         tokens, eta_m = self.tokens_with_p(setup), bytes(range(64))
         bound = xor_bytes(ctx.auth_pair, eta_m)
         close_a = xor_bytes(tokens, mask_stream(ctx.eta0, bound, len(tokens)))
@@ -268,9 +281,9 @@ class TestRoundTrip:
         rng = random.Random(46)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(1))
+        bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
-        k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
+        k, msg = encapsulate(ctx, setup, random.Random(2), close_b)
         truncated = KemMessage(msg.encap, msg.close_a[:-8], msg.eta_m)
         with pytest.raises(ProtocolError):
             kem_decapsulate(ctx, bob, truncated)
@@ -279,9 +292,9 @@ class TestRoundTrip:
         rng = random.Random(49)
         setup = generate_setup(3, 65537, 500, 2, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(1))
+        bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
-        _, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
+        _, msg = encapsulate(ctx, setup, random.Random(2), close_b)
         bound = bytes(a ^ b for a, b in zip(ctx.auth_pair, msg.eta_m))
         keystream = mask_stream(ctx.eta0, bound, len(msg.close_a))
         plain = bytearray(a ^ b for a, b in zip(msg.close_a, keystream))
@@ -294,12 +307,12 @@ class TestRoundTrip:
         rng = random.Random(47)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(1))
+        bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
         tampered = bytearray(close_b)
         tampered[5] ^= 0x08
         try:
-            k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), bytes(tampered))
+            k, msg = encapsulate(ctx, setup, random.Random(2), bytes(tampered))
             assert kem_decapsulate(ctx, bob, msg) != k
         except MpfKapError:
             pass  # strict parsing may reject the garbled token list outright
@@ -308,9 +321,9 @@ class TestRoundTrip:
         rng = random.Random(48)
         setup = generate_setup(3, 65537, 500, 1, rng)
         ctx = make_ctx(rng)
-        bob = party(setup, random.Random(1))
+        bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
-        k, msg = kem_encapsulate(ctx, party(setup, random.Random(2)), close_b)
+        k, msg = encapsulate(ctx, setup, random.Random(2), close_b)
         swapped = KemMessage(msg.encap, msg.close_a, bytes(64))
         try:
             assert kem_decapsulate(ctx, bob, swapped) != k

@@ -25,22 +25,8 @@ from mpfkap import core
 from mpfkap import known_answers as ka
 from mpfkap import rdmpf as rdmpf_module
 from mpfkap.rdmpf import rdmpf
+from mpfkap.rmpf import double_action
 from mpfkap.wire import generate_paramset
-
-
-class SeqRng:
-    """Stub randomness source replaying a fixed draw sequence."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randint(self, a, b):
-        v = self.values.pop(0)
-        assert a <= v <= b
-        return v
-
-    def randrange(self, *args):
-        return self.randint(args[0], args[-1] - 1)
 
 
 def oracle_rdmpf(xe, w, ye, p, sigma):
@@ -126,7 +112,7 @@ class TestRdmpfFunction:
         for p in (7, 65537, 2**64 - 59):
             for _ in range(100 if p == 7 else 15):
                 dim = rng.choice((1, 2, 3))
-                flat = list(sample_matrix(dim, dim, p, rng, mode="general").entries)
+                flat = [rng.randrange(p) for _ in range(dim * dim)]
                 flat[rng.randrange(len(flat))] = 0
                 w = Matrix(dim, dim, tuple(flat), p)
                 x = rand_exponents(dim, p - 1, rng)
@@ -515,23 +501,27 @@ def equal_row_pairs(m):
 class TestBaseStructure:
     """What a base with a duplicated row passes on to every token and key."""
 
+    @pytest.mark.parametrize("sigma", (1, 3))
     @pytest.mark.parametrize("p", (65537, 2**64 - 59))
-    def test_dim2_tokens_are_entrywise_powers_of_one_public_matrix(self, p):
-        # Bx = [[a, b], [a, b]] gives Bx**k = (a+b)**(k-1) * Bx mod p-1, so
-        # a token is U ** (sigma*s*t) entry-wise for the public
-        # U = mpf_double(Bx, W, By): one discrete log mod p per round
-        rng = random.Random(p)
+    def test_dim2_tokens_are_entrywise_powers_of_one_public_matrix(self, p, sigma):
+        # a dim-2 base [[a, b], [a, b]] has the 1x1 merged core s = a+b mod
+        # p-1, and base**k = s**(k-1) * base, so every round token is
+        # T0 ** (sigma * s_x**(l-1) * s_y**(r-1)) entry-wise for the public
+        # T0 = double_action(base_xu, w, base_yv): one discrete log mod p per round
         em = p - 1
-        sigma = 5
-        setup = generate_setup(2, p, 2**62, 3, rng, sigma=sigma)
-        (a, b), second = setup.base_xu.to_rows()
-        (c, d), fourth = setup.base_yv.to_rows()
-        assert second == [a, b] and fourth == [c, d]
-        u = mpf_double(setup.base_xu, setup.w, setup.base_yv, p)
-        pairs = [(rng.randint(1, setup.exp_max), rng.randint(1, setup.exp_max)) for _ in range(3)]
-        for (rand_l, rand_r), (_, token) in zip(pairs, round_keygen(setup, pairs)):
-            z = sigma * pow(a + b, rand_l - 1, em) * pow(c + d, rand_r - 1, em) % em
-            assert token.to_rows() == [[pow(v, z, p) for v in row] for row in u.to_rows()]
+        for seed in range(4):
+            rng = random.Random(seed)
+            setup = generate_setup(2, p, 2**62, 3, rng, sigma=sigma)
+            (a, b), second = setup.base_xu.to_rows()
+            (c, d), fourth = setup.base_yv.to_rows()
+            assert second == [a, b] and fourth == [c, d]
+            s_x, s_y = (a + b) % em, (c + d) % em
+            t0 = double_action(setup.base_xu, setup.w, setup.base_yv, p)
+            top = setup.exp_max
+            pairs = [(1, 1), (rng.randint(1, top), 1), (rng.randint(1, top), rng.randint(1, top))]
+            for (rand_l, rand_r), token in zip(pairs, RdmpfSession(setup, injected=pairs).tokens):
+                e = sigma * pow(s_x, rand_l - 1, em) * pow(s_y, rand_r - 1, em) % em
+                assert token.entries == tuple(pow(v, e, p) for v in t0.entries)
 
     @pytest.mark.parametrize("dim", (3, 8))
     def test_tokens_and_keys_repeat_the_base_row(self, dim):
@@ -540,65 +530,74 @@ class TestBaseStructure:
         assert len(duplicated) == 1
         alice = RdmpfSession(setup, random.Random(1))
         bob = RdmpfSession(setup, random.Random(2))
-        tokens = alice.generate_tokens()
-        alice.derive(bob.generate_tokens())
-        for m in tokens + alice.keys:
+        for m in alice.tokens + tuple(alice.round_keys(bob.tokens)):
             assert equal_row_pairs(m) == duplicated
+
+
+def known_parties():
+    """Alice and bob of the two-round known-answer transcript."""
+    setup = ka.rdmpf_setup()
+    alice = RdmpfSession(setup, injected=[(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS])
+    bob = RdmpfSession(setup, injected=[(v.rand_u, v.rand_v) for v in ka.RDMPF_ROUND_VECTORS])
+    return alice, bob
 
 
 class TestSession:
     def test_known_transcript_ends(self):
-        setup = ka.rdmpf_setup()
-        alice = RdmpfSession(setup, SeqRng([]))
-        bob = RdmpfSession(setup, SeqRng([]))
-        alice.generate_tokens([(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS])
-        bob.generate_tokens([(v.rand_u, v.rand_v) for v in ka.RDMPF_ROUND_VECTORS])
-        key_a = alice.derive(bob.tokens)
-        key_b = bob.derive(alice.tokens)
-        assert key_a == key_b
-        ta, tb = alice.transcript, bob.transcript
-        assert (ta.token_list[0], ta.token_list[-1]) == ka.TOKEN_LIST_A_ENDS
-        assert (tb.token_list[0], tb.token_list[-1]) == ka.TOKEN_LIST_B_ENDS
-        assert (ta.key_list[0], ta.key_list[-1]) == ka.KEY_LIST_ENDS
-        assert ta.key_list == tb.key_list
-        assert len(ta.token_list) == ka.COMBINED_LIST_LEN
+        alice, bob = known_parties()
+        keys_a, keys_b = alice.round_keys(bob.tokens), bob.round_keys(alice.tokens)
+        assert session_digest(keys_a) == session_digest(keys_b)
+        tokens_a, tokens_b = core.matrix_values(alice.tokens), core.matrix_values(bob.tokens)
+        key_list_a, key_list_b = core.matrix_values(keys_a), core.matrix_values(keys_b)
+        assert (tokens_a[0], tokens_a[-1]) == ka.TOKEN_LIST_A_ENDS
+        assert (tokens_b[0], tokens_b[-1]) == ka.TOKEN_LIST_B_ENDS
+        assert (key_list_a[0], key_list_a[-1]) == ka.KEY_LIST_ENDS
+        assert key_list_a == key_list_b
+        assert len(tokens_a) == ka.COMBINED_LIST_LEN
 
     def test_pinned_digest(self):
-        setup = ka.rdmpf_setup()
-        alice = RdmpfSession(setup, SeqRng([]))
-        bob = RdmpfSession(setup, SeqRng([]))
-        alice.generate_tokens([(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS])
-        bob.generate_tokens([(v.rand_u, v.rand_v) for v in ka.RDMPF_ROUND_VECTORS])
-        assert alice.derive(bob.tokens).hex() == ka.PINNED_SESSION_DIGEST_HEX
+        alice, bob = known_parties()
+        key = alice.derive(bob.tokens)
+        assert type(key) is bytes and len(key) == 64
+        assert key.hex() == ka.PINNED_SESSION_DIGEST_HEX
+
+    def test_a_session_is_its_rounds(self):
+        # the session is a value: equal draws give equal sessions, and
+        # deriving leaves it as it was
+        setup = generate_setup(3, 65537, 1000, 2, random.Random(10))
+        alice, again = RdmpfSession(setup, random.Random(1)), RdmpfSession(setup, random.Random(1))
+        assert alice == again and hash(alice) == hash(again)
+        bob = RdmpfSession(setup, random.Random(2))
+        assert alice.derive(bob.tokens) == alice.derive(bob.tokens)
+        assert alice == again
+        pairs = [(priv.rand_l, priv.rand_r) for priv in alice.privates]
+        assert RdmpfSession(setup, injected=pairs) == alice
 
     @pytest.mark.parametrize("dim, rounds", [(2, 1), (2, 128), (8, 1), (8, 128)])
     def test_batched_rounds_match_per_round_oracle(self, dim, rounds):
-        # generate_tokens raises each base once for all rounds; round_keygen
+        # a session raises each base once for all rounds; round_keygen
         # with one pair at a time, from the same draws, is the oracle
         p = 2**64 - 59 if dim == 2 else 65537
         setup = generate_setup(dim, p, 2**63, rounds, random.Random(dim * 1000 + rounds))
         session = RdmpfSession(setup, random.Random(7))
-        tokens = session.generate_tokens()
         draws = random.Random(7)
         oracle = [drawn_round(setup, draws) for _ in range(rounds)]
-        assert tokens == [token for _, token in oracle]
-        peer_tokens = tokens[::-1]  # any zero-free tokens of the setup will do
-        digest = session.derive(peer_tokens)
+        assert session.privates == tuple(priv for priv, _ in oracle)
+        assert session.tokens == tuple(token for _, token in oracle)
+        peer_tokens = session.tokens[::-1]  # any zero-free tokens of the setup will do
         keys = [round_key(priv, tok, setup) for (priv, _), tok in zip(oracle, peer_tokens)]
-        assert session.keys == keys
-        assert digest == session_digest(keys)
-        replay = RdmpfSession(setup, SeqRng([]))
-        pairs = [(priv.rand_l, priv.rand_r) for priv, _ in oracle]
-        assert replay.generate_tokens(pairs) == tokens
-        assert replay.derive(peer_tokens) == digest
+        assert session.round_keys(peer_tokens) == keys
+        assert session.derive(peer_tokens) == session_digest(keys)
 
     def test_rounds_raise_each_base_once_through_module_names(self, monkeypatch):
         # a session reaches its powers as rdmpf.round_keygen, then one
-        # rdmpf.mat_pow_mod per base over every round's exponents; the
-        # per-layer timings in perfbench wrap exactly these two names
+        # rdmpf.mat_pow_mod per base over every round's exponents, and its
+        # keys as rdmpf.round_key and rdmpf.session_digest; the per-layer
+        # timings in perfbench wrap exactly these names
         setup = generate_setup(3, 65537, 1000, 3, random.Random(8))
         calls = []
         keygen, power = rdmpf_module.round_keygen, rdmpf_module.mat_pow_mod
+        key, digest = rdmpf_module.round_key, rdmpf_module.session_digest
 
         def spy_keygen(setup, pairs):
             calls.append(("round_keygen", len(pairs)))
@@ -608,19 +607,46 @@ class TestSession:
             calls.append(("mat_pow_mod", list(exps)))
             return power(m, exps, modulus)
 
+        def spy_key(priv, token, setup):
+            calls.append(("round_key", priv.rand_l))
+            return key(priv, token, setup)
+
+        def spy_digest(keys):
+            calls.append(("session_digest", len(keys)))
+            return digest(keys)
+
         monkeypatch.setattr(rdmpf_module, "round_keygen", spy_keygen)
         monkeypatch.setattr(rdmpf_module, "mat_pow_mod", spy_power)
-        RdmpfSession(setup, SeqRng([])).generate_tokens([(5, 6), (7, 8), (9, 10)])
+        monkeypatch.setattr(rdmpf_module, "round_key", spy_key)
+        monkeypatch.setattr(rdmpf_module, "session_digest", spy_digest)
+        session = RdmpfSession(setup, injected=[(5, 6), (7, 8), (9, 10)])
         assert calls == [("round_keygen", 3), ("mat_pow_mod", [5, 7, 9]),
                          ("mat_pow_mod", [6, 8, 10])]
+        calls.clear()
+        session.derive(session.tokens)
+        assert calls == [("round_key", 5), ("round_key", 7), ("round_key", 9),
+                         ("session_digest", 3)]
+
+    def test_injected_pairs_draw_nothing(self):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"an injected session drew rng.{name}")
+
+        setup = ka.rdmpf_setup()
+        pairs = [(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS]
+        assert RdmpfSession(setup, NoDraws(), pairs) == RdmpfSession(setup, injected=pairs)
+
+    def test_injected_count_checked_before_any_power(self, monkeypatch):
+        setup = generate_setup(3, 65537, 1000, 3, random.Random(8))
+        monkeypatch.setattr(rdmpf_module, "round_keygen", None)
+        with pytest.raises(ParameterError, match="need 3 injected exponent pairs, got 2"):
+            RdmpfSession(setup, injected=[(5, 6), (7, 8)])
 
     def test_seeded_loopback(self):
         rng = random.Random(35)
         setup = generate_setup(3, 65537, 1000, 3, rng)
         alice = RdmpfSession(setup, random.Random(1))
         bob = RdmpfSession(setup, random.Random(2))
-        alice.generate_tokens()
-        bob.generate_tokens()
         assert alice.derive(bob.tokens) == bob.derive(alice.tokens)
 
     def test_shared_sigma_agreement(self):
@@ -631,8 +657,6 @@ class TestSession:
         )
         a = RdmpfSession(shared, random.Random(3))
         b = RdmpfSession(shared, random.Random(4))
-        a.generate_tokens()
-        b.generate_tokens()
         assert a.derive(b.tokens) == b.derive(a.tokens)
 
     def test_sigma_composition_is_symmetric(self):
@@ -646,8 +670,6 @@ class TestSession:
         sb = RdmpfSetup(plain.params, plain.w, plain.base_xu, plain.base_yv, 500, 2, sigma=99)
         a = RdmpfSession(sa, random.Random(3))
         b = RdmpfSession(sb, random.Random(4))
-        a.generate_tokens()
-        b.generate_tokens()
         assert a.tokens != b.tokens
         assert a.derive(b.tokens) == b.derive(a.tokens)
 
@@ -655,8 +677,8 @@ class TestSession:
         rng = random.Random(38)
         plain = generate_setup(3, 65537, 500, 1, rng, sigma=1)
         varied = RdmpfSetup(plain.params, plain.w, plain.base_xu, plain.base_yv, 500, 1, sigma=7)
-        t_plain = RdmpfSession(plain, random.Random(9)).generate_tokens()
-        t_varied = RdmpfSession(varied, random.Random(9)).generate_tokens()
+        t_plain = RdmpfSession(plain, random.Random(9)).tokens
+        t_varied = RdmpfSession(varied, random.Random(9)).tokens
         assert t_plain != t_varied
 
     def test_digest_reflects_key_list_changes(self):
@@ -664,21 +686,17 @@ class TestSession:
         setup = generate_setup(3, 65537, 500, 2, rng)
         alice = RdmpfSession(setup, random.Random(5))
         bob = RdmpfSession(setup, random.Random(6))
-        alice.generate_tokens()
-        bob.generate_tokens()
-        digest = alice.derive(bob.tokens)
-        keys = alice.keys
-        assert session_digest(keys) == digest
+        keys = alice.round_keys(bob.tokens)
+        digest = session_digest(keys)
+        assert alice.derive(bob.tokens) == digest
         flipped = [r[:] for r in keys[0].to_rows()]
         flipped[0][0] = (flipped[0][0] + 1) % 65537
         tampered = [Matrix.from_rows(flipped, 65537)] + keys[1:]
         assert session_digest(tampered) != digest
 
     def test_peer_list_length_checked(self):
-        setup = ka.rdmpf_setup()
-        alice = RdmpfSession(setup, SeqRng([]))
-        alice.generate_tokens([(v.rand_x, v.rand_y) for v in ka.RDMPF_ROUND_VECTORS])
-        with pytest.raises(ProtocolError):
+        alice, _ = known_parties()
+        with pytest.raises(ProtocolError, match="peer sent 1 round tokens, expected 2"):
             alice.derive(alice.tokens[:1])
         with pytest.raises(ProtocolError):
             alice.derive([Matrix.identity(4, ka.P)] * ka.RDMPF_ROUNDS)
@@ -690,9 +708,3 @@ class TestSession:
             parse_token_list([9] * 8, dim=2, rounds=2, p=7)
         mats = parse_token_list(list(range(1, 9)), dim=2, rounds=2, p=65537)
         assert len(mats) == 2 and mats[1].to_rows() == [[5, 6], [7, 8]]
-
-    def test_derive_requires_tokens(self):
-        setup = ka.rdmpf_setup()
-        sess = RdmpfSession(setup, SeqRng([]))
-        with pytest.raises(ProtocolError):
-            sess.derive([Matrix.identity(5, ka.P)] * ka.RDMPF_ROUNDS)

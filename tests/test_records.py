@@ -17,11 +17,10 @@ from mpfkap import (
     ParameterError,
     ProtocolError,
     RdmpfRoundPrivate,
+    RdmpfSession,
     RdmpfSetup,
     RmpfPrivate,
     RmpfSetup,
-    SessionKey,
-    SessionTranscript,
 )
 from mpfkap import known_answers as ka
 from mpfkap.bench import BenchRecord
@@ -60,8 +59,10 @@ RECORDS = {
         lambda: ((FieldParams(P), M, LOW, LOW, 2, 1), {"sigma": 3}),
     ),
     RdmpfRoundPrivate: (("rand_l", "rand_r", "l", "r"), lambda: ((5, 6, M, LOW), {})),
-    SessionKey: (("digest",), lambda: ((bytes(range(64)),), {})),
-    SessionTranscript: (("token_list", "key_list"), lambda: (((1, 2, 3), (4, 5)), {})),
+    RdmpfSession: (
+        ("setup", "privates", "tokens"),
+        lambda: ((ka.rdmpf_setup(),), {"injected": [(5, 6), (7, 8)]}),
+    ),
     RmpfSetup: (("params", "base", "x", "y"), lambda: ((FieldParams(P), TALL, TALL, TALL), {})),
     RmpfPrivate: (("lam", "omega", "a", "b"), lambda: ((5, 6, M, LOW), {})),
     KemContext: (
@@ -198,7 +199,6 @@ REFUSALS = [
     (lambda: _rdmpf(base_xu=M), ParameterError, "base_xu must be rank-deficient"),
     (lambda: _rdmpf(exp_max=1), ParameterError, "exp_max must be >= 2"),
     (lambda: _rdmpf(rounds=0), ParameterError, "rounds must be >= 1"),
-    (lambda: SessionKey(bytes(63)), ParameterError, "64 bytes"),
     (lambda: RmpfSetup(FieldParams(P), TALL, TALL, M), ParameterError, "share dimensions"),
     (lambda: RmpfSetup(FieldParams(P), M, M, M), ParameterError, "rows must exceed cols"),
     (lambda: RmpfSetup(FieldParams(11), TALL, TALL, TALL), ParameterError, "does not match"),

@@ -12,10 +12,10 @@ import time
 import pytest
 
 from conftest import run_cli, spawn_cli, wait_cli, write_known_rmpf_params
-from mpfkap import FrameError, Matrix, ProtocolError, RdmpfSession, TransportError
+from mpfkap import FrameError, Matrix, ProtocolError, TransportError
 from mpfkap import known_answers as ka
 from mpfkap.transport import POLL_INTERVAL, FileTransport, TcpTransport, open_transport
-from mpfkap import cli
+from mpfkap import cli, rdmpf
 from mpfkap.wire import (
     ERROR_PAYLOAD_MAX,
     FRAME_KINDS,
@@ -208,6 +208,20 @@ class TestFileFrames:
         assert r.returncode == 3, r.stderr
         assert f"peer frame {xch / 'alice.token-list.frame'} is not a regular file" in r.stderr
         assert not (tmp_path / "k").exists()
+
+    def test_own_frame_from_an_earlier_session_refused(self, tmp_path):
+        # the peer would read this frame as the new session's; a peer's
+        # frame, a half-written frame of our own and other files do not count
+        for name in ("bob.token-list.frame", "alice.token-list.frame.tmp", "notes.txt"):
+            (tmp_path / name).write_bytes(b"")
+        FileTransport(str(tmp_path), "alice", LIMITS)
+        (tmp_path / "alice.error.frame").write_bytes(b"")
+        with pytest.raises(TransportError, match=f"{tmp_path / 'alice.error.frame'} is left"
+                                                 " from an earlier session"):
+            FileTransport(str(tmp_path), "alice", LIMITS)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alice.error.frame", "alice.token-list.frame.tmp", "bob.token-list.frame",
+            "notes.txt"]
 
     def test_removed_exchange_directory_is_a_transport_error(self, tmp_path):
         xch = tmp_path / "xch"
@@ -439,6 +453,34 @@ class TestHandshakeCommand:
         expected = encode_matrix(Matrix.from_rows(ka.RMPF_KEY, ka.P))
         assert (tmp_path / "alice.key").read_bytes() == expected
         assert (tmp_path / "bob.key").read_bytes() == expected
+
+    def test_reused_exchange_directory_exits_4_on_both_sides(self, tmp_path):
+        # a completed session leaves both roles' frames; a second session
+        # run one side at a time in the same directory used to read the
+        # first one's frames and exit 0 on both sides with different keys
+        params = tmp_path / "p.json"
+        assert run_cli(["setup", "--protocol", "rdmpf", "--dim", "3", "--seed", "5",
+                        "--out", str(params)]).returncode == 0
+        xch = tmp_path / "xch"
+        xch.mkdir()
+
+        def argv(role, out):
+            return ["handshake", "--role", role, "--params", str(params),
+                    "--transport", f"file:{xch}", "--out", str(tmp_path / out),
+                    "--test-mode", "--timeout", "2"]
+
+        bob = spawn_cli(argv("bob", "b1.key"))
+        assert run_cli(argv("alice", "a1.key")).returncode == 0
+        assert wait_cli(bob, 60) == 0
+        assert (tmp_path / "a1.key").read_bytes() == (tmp_path / "b1.key").read_bytes()
+        frames = sorted(p.name for p in xch.iterdir())
+        for role in ("bob", "alice"):
+            r = run_cli(argv(role, f"{role[0]}2.key"))
+            assert r.returncode == 4, r.stderr
+            assert f"{xch / (role + '.token-list.frame')} is left from an earlier session" \
+                in r.stderr
+        assert not any(p.name.startswith(("a2", "b2")) for p in tmp_path.iterdir())
+        assert sorted(p.name for p in xch.iterdir()) == frames
 
     def test_injection_requires_test_mode(self, tmp_path):
         params, _ = write_known_rmpf_params(tmp_path / "params.json")
@@ -703,6 +745,28 @@ class TestKemCommand:
         assert len(first) == 64
         assert all(k.read_bytes() == first for k in keys)
 
+    def test_reused_exchange_directory_exits_4_on_both_sides(self, tmp_path):
+        # the KEM's frames have their own names; each role still finds
+        # its own frame from the first session and refuses to start
+        params, eta0 = self._setup_files(tmp_path)
+        xch = tmp_path / "xch"
+        xch.mkdir()
+
+        def argv(role, out):
+            return ["kem", "--role", role, "--params", str(params), "--eta0", str(eta0),
+                    "--auth-a", "a", "--auth-b", "b", "--transport", f"file:{xch}",
+                    "--out", str(tmp_path / out), "--test-mode", "--timeout", "2"]
+
+        bob = spawn_cli(argv("bob", "b1.k"))
+        assert run_cli(argv("alice", "a1.k")).returncode == 0
+        assert wait_cli(bob, 60) == 0
+        for role, frame in (("bob", "bob.kem-close-b.frame"),
+                            ("alice", "alice.kem-encap-msg.frame")):
+            r = run_cli(argv(role, f"{role[0]}2.k"))
+            assert r.returncode == 4, r.stderr
+            assert f"{xch / frame} is left from an earlier session" in r.stderr
+        assert not any(p.name.startswith(("a2", "b2")) for p in tmp_path.iterdir())
+
     def test_unwritable_out_sends_no_frame(self, tmp_path):
         params, eta0 = self._setup_files(tmp_path)
         xch = tmp_path / "xch"
@@ -741,18 +805,18 @@ class TestKemCommand:
                          "--out", str(tmp_path / "b.k")] + common)
 
         events = []
-        generate, recv = RdmpfSession.generate_tokens, FileTransport.recv
+        keygen, recv = rdmpf.round_keygen, FileTransport.recv
 
-        def spy_generate(session, injected=None):
-            tokens = generate(session, injected)
-            events.append(("tokens", len(tokens)))
-            return tokens
+        def spy_keygen(setup, pairs):
+            rounds = keygen(setup, pairs)
+            events.append(("tokens", len(rounds)))
+            return rounds
 
         def spy_recv(transport, kind):
             events.append(("recv", kind))
             return recv(transport, kind)
 
-        monkeypatch.setattr(RdmpfSession, "generate_tokens", spy_generate)
+        monkeypatch.setattr(rdmpf, "round_keygen", spy_keygen)
         monkeypatch.setattr(FileTransport, "recv", spy_recv)
         rc = cli.main(["kem", "--role", "alice", "--params", str(files[2]),
                        "--out", str(tmp_path / "a.k")] + common)
