@@ -137,7 +137,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_directory(path: str) -> None:
+    """Refuse an --out that names a directory, before any work is done for it."""
+    if os.path.isdir(path):
+        raise ParameterError(f"--out {path} is a directory")
+
+
 def _cmd_setup(args) -> int:
+    _refuse_directory(args.out)
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     ps, setup = generate_paramset(
         args.protocol,
@@ -297,8 +304,7 @@ def _key_file(path: str):
     succeeds; a failed run removes the temporary file and leaves path
     as it was.
     """
-    if os.path.isdir(path):
-        raise ParameterError(f"--out {path} is a directory")
+    _refuse_directory(path)
     tmp = path + ".tmp"
     try:
         fh = open(tmp, "wb")

@@ -333,21 +333,21 @@ def _merged_powers(rows: list[list[int]], exps: Sequence[int], modulus: int) -> 
     them back into place.  Then B**x = E·C**(x-1)·B' for x >= 1, with the
     d x d core C = B'·E, whose column t sums the columns of B' that
     class t's members index.  A 1x1 core is B's row sum s, so B**x is
-    s**(x-1)·B, one builtin pow; a larger core is powered the same way,
-    so its own equal rows merge in turn.  A matrix with no equal rows
-    runs _table_walk.  A result may share row lists with rows and with
-    other results.
+    s**(x-1)·B, and scalar_powers raises s to every exponent at once; a
+    larger core is powered the same way, so its own equal rows merge in
+    turn.  A matrix with no equal rows runs _table_walk.  A result may
+    share row lists with rows and with other results.
     """
     classes: dict[tuple[int, ...], int] = {}
     place = [classes.setdefault(tuple(r), len(classes)) for r in rows]
-    if len(classes) == len(rows):
-        return _table_walk(rows, exps, modulus)
     distinct = list(classes)
     if len(distinct) == 1:
         row = distinct[0]
-        s = sum(row) % modulus
-        scales = [pow(s, x - 1, modulus) if x else None for x in exps]
-        return [None if f is None else [[f * v % modulus for v in row]] * len(rows) for f in scales]
+        scales = scalar_powers(sum(row) % modulus, [max(x - 1, 0) for x in exps], modulus)
+        return [[[f * v % modulus for v in row]] * len(rows) if x else None
+                for x, f in zip(exps, scales)]
+    if len(distinct) == len(rows):
+        return _table_walk(rows, exps, lambda a, b: mul_rows_mod(a, b, modulus))
     merged = []
     for r in distinct:
         sums = [0] * len(distinct)
@@ -364,40 +364,51 @@ def _merged_powers(rows: list[list[int]], exps: Sequence[int], modulus: int) -> 
     return out
 
 
-def _table_walk(rows: list[list[int]], exps: Sequence[int], modulus: int) -> list:
-    """Rows of B**x for each x in exps, B given by its reduced rows; None for x = 0.
+def _table_walk(base, exps: Sequence[int], product) -> list:
+    """base**x for each x in exps; None for x = 0.
 
     All exponents share one fixed-base table walk (Brickell, Gordon,
-    McCurley and Wilson 1992; HAC §14.6.3).  The
-    exponents are cut into c-bit digits from the bottom.  Position j's
-    table holds M^(d·2^(c·j)) for 0 < d < 2^c; its first entry is the
-    previous position's first entry times its top entry, and each
-    further entry is one more product.  Each exponent's nonzero digit
-    picks an entry into its result, the first one by reference, the rest
-    by a product; then the table is dropped, so N results plus 2^c
-    entries are live.  The last position builds its table only up to its
-    largest digit.  c comes from _window's exact product count.  For one
-    exponent that count picks c = 1, plain square-and-multiply:
-    bitlen(e) - 1 squarings and popcount(e) - 1 products, with no
-    product by the identity and no unused last squaring.
+    McCurley and Wilson 1992; HAC §14.6.3), with product(a, b) the
+    multiplication: mul_rows_mod on a matrix's rows, or a product mod m
+    on an integer.  The exponents are cut into c-bit digits from the
+    bottom.  Position j's table holds base^(d·2^(c·j)) for 0 < d < 2^c;
+    its first entry is the previous position's first entry times its
+    top entry, and each further entry is one more product.  Each
+    exponent's nonzero digit picks an entry into its result, the first
+    one by reference, the rest by a product; then the table is dropped,
+    so N results plus 2^c entries are live.  The last position builds
+    its table only up to its largest digit.  c comes from _window's
+    exact product count.  For one exponent that count picks c = 1, plain
+    square-and-multiply: bitlen(e) - 1 squarings and popcount(e) - 1
+    products, with no product by the identity and no unused last
+    squaring.
     """
     results: list = [None] * len(exps)
     if any(exps):
         _, c, positions = _window(exps)
         full = (1 << c) - 1
-        first = rows
+        first = base
         for j in range(positions):
             if j:
-                first = mul_rows_mod(table[-1], first, modulus)
+                first = product(table[-1], first)
             digits = [x >> c * j & full for x in exps]
             table = [None, first]
             for _ in range(1, full if j < positions - 1 else max(digits)):
-                table.append(mul_rows_mod(table[-1], first, modulus))
+                table.append(product(table[-1], first))
             for i, d in enumerate(digits):
                 if d:
                     acc = results[i]
-                    results[i] = table[d] if acc is None else mul_rows_mod(acc, table[d], modulus)
+                    results[i] = table[d] if acc is None else product(acc, table[d])
     return results
+
+
+def scalar_powers(base: int, exps: Sequence[int], modulus: int) -> list[int]:
+    """[pow(base, x, modulus) for x in exps], for non-negative exponents.
+
+    One _table_walk shares its tables across all exponents.
+    """
+    walked = _table_walk(base % modulus, exps, lambda a, b: a * b % modulus)
+    return [1 % modulus if r is None else r for r in walked]
 
 
 @lru_cache(maxsize=8)  # a setup checks its nucleus twice and eliminates it once

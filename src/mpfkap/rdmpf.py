@@ -13,6 +13,7 @@ sigma without breaking agreement; sigma = 1 is the plain protocol.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import reduce
 from itertools import compress
@@ -32,6 +33,7 @@ from .core import (
     matrix_values,
     rank_mod_p,
     sample_matrix,
+    scalar_powers,
 )
 from .errors import ParameterError, ProtocolError
 from .rmpf import _check_peer_token, double_action, mpf_double
@@ -49,7 +51,8 @@ def rdmpf(xe: Matrix, w: Matrix, ye: Matrix, p: int, sigma: int = 1) -> Matrix:
     Q[i][j] = prod_{k,l} w[k][l] ** (sigma * xe[i][k] * ye[l][j] mod p-1),
     everything square of the same dimension.  Folding sigma into xe mod
     p-1 leaves exactly the rmpf double action.  This is the direct
-    reference; the protocol rounds run _round_action.
+    reference; the protocol rounds run _round_action, or the one-row
+    shortcuts in round_keygen and round_key.
     """
     dim = w.rows
     for m in (xe, w, ye):
@@ -200,6 +203,38 @@ def _round_action(priv: RdmpfRoundPrivate, w: Matrix, setup: RdmpfSetup) -> Matr
     return double_action(xe, w, priv.r, setup.params.p)
 
 
+def _one_row(m: Matrix) -> bool:
+    """Whether every row of m equals its first."""
+    return m.entries == m.row(0) * m.rows
+
+
+def _one_row_actions(
+    privates: Sequence[RdmpfRoundPrivate], m: Matrix, setup: RdmpfSetup, powers=scalar_powers
+) -> list[Matrix]:
+    """Each round's rdmpf(l, m, r) when every l repeats one row u and every r one row v.
+
+    Then Q[i][j] = prod_{k,g} m[k][g] ** (sigma·u_k·v_j)
+    = prod_c c ** (sigma·U_c·v_j), the same in every row i, over m's
+    distinct row products c, with U_c the sum of the u_k whose row k has
+    product c; m is zero-free, so exponents add mod p-1.  Each c is a
+    fixed base, raised to every round's exponents by one
+    powers(c, exps, p).
+    """
+    p, em, n = setup.params.p, setup.params.exp_modulus, setup.dim
+    classes: dict[int, list[int]] = {}
+    for k in range(n):
+        classes.setdefault(math.prod(m.row(k)) % p, []).append(k)
+    columns = []
+    for c, ks in classes.items():
+        exps = []
+        for priv in privates:
+            scale = setup.sigma * sum(priv.l.entries[k] for k in ks)
+            exps += [scale * v % em for v in priv.r.row(0)]
+        columns.append(powers(c, exps, p))
+    entries = [math.prod(terms) % p for terms in zip(*columns)]
+    return [Matrix(n, n, tuple(entries[i * n : (i + 1) * n]) * n, p) for i in range(len(privates))]
+
+
 def round_keygen(
     setup: RdmpfSetup, pairs: Sequence[tuple[int, int]]
 ) -> list[tuple[RdmpfRoundPrivate, Token]]:
@@ -207,21 +242,37 @@ def round_keygen(
 
     The one keygen path; a single round is a one-pair list.  Every round
     raises the same two bases, so each base takes one mat_pow_mod over
-    all rounds' exponents.
+    all rounds' exponents.  A base with one distinct row, as every
+    sampled dim-2 base is, has only powers with one distinct row for
+    exponents >= 1; when every l and r has one, the tokens come from
+    scalars (_one_row_actions, one scalar_powers walk per distinct row
+    product of w), and otherwise each round runs the kernel.
     """
     em = setup.params.exp_modulus
     ls = mat_pow_mod(setup.base_xu, [rand_l for rand_l, _ in pairs], em)
     rs = mat_pow_mod(setup.base_yv, [rand_r for _, rand_r in pairs], em)
-    out = []
-    for (rand_l, rand_r), l, r in zip(pairs, ls, rs):
-        priv = RdmpfRoundPrivate(rand_l, rand_r, l, r)
-        out.append((priv, _round_action(priv, setup.w, setup)))
-    return out
+    privates = [RdmpfRoundPrivate(*pair, l, r) for pair, l, r in zip(pairs, ls, rs)]
+    if all(map(_one_row, ls + rs)):
+        tokens = _one_row_actions(privates, setup.w, setup)
+    else:
+        tokens = [_round_action(priv, setup.w, setup) for priv in privates]
+    return list(zip(privates, tokens))
 
 
 def round_key(priv: RdmpfRoundPrivate, peer_token: Token, setup: RdmpfSetup) -> Matrix:
-    """Apply the stored round private to the peer's round token."""
+    """Apply the stored round private to the peer's round token.
+
+    When l and r each repeat one row, the key comes from scalars
+    (_one_row_actions) with a builtin pow per exponent, which beats a
+    table walk over so few exponents: an honest peer token repeats its
+    row, so it has one row product and the key makes one pow per
+    column, 2 at dim 2.  Any other round runs the kernel.
+    """
     _check_peer_token(peer_token, setup.dim, setup.dim, setup.params.p)
+    if _one_row(priv.l) and _one_row(priv.r):
+        return _one_row_actions(
+            [priv], peer_token, setup, lambda c, exps, p: [pow(c, x, p) for x in exps]
+        )[0]
     return _round_action(priv, peer_token, setup)
 
 

@@ -173,8 +173,10 @@ def double_action(xe: Matrix, w: Matrix, ye: Matrix, p: int) -> Matrix:
           (prod_g W[k][g] ** ye[g][j], then to the power xe[i][k]) takes
           n*d*(c+u); the cheaper runs, right-first on a tie.
     A duplicated base row repeats in every rdmpf power and so in every
-    peer token, so a dim-2 round takes 4 pows for its token and 3 for its
-    key in place of 16 each.  Splitting w ** (x*y) into (w ** y) ** x
+    peer token, so at dim 2 the action of a round's private pair on w
+    takes 4 pows and on a peer token 3, in place of 16 each; rdmpf's
+    round_keygen and round_key run such rounds from scalars instead,
+    without this kernel.  Splitting w ** (x*y) into (w ** y) ** x
     relies on Fermat reduction mod p-1, which holds for units only, so a
     zero in w_n is refused.  Both setups are zero-free and peer tokens are
     checked, so protocol runs never pass one.  The result is a product of

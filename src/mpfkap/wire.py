@@ -12,6 +12,7 @@ setup frame.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -413,15 +414,22 @@ def save_paramset(ps: ParamSet, path: str) -> tuple[str, str]:
     """Write the JSON document plus its binary mirror; returns both paths.
 
     Both forms are encoded before either file is written, and each file
-    appears whole or not at all.
+    appears whole or not at all: a write or replace that fails removes
+    its temporary file.
     """
     json_path = path
     bin_path = path + ".bin" if not path.endswith(".json") else path[: -len(".json")] + ".bin"
     forms = ((json_path, ps.to_json().encode("utf-8")), (bin_path, ps.to_frame()))
     for target, data in forms:
-        with open(target + ".tmp", "wb") as fh:
-            fh.write(data)
-        os.replace(target + ".tmp", target)
+        tmp = target + ".tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     return json_path, bin_path
 
 

@@ -364,6 +364,46 @@ class TestMatPows:
             assert len(product_count) <= sum(per_product_count(e) for e in exps)
 
 
+def spy_scalar_walks(monkeypatch):
+    """The integer bases _table_walk is called with, from now on."""
+    walked = []
+    walk = core._table_walk
+
+    def spy(base, *args):
+        walked.append(base)
+        return walk(base, *args)
+
+    monkeypatch.setattr(core, "_table_walk", spy)
+    return walked
+
+
+class TestScalarPowers:
+    """scalar_powers' one walk against builtin pow."""
+
+    @pytest.mark.parametrize("m", [65537, 65536, P64, P64 - 1])  # two primes and their p-1
+    def test_matches_builtin_pow(self, m, monkeypatch):
+        walked = spy_scalar_walks(monkeypatch)
+        rng = random.Random(m)
+        edges = [0, 1, 2, m - 1, m, 2**63, 2**64 - 1]
+        cases = [[0], [0, 0, 0], [], [1], [2**63], [m - 1], edges,
+                 edges + [rng.randrange(2**64) for _ in range(121)]]
+        for base in (0, 1, 2, m - 1, m + 5, rng.randrange(m)):
+            for exps in cases:
+                walked.clear()
+                assert core.scalar_powers(base, exps, m) == [pow(base, x, m) for x in exps]
+                assert walked == [base % m]
+
+    def test_one_row_matrix_powers_walk_their_row_sum(self, monkeypatch):
+        walked = spy_scalar_walks(monkeypatch)
+        rng = random.Random(5)
+        row = [rng.randrange(P64) for _ in range(3)]
+        a = Matrix.from_rows([row] * 3, P64)
+        exps = [0, 1, 2, 2**63] + [rng.randrange(2**64) for _ in range(60)]
+        got = mat_pow_mod(a, exps, P64 - 1)
+        assert [g.to_rows() for g in got] == [naive_pow(a.to_rows(), e, P64 - 1) for e in exps]
+        assert walked == [sum(row) % (P64 - 1)]
+
+
 def repeated_powers(a, exps, modulus):
     # oracle: a**e as e products by a, starting from the identity
     out, acc = {}, Matrix.identity(a.rows, modulus)
@@ -411,7 +451,7 @@ class TestMergedPowers:
             a = rows_from(pattern, rng, p)
             self.check(a, modulus, rng)
         if len(set(pattern)) == 1 and len(pattern) > 1:
-            # the core is the row sum: one pow per exponent, no product
+            # the core is the row sum, raised by scalar_powers: no matrix product
             product_count.clear()
             mat_pow_mod(a, [0, 1, 2, 2**63], p - 1)
             assert product_count == []

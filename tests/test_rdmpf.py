@@ -534,6 +534,116 @@ class TestBaseStructure:
             assert equal_row_pairs(m) == duplicated
 
 
+def kernel_round(setup, rand_l, rand_r):
+    """The general path: each base raised on its own, the token by the kernel."""
+    em = setup.params.exp_modulus
+    priv = rdmpf_module.RdmpfRoundPrivate(
+        rand_l, rand_r, mat_pow_mod(setup.base_xu, rand_l, em),
+        mat_pow_mod(setup.base_yv, rand_r, em))
+    return priv, rdmpf_module._round_action(priv, setup.w, setup)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Counts of rdmpf's double actions and of scalar table walks."""
+    counts = {"actions": 0, "walks": 0}
+    action, walk = rdmpf_module.double_action, core._table_walk
+
+    def spy_action(*args):
+        counts["actions"] += 1
+        return action(*args)
+
+    def spy_walk(base, *args):
+        counts["walks"] += isinstance(base, int)
+        return walk(base, *args)
+
+    monkeypatch.setattr(rdmpf_module, "double_action", spy_action)
+    monkeypatch.setattr(core, "_table_walk", spy_walk)
+    return counts
+
+
+class TestOneRowRounds:
+    """Bases with one distinct row run their rounds from scalars: tokens
+    from w's row products by scalar_powers, keys from the peer token's
+    row products by builtin pow.
+    Every case equals the kernel's general path and the direct formula."""
+
+    EXP_MAX = 10**18
+
+    def edge_pairs(self, rounds, rng):
+        # exponents 1, 2, exp_max and 2^63 on both sides, the rest drawn
+        edges = [1, 2, self.EXP_MAX, 2**63]
+        if rounds == 1:
+            return [[(a, b)] for a in edges for b in edges]
+        if rounds == 2:
+            return [[(a, b), (b, a)] for a in edges for b in edges]
+        pairs = [(a, b) for a in edges for b in edges]
+        pairs += [(rng.randint(1, self.EXP_MAX), rng.randint(1, self.EXP_MAX))
+                  for _ in range(rounds - len(pairs))]
+        return [pairs]
+
+    @pytest.mark.parametrize("rounds", (1, 2, 128))
+    @pytest.mark.parametrize("sigma", (1, 3))
+    @pytest.mark.parametrize("p", (65537, 2**64 - 59))
+    def test_rounds_match_the_kernel_and_the_direct_formula(self, p, sigma, rounds, spies):
+        rng = random.Random(f"{p}/{sigma}/{rounds}")
+        setup = generate_setup(2, p, self.EXP_MAX, rounds, rng, sigma=sigma)
+        for pairs in self.edge_pairs(rounds, rng):
+            peer_pairs = pairs[::-1]
+            spies["actions"] = spies["walks"] = 0
+            alice = RdmpfSession(setup, injected=pairs)
+            bob = RdmpfSession(setup, injected=peer_pairs)
+            keys = alice.round_keys(bob.tokens)
+            assert spies["actions"] == 0
+            assert spies["walks"] > 0
+            assert bob.round_keys(alice.tokens) == keys
+            for (priv, token), peer, key in zip(
+                zip(alice.privates, alice.tokens), bob.tokens, keys
+            ):
+                assert (priv, token) == kernel_round(setup, priv.rand_l, priv.rand_r)
+                assert token == rdmpf(priv.l, setup.w, priv.r, p, sigma)
+                assert key == rdmpf_module._round_action(priv, peer, setup)
+                assert key == rdmpf(priv.l, peer, priv.r, p, sigma)
+
+    @pytest.mark.parametrize("p", (65537, 2**64 - 59))
+    def test_a_zero_exponent_takes_the_kernel(self, p, spies):
+        # base**0 is the identity, whose rows differ: every round of the
+        # call runs the kernel, and keys against it too
+        setup = generate_setup(2, p, self.EXP_MAX, 3, random.Random(p), sigma=3)
+        for pairs in ([(0, 5), (1, 2), (2**63, 7)], [(5, 0), (0, 0), (9, 2**63)]):
+            spies["actions"] = 0
+            rounds = round_keygen(setup, pairs)
+            assert spies["actions"] == len(pairs)
+            assert rounds == [kernel_round(setup, *pair) for pair in pairs]
+            peer = RdmpfSession(setup, injected=[(3, 4)] * 3).tokens[0]
+            for priv, token in rounds:
+                assert token == rdmpf(priv.l, setup.w, priv.r, p, 3)
+                assert round_key(priv, peer, setup) == rdmpf(priv.l, peer, priv.r, p, 3)
+
+    @pytest.mark.parametrize("p", (65537, 2**64 - 59))
+    def test_a_peer_token_with_unequal_rows_gives_the_same_key(self, p, spies):
+        # the one-row identity holds for any zero-free peer token
+        rng = random.Random(p + 1)
+        setup = generate_setup(2, p, self.EXP_MAX, 1, rng, sigma=3)
+        ((priv, _),) = round_keygen(setup, [(2**63, 12345)])
+        for _ in range(4):
+            peer = sample_matrix(2, 2, p, rng, mode="unit_entries")
+            assert peer.row(0) != peer.row(1)
+            spies["actions"] = 0
+            key = round_key(priv, peer, setup)
+            assert spies["actions"] == 0
+            assert key == rdmpf_module._round_action(priv, peer, setup)
+            assert key == rdmpf(priv.l, peer, priv.r, p, 3)
+
+    @pytest.mark.parametrize("rows", ([[0, 9], [0, 9]], [[9, 0], [9, 0]], [[0, 9], [9, 9]]))
+    def test_a_peer_token_with_a_zero_entry_is_refused(self, rows):
+        p = 2**64 - 59
+        setup = generate_setup(2, p, self.EXP_MAX, 1, random.Random(2), sigma=3)
+        ((priv, _),) = round_keygen(setup, [(2, 3)])
+        with pytest.raises(ProtocolError, match="zero"):
+            round_key(priv, Matrix.from_rows(rows, p), setup)
+
+
 def known_parties():
     """Alice and bob of the two-round known-answer transcript."""
     setup = ka.rdmpf_setup()

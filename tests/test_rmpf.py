@@ -20,6 +20,7 @@ from mpfkap import (
     sample_matrix,
 )
 from mpfkap import known_answers as ka
+from mpfkap import rdmpf as rdmpf_mod
 from mpfkap import rmpf as rmpf_mod
 from mpfkap.rdmpf import rdmpf
 from mpfkap.rmpf import _MAX_WINDOW, _multi_exp, _window, double_action
@@ -439,26 +440,35 @@ class TestDistinctRows:
             with pytest.raises(ParameterError, match="zero"):
                 double_action(x, w, x, p)
 
-    def test_dim2_round_actions_make_four_and_three_pows(self, monkeypatch):
-        # the token action runs on the full-rank nucleus; the key action's
-        # peer token repeats its row, so its two rows merge into one
+    def test_dim2_rounds_skip_the_kernel_and_keys_make_two_pows(self, monkeypatch):
+        # a dim-2 base repeats its row, and so does every private power and
+        # token: round_keygen runs no double action, and round_key raises
+        # the peer token's row product once per key column.  The kernel on
+        # the same token action still makes 4 pows, one per merged term.
         setup = generate_setup(2, P64, 2**63, 1, random.Random(1))
-        (priv, _), (_, peer) = round_keygen(setup, [(12345, 67890), (13579, 24680)])
-        calls = []
+        actions, pows = [], []
 
-        def spy(*args):
-            calls.append(args)
+        def spy_action(*args):
+            actions.append(args)
+            return double_action(*args)
+
+        def spy_pow(*args):
+            pows.append(args)
             return pow(*args)
 
-        monkeypatch.setattr(rmpf_mod, "pow", spy, raising=False)
-        token = rmpf_mod.double_action(
-            mat_scalar_mul_mod(setup.sigma, priv.l, P64 - 1), setup.w, priv.r, P64)
-        assert len(calls) == 4
-        calls.clear()
+        monkeypatch.setattr(rdmpf_mod, "double_action", spy_action)
+        monkeypatch.setattr(rdmpf_mod, "pow", spy_pow, raising=False)
+        monkeypatch.setattr(rmpf_mod, "pow", spy_pow, raising=False)
+        (priv, token), (_, peer) = round_keygen(setup, [(12345, 67890), (13579, 24680)])
+        assert actions == [] and pows == []
         key = round_key(priv, peer, setup)
-        assert len(calls) == 3
+        assert actions == [] and len(pows) == 2
+        pows.clear()
+        kernel = double_action(
+            mat_scalar_mul_mod(setup.sigma, priv.l, P64 - 1), setup.w, priv.r, P64)
+        assert len(pows) == 4
         monkeypatch.undo()
-        assert token == rdmpf(priv.l, setup.w, priv.r, P64, setup.sigma)
+        assert token == kernel == rdmpf(priv.l, setup.w, priv.r, P64, setup.sigma)
         assert key == rdmpf(priv.l, peer, priv.r, P64, setup.sigma)
 
 

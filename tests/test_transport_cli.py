@@ -422,6 +422,19 @@ class TestSetupCommand:
         assert r.returncode == 2
         assert "parameter error: no usable rank-deficient base" in r.stderr
 
+    def test_directory_out_refused_before_sampling(self, tmp_path, monkeypatch):
+        # refused with a message naming --out, and nothing is written next
+        # to the directory: no <dir>.tmp, no .bin mirror
+        out = tmp_path / "params"
+        out.mkdir()
+        r = run_cli(["setup", "--protocol", "rdmpf", "--p", "65537", "--dim", "2",
+                     "--seed", "1", "--out", str(out)])
+        assert r.returncode == 2
+        assert f"parameter error: --out {out} is a directory" in r.stderr
+        assert sorted(tmp_path.iterdir()) == [out] and not any(out.iterdir())
+        monkeypatch.setattr(cli, "generate_paramset", None)  # no draw before the check
+        assert cli.main(["setup", "--protocol", "rdmpf", "--dim", "2", "--out", str(out)]) == 2
+
     def test_setup_loadable(self, tmp_path):
         out = tmp_path / "p.json"
         r = run_cli(["setup", "--protocol", "rdmpf", "--dim", "3", "--rounds", "2",

@@ -182,6 +182,20 @@ class TestParamSet:
         with open(bin_path, "rb") as fh:
             assert fh.read(4) == MAGIC
 
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        # the library call, past the CLI's own check: a directory in the
+        # way of either form fails its replace, which removes its .tmp
+        ps, _ = generate_paramset("rdmpf", 65537, random.Random(56), dim=2, exp_max=50,
+                                  rounds=1)
+        (tmp_path / "a").mkdir()
+        with pytest.raises(OSError):
+            save_paramset(ps, str(tmp_path / "a"))
+        (tmp_path / "b.bin").mkdir()
+        with pytest.raises(OSError):
+            save_paramset(ps, str(tmp_path / "b.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b.bin", "b.json"]
+        assert load_paramset(str(tmp_path / "b.json")).matrices == ps.matrices
+
     def test_build_setup_validates(self):
         # the record's shape is checked when it is made, the protocol's
         # rules when its setup is built
