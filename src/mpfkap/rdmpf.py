@@ -121,12 +121,46 @@ class RdmpfSetup(Record):
         return out
 
 
+def _parity_orbit(m: Matrix, steps: int) -> list[int]:
+    """The vectors m**k·1 mod 2 for k = 0 .. steps, square m, one byte per row.
+
+    Column j of m mod 2 is one integer whose byte i is m[i][j] & 1, so
+    m·v mod 2 is the XOR of the columns that v's bytes select, and the
+    bytes of that XOR, each 0 or 1, select the columns of the next step.
+    This is the Krylov sequence of m and the all-ones vector over GF(2),
+    as in Wiedemann (IEEE Trans. Inf. Theory 32(1), 1986).
+    """
+    n = m.rows
+    parity = bytes([e & 1 for e in m.entries])
+    cols = [int.from_bytes(parity[j::n], "little") for j in range(n)]
+    orbit = [int.from_bytes(b"\1" * n, "little")]
+    for _ in range(steps):
+        orbit.append(reduce(xor, compress(cols, orbit[-1].to_bytes(n, "little")), 0))
+    return orbit
+
+
 def _has_short_cycle(base: Matrix, em: int) -> bool:
     """Whether base**k == base mod em for some k in _ORDER_PROBES.
 
-    base**k == base forces base**k·v == base·v for any vector v, so the
-    images base**k·v, k = 2 .. max probe, with v all ones screen first:
-    each step is one sum of v[j] times column j, packed once with
+    base**k == base forces base**k·v == base·v for any vector v, and,
+    for even em (p-1 of an odd prime p), the same mod 2: an entry's
+    parity mod em is its own.  So a parity orbit in which base**k·1
+    differs from base·1 at every probe proves the answer is no, which
+    settles almost every candidate at dim 100.  The rest go on to
+    _probes_return_exactly.
+    """
+    if em % 2 == 0:
+        orbit = _parity_orbit(base, max(_ORDER_PROBES))
+        if orbit[1] not in [orbit[k] for k in _ORDER_PROBES]:
+            return False
+    return _probes_return_exactly(base, em)
+
+
+def _probes_return_exactly(base: Matrix, em: int) -> bool:
+    """_has_short_cycle's answer, from the images mod em and the powers.
+
+    The images base**k·v, k = 2 .. max probe, with v all ones screen
+    first: each step is one sum of v[j] times column j, packed once with
     mul_rows_mod's slot width.  Only when some probe survives the screen
     does the exact check run: one mat_pow_mod over all the probes, each
     power compared with the base reduced mod em.
@@ -150,10 +184,20 @@ def _has_short_cycle(base: Matrix, em: int) -> bool:
 def _nilpotent_mod2(m: Matrix) -> bool:
     """Whether m**dim == 0 mod 2, for square m.
 
+    A nonzero m**dim·1 in the parity orbit proves m**dim != 0, which
+    settles almost every candidate at dim 100.  A zero one (every row
+    sum even, for one) goes on to _nilpotent_mod2_by_squaring.
+    """
+    return not _parity_orbit(m, m.rows)[-1] and _nilpotent_mod2_by_squaring(m)
+
+
+def _nilpotent_mod2_by_squaring(m: Matrix) -> bool:
+    """_nilpotent_mod2's answer, from ceil(lg dim) squarings.
+
     Each row mod 2 is one integer, bit j holding column j, so a GF(2)
     product row is the XOR of the rows its set bits pick.  The
     nilpotency index is at most dim, so m**dim == 0 iff m**(2^k) == 0
-    for 2^k >= dim: ceil(lg dim) squarings decide it.
+    for 2^k >= dim.
     """
     bits = bytes.maketrans(b"01", b"\0\1")  # bin(r) digits -> compress selectors
     rows = [int("".join("01"[e & 1] for e in reversed(m.row(i))), 2) for i in range(m.rows)]

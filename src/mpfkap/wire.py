@@ -413,23 +413,27 @@ def generate_setup(
 def save_paramset(ps: ParamSet, path: str) -> tuple[str, str]:
     """Write the JSON document plus its binary mirror; returns both paths.
 
-    Both forms are encoded before either file is written, and each file
-    appears whole or not at all: a write or replace that fails removes
-    its temporary file.
+    Both forms are encoded and written to their temporary files before
+    either replaces its target, the mirror first, so a failed write or
+    mirror replace leaves an existing pair as it was, and the JSON is
+    never newer than its mirror.  A failure removes the temporary files.
     """
     json_path = path
     bin_path = path + ".bin" if not path.endswith(".json") else path[: -len(".json")] + ".bin"
-    forms = ((json_path, ps.to_json().encode("utf-8")), (bin_path, ps.to_frame()))
-    for target, data in forms:
-        tmp = target + ".tmp"
-        try:
-            with open(tmp, "wb") as fh:
+    forms = ((bin_path, ps.to_frame()), (json_path, ps.to_json().encode("utf-8")))
+    written = []
+    try:
+        for target, data in forms:
+            written.append((target + ".tmp", target))
+            with open(target + ".tmp", "wb") as fh:
                 fh.write(data)
+        for tmp, target in written:
             os.replace(tmp, target)
-        except BaseException:
+    except BaseException:
+        for tmp, _ in written:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            raise
+        raise
     return json_path, bin_path
 
 

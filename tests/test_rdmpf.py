@@ -418,6 +418,129 @@ class TestBaseProbe:
         assert queue == []
 
 
+def conjugated_cycle(length, dim, em):
+    """S·P·S^-1 mod em, P the length-cycle of cycle_matrix and S unit lower
+    triangular with a first column of ones.  S^-1·1 = e_0, so its parity
+    orbit walks S's columns with period length, where the permutation's own
+    orbit stays all ones; B**k == B iff k = 1 mod length, as for P."""
+    perm = cycle_matrix(length, dim, em + 1).to_rows()
+    s = [[1 if j in (0, i) else 0 for j in range(dim)] for i in range(dim)]
+    s_inv = [[1 if i == j else -1 if j == 0 else 0 for j in range(dim)] for i in range(dim)]
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % em for col in zip(*b)] for row in a]
+
+    return Matrix.from_rows(mul(mul(s, perm), s_inv), em + 1)
+
+
+def parity_walk(m, k):
+    """m**k·1 mod 2 by the matrix power, one byte per row as _parity_orbit keeps it."""
+    power = mat_pow_mod(m, k, 2) if k else Matrix.identity(m.rows, 2)
+    return int.from_bytes(bytes(sum(power.row(i)) % 2 for i in range(m.rows)), "little")
+
+
+class TestParityOrbit:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 17, 24])
+    def test_orbit_is_the_power_times_ones(self, n):
+        rng = random.Random(60 + n)
+        for m in (sample_matrix(n, n, 2**64 - 59, rng, mode="rank_deficient"),
+                  shift_matrix(n, 65537), conjugated_cycle(min(n, 4), n, 65536)):
+            assert rdmpf_module._parity_orbit(m, 20) == [parity_walk(m, k) for k in range(21)]
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        # the tier each screen reached after the orbit, in call order
+        reached = []
+        for name in ("_nilpotent_mod2_by_squaring", "_probes_return_exactly"):
+            exact = getattr(rdmpf_module, name)
+
+            def spy(*args, exact=exact, name=name):
+                reached.append(name)
+                return exact(*args)
+
+            monkeypatch.setattr(rdmpf_module, name, spy)
+        return reached
+
+    def test_decisions_match_the_matrix_powers(self):
+        rng = random.Random(61)
+        for p in (5, 7, 65537, 2**64 - 59):
+            for dim in range(7, 25):
+                cand = sample_matrix(dim, dim, p, rng, mode="rank_deficient")
+                assert rdmpf_module._nilpotent_mod2(cand) == nilpotent_by_power(cand)
+                assert rdmpf_module._has_short_cycle(cand, p - 1) == separate_probes(cand, p - 1)
+
+    def test_floor_candidates_are_decided_by_the_orbit_alone(self, fallbacks):
+        p = 2**64 - 59
+        rng = random.Random(62)
+        for _ in range(3):
+            cand = sample_matrix(100, 100, p, rng, mode="rank_deficient")
+            assert not rdmpf_module._nilpotent_mod2(cand)
+            assert not nilpotent_by_power(cand)
+            assert not rdmpf_module._has_short_cycle(cand, p - 1)
+            assert not separate_probes(cand, p - 1)
+        assert fallbacks == []
+
+    def test_sampled_floor_bases_run_no_exact_check(self, monkeypatch):
+        # neither the squarings, the packed screen (_reduced_rows, _pack)
+        # nor mat_pow_mod runs for a sampled dim-100 candidate
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact check ran")
+
+        for name in ("_nilpotent_mod2_by_squaring", "_probes_return_exactly", "_reduced_rows",
+                     "_pack", "mat_pow_mod"):
+            monkeypatch.setattr(rdmpf_module, name, refuse)
+        params = FieldParams(2**64 - 59)
+        for seed in (1, 2, 3):
+            base = rdmpf_module.sample_rank_deficient_base(100, params, random.Random(seed))
+            assert (base.rows, base.cols) == (100, 100)
+
+    @pytest.mark.parametrize("n", [2, 7, 12, 24])
+    def test_even_row_sums_go_to_the_squarings(self, n, fallbacks):
+        # B·1 = 0 mod 2, so the orbit is zero from step 1 on; one odd
+        # diagonal entry makes the trace odd, so B is still not nilpotent
+        rng = random.Random(63 + n)
+        rows = [[2 * rng.randrange(1, 2**62) for _ in range(n)] for _ in range(n)]
+        rows[0][0] += 1
+        for i, row in enumerate(rows):
+            row[(i + 1) % n] += sum(row) % 2
+        m = Matrix.from_rows(rows, 2**64 - 59)
+        assert rdmpf_module._parity_orbit(m, n)[1:] == [0] * n
+        assert not nilpotent_by_power(m)
+        assert not rdmpf_module._nilpotent_mod2(m)
+        assert fallbacks == ["_nilpotent_mod2_by_squaring"]
+
+    @pytest.mark.parametrize("n", [7, 12, 24])
+    def test_nilpotent_goes_to_the_squarings(self, n, fallbacks):
+        shift = shift_matrix(n, 65537)
+        assert rdmpf_module._nilpotent_mod2(shift)
+        assert fallbacks == ["_nilpotent_mod2_by_squaring"]
+
+    @pytest.mark.parametrize("n", [7, 12, 24])
+    def test_rows_summing_to_one_go_to_the_packed_screen(self, n, fallbacks):
+        # B·1 = 1, so every probe's image is 1 mod 2 and the orbit cannot
+        # refuse; the exact tier finds no short cycle
+        m = TestBaseProbe.stochastic_matrix(n, 65536, random.Random(64 + n))
+        orbit = rdmpf_module._parity_orbit(m, 17)
+        assert len(set(orbit)) == 1
+        assert not separate_probes(m, 65536)
+        assert not rdmpf_module._has_short_cycle(m, 65536)
+        assert fallbacks == ["_probes_return_exactly"]
+
+    @pytest.mark.parametrize("length, first_probe", [(2, 3), (4, 5), (8, 9), (16, 17), (3, None)])
+    @pytest.mark.parametrize("dim", [17, 24])
+    def test_real_short_cycles(self, length, first_probe, dim, fallbacks):
+        # the orbit differs from step 1 at every probe before first_probe,
+        # so only that probe sends it on; a 3-cycle is refused by the orbit
+        m = conjugated_cycle(length, dim, 65536)
+        orbit = rdmpf_module._parity_orbit(m, 18)
+        assert [k for k in rdmpf_module._ORDER_PROBES if orbit[k] == orbit[1]][:1] == \
+            ([first_probe] if first_probe else [])
+        assert len(set(orbit)) == length
+        assert separate_probes(m, 65536) == bool(first_probe)
+        assert rdmpf_module._has_short_cycle(m, 65536) == bool(first_probe)
+        assert fallbacks == (["_probes_return_exactly"] if first_probe else [])
+
+
 def drawn_round(setup, rng):
     """One round from rng, rand_l then rand_r, as a session draws them."""
     top = setup.exp_max

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from conftest import run_cli, spawn_cli, wait_cli, write_known_rmpf_params
 from mpfkap import FrameError, Matrix, ProtocolError, TransportError
 from mpfkap import known_answers as ka
 from mpfkap.transport import POLL_INTERVAL, FileTransport, TcpTransport, open_transport
+from mpfkap import __main__ as entry
 from mpfkap import cli, rdmpf
 from mpfkap.wire import (
     ERROR_PAYLOAD_MAX,
@@ -442,6 +444,42 @@ class TestSetupCommand:
         assert r.returncode == 0
         ps = load_paramset(str(out))
         assert ps.build_setup().rounds == 2
+
+
+class TestProcessEntry:
+    SETUP = ["setup", "--protocol", "rdmpf", "--p", "65537", "--dim", "3", "--rounds", "1",
+             "--seed", "9"]
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert cli.main([*self.SETUP, "--out", str(tmp_path / "p.json")]) == 0
+        assert cli.main([*self.SETUP, "--sigma", "0", "--out", str(tmp_path / "q.json")]) == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_freezes_after_main_and_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 3)
+        monkeypatch.setattr(entry.gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            entry.run()
+        assert exc.value.code == 3
+        assert calls == ["main", "freeze"]
+
+    def test_process_writes_what_main_writes(self, tmp_path):
+        assert cli.main([*self.SETUP, "--out", str(tmp_path / "in.json")]) == 0
+        r = run_cli([*self.SETUP, "--out", str(tmp_path / "proc.json")])
+        assert r.returncode == 0, r.stderr
+        for suffix in (".json", ".bin"):
+            assert ((tmp_path / f"proc{suffix}").read_bytes()
+                    == (tmp_path / f"in{suffix}").read_bytes())
+        assert run_cli([*self.SETUP, "--sigma", "0", "--out", str(tmp_path / "q.json")]
+                       ).returncode == 2
+        assert run_cli(["setup", "--dim", "x"]).returncode == 2
+
+    def test_console_script_is_the_module_entry(self):
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(pyproject, encoding="utf-8") as fh:
+            assert 'mpfkap = "mpfkap.__main__:run"' in fh.read().splitlines()
 
 
 class TestHandshakeCommand:

@@ -184,7 +184,9 @@ class TestParamSet:
 
     def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
         # the library call, past the CLI's own check: a directory in the
-        # way of either form fails its replace, which removes its .tmp
+        # way of either form fails its replace, which removes both .tmp
+        # files.  The mirror is replaced first, so a failed mirror leaves
+        # no new JSON, and a failed JSON replace leaves the new mirror.
         ps, _ = generate_paramset("rdmpf", 65537, random.Random(56), dim=2, exp_max=50,
                                   rounds=1)
         (tmp_path / "a").mkdir()
@@ -193,8 +195,27 @@ class TestParamSet:
         (tmp_path / "b.bin").mkdir()
         with pytest.raises(OSError):
             save_paramset(ps, str(tmp_path / "b.json"))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b.bin", "b.json"]
-        assert load_paramset(str(tmp_path / "b.json")).matrices == ps.matrices
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "a.bin", "b.bin"]
+        assert load_paramset(str(tmp_path / "a.bin")).matrices == ps.matrices
+
+    def test_failed_mirror_leaves_the_old_pair(self, tmp_path, monkeypatch):
+        rng = random.Random(58)
+        old, _ = generate_paramset("rdmpf", 65537, rng, dim=2, exp_max=50, rounds=1)
+        new, _ = generate_paramset("rdmpf", 65537, rng, dim=2, exp_max=50, rounds=1)
+        json_path, bin_path = save_paramset(old, str(tmp_path / "c.json"))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replace = wire.os.replace
+
+        def failing_mirror(src, dst):
+            if dst.endswith(".bin"):
+                raise OSError("no room for the mirror")
+            replace(src, dst)
+
+        monkeypatch.setattr(wire.os, "replace", failing_mirror)
+        with pytest.raises(OSError, match="no room"):
+            save_paramset(new, json_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert load_paramset(json_path).matrices == old.matrices != new.matrices
 
     def test_build_setup_validates(self):
         # the record's shape is checked when it is made, the protocol's
