@@ -137,14 +137,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_directory(path: str) -> None:
-    """Refuse an --out that names a directory, before any work is done for it."""
+def _check_out(path: str) -> None:
+    """Refuse an --out that is a directory or is in no directory, before any work is done for it."""
     if os.path.isdir(path):
         raise ParameterError(f"--out {path} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ParameterError(f"--out {path}: no directory {folder}")
 
 
 def _cmd_setup(args) -> int:
-    _refuse_directory(args.out)
+    _check_out(args.out)
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     ps, setup = generate_paramset(
         args.protocol,
@@ -160,7 +163,10 @@ def _cmd_setup(args) -> int:
     )
     for warning in setup.floor_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    json_path, bin_path = save_paramset(ps, args.out)
+    try:
+        json_path, bin_path = save_paramset(ps, args.out)
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     print(f"wrote {json_path} and {bin_path}")
     return EXIT_OK
 
@@ -304,7 +310,7 @@ def _key_file(path: str):
     succeeds; a failed run removes the temporary file and leaves path
     as it was.
     """
-    _refuse_directory(path)
+    _check_out(path)
     tmp = path + ".tmp"
     try:
         fh = open(tmp, "wb")

@@ -17,16 +17,13 @@ import math
 import random
 from functools import reduce
 from itertools import compress
-from operator import mul, xor
+from operator import xor
 from typing import Sequence
 
 from .core import (
     FieldParams,
     Matrix,
     Record,
-    _pack,
-    _reduced_rows,
-    _slot_width,
     canonical_bytes,
     mat_pow_mod,
     mat_scalar_mul_mod,
@@ -139,72 +136,24 @@ def _parity_orbit(m: Matrix, steps: int) -> list[int]:
     return orbit
 
 
-def _has_short_cycle(base: Matrix, em: int) -> bool:
-    """Whether base**k == base mod em for some k in _ORDER_PROBES.
+def _degenerate(base: Matrix, em: int) -> bool:
+    """Whether base is nilpotent mod 2 or base**k == base mod em for some k in _ORDER_PROBES.
 
-    base**k == base forces base**k·v == base·v for any vector v, and,
-    for even em (p-1 of an odd prime p), the same mod 2: an entry's
-    parity mod em is its own.  So a parity orbit in which base**k·1
-    differs from base·1 at every probe proves the answer is no, which
-    settles almost every candidate at dim 100.  The rest go on to
-    _probes_return_exactly.
+    One parity orbit refutes both for almost every candidate at dim 100.
+    By Cayley-Hamilton base is nilpotent mod 2 iff base**dim is zero
+    there, which a nonzero base**dim·1 refutes.  em = p-1 is even, so an
+    entry's parity mod em is its own, and base**k == base mod em would
+    give base**k·1 == base·1 mod 2; an orbit whose step 1 differs from
+    every probe's step refutes the short cycle.  What the orbit cannot
+    refute, mat_pow_mod decides exactly.
     """
-    if em % 2 == 0:
-        orbit = _parity_orbit(base, max(_ORDER_PROBES))
-        if orbit[1] not in [orbit[k] for k in _ORDER_PROBES]:
-            return False
-    return _probes_return_exactly(base, em)
-
-
-def _probes_return_exactly(base: Matrix, em: int) -> bool:
-    """_has_short_cycle's answer, from the images mod em and the powers.
-
-    The images base**k·v, k = 2 .. max probe, with v all ones screen
-    first: each step is one sum of v[j] times column j, packed once with
-    mul_rows_mod's slot width.  Only when some probe survives the screen
-    does the exact check run: one mat_pow_mod over all the probes, each
-    power compared with the base reduced mod em.
-    """
-    rows = _reduced_rows(base, em)
-    width = _slot_width(2 * (em - 1).bit_length() + base.cols.bit_length())
-    mask = (1 << width) - 1
-    cols = [_pack(col, width) for col in zip(*rows)]
-    shifts = range(0, width * base.rows, width)
-    image = first = [sum(row) % em for row in rows]
-    for k in range(2, max(_ORDER_PROBES) + 1):
-        packed = sum(map(mul, image, cols))
-        image = [(packed >> s & mask) % em for s in shifts]
-        if k in _ORDER_PROBES and image == first:
-            break
-    else:
+    dim = base.rows
+    orbit = _parity_orbit(base, max(dim, *_ORDER_PROBES))
+    if not orbit[dim] and not any(mat_pow_mod(base, dim, 2).entries):
+        return True
+    if orbit[1] not in [orbit[k] for k in _ORDER_PROBES]:
         return False
-    return Matrix.from_rows(rows, em) in mat_pow_mod(base, _ORDER_PROBES, em)
-
-
-def _nilpotent_mod2(m: Matrix) -> bool:
-    """Whether m**dim == 0 mod 2, for square m.
-
-    A nonzero m**dim·1 in the parity orbit proves m**dim != 0, which
-    settles almost every candidate at dim 100.  A zero one (every row
-    sum even, for one) goes on to _nilpotent_mod2_by_squaring.
-    """
-    return not _parity_orbit(m, m.rows)[-1] and _nilpotent_mod2_by_squaring(m)
-
-
-def _nilpotent_mod2_by_squaring(m: Matrix) -> bool:
-    """_nilpotent_mod2's answer, from ceil(lg dim) squarings.
-
-    Each row mod 2 is one integer, bit j holding column j, so a GF(2)
-    product row is the XOR of the rows its set bits pick.  The
-    nilpotency index is at most dim, so m**dim == 0 iff m**(2^k) == 0
-    for 2^k >= dim.
-    """
-    bits = bytes.maketrans(b"01", b"\0\1")  # bin(r) digits -> compress selectors
-    rows = [int("".join("01"[e & 1] for e in reversed(m.row(i))), 2) for i in range(m.rows)]
-    for _ in range((m.rows - 1).bit_length()):
-        rows = [reduce(xor, compress(rows, bin(r)[:1:-1].encode().translate(bits)), 0)
-                for r in rows]
-    return not any(rows)
+    return Matrix.from_rows(base.to_rows(), em) in mat_pow_mod(base, _ORDER_PROBES, em)
 
 
 def sample_rank_deficient_base(
@@ -212,20 +161,18 @@ def sample_rank_deficient_base(
 ) -> Matrix:
     """Sample a protocol base: rank-deficient over Z_p, zero-free entries.
 
-    Two degeneracies are screened out.  Bases whose power cycle mod p-1
-    is trivially short are rejected by a small multiplicative-order probe
-    (a smoke check, not a proof of long order).  Bases nilpotent mod 2
-    are rejected outright: p-1 is even, so their powers mod p-1 collapse
-    to the zero matrix and every token degenerates to all-ones.  By
-    Cayley-Hamilton, base**dim mod 2 vanishing detects exactly that.
+    _degenerate screens out two kinds of base.  Bases whose power cycle
+    mod p-1 is trivially short are rejected by a small multiplicative-order
+    probe (a smoke check, not a proof of long order).  Bases nilpotent
+    mod 2 are rejected outright: with p-1 = 2^s·q, q odd, their powers
+    base**k for k >= s·dim are 0 mod 2^s, so every token and key falls
+    into the subgroup of 2^s-th powers.  Only when p-1 is a power of two
+    (p = 65537) are those powers 0 mod p-1 and every token all ones.
     """
     for _ in range(4096):
         cand = sample_matrix(dim, dim, params.p, rng, mode="rank_deficient")
-        if _nilpotent_mod2(cand):
-            continue
-        if _has_short_cycle(cand, params.exp_modulus):
-            continue
-        return cand
+        if not _degenerate(cand, params.exp_modulus):
+            return cand
     raise ParameterError(
         f"no usable rank-deficient base found for dim={dim}, p={params.p}"
     )

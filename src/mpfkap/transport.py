@@ -53,7 +53,8 @@ class FileTransport:
         self.peer = peer_of(role)
         self.timeout = timeout
         if not os.path.isdir(directory):
-            raise TransportError(f"transport directory {directory!r} does not exist")
+            problem = "is not a directory" if os.path.exists(directory) else "does not exist"
+            raise TransportError(f"transport directory {directory!r} {problem}")
         # a frame of our own is an earlier session's: the peer would read it
         # as this one's, and the two sides would end with different keys
         try:

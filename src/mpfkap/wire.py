@@ -16,6 +16,7 @@ import contextlib
 import json
 import os
 import random
+import stat
 import struct
 from typing import NamedTuple, Sequence
 
@@ -438,8 +439,14 @@ def save_paramset(ps: ParamSet, path: str) -> tuple[str, str]:
 
 
 def load_paramset(path: str) -> ParamSet:
-    """Load either form; the binary mirror is detected by its magic."""
-    with open(path, "rb") as fh:
+    """Load either form; the binary mirror is detected by its magic.
+
+    O_NONBLOCK: opening a pipe must not wait for a writer, and only a
+    regular file is read.
+    """
+    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise ParameterError(f"parameter file {path} is not a regular file")
         raw = fh.read()
     if raw[:4] == MAGIC:
         return ParamSet.from_frame(raw)

@@ -1,0 +1,79 @@
+"""The rdmpf kernel at full width, against an oracle in exponent space.
+
+The nucleus is W = g^M entrywise, for a random exponent matrix M that the
+test keeps.  A token is then prod_{k,l} W[k][l] ** (sigma·L[i][k]·R[l][j])
+= g^(sigma·L·M·R mod p-1), and a round key taken on the peer's token T_b,
+whose log is known the same way, is g^(sigma·L_a·(log T_b)·R_a mod p-1):
+matrix products mod p-1 and one pow per entry, with no discrete log, at
+sizes where the direct O(n^4) reference (tests/test_rdmpf.py) is too slow.
+"""
+
+import random
+
+import pytest
+
+from mpfkap import FieldParams, Matrix, RdmpfSession, RdmpfSetup
+from mpfkap.rdmpf import sample_rank_deficient_base
+
+
+def mul(a, b, em):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % em for col in cols] for row in a]
+
+
+def power(base, e, em):
+    """base**e mod em by square and multiply, with plain loops."""
+    result = [[int(i == j) for j in range(len(base))] for i in range(len(base))]
+    square = [[x % em for x in row] for row in base]
+    while e:
+        if e & 1:
+            result = mul(result, square, em)
+        e >>= 1
+        if e:
+            square = mul(square, square, em)
+    return result
+
+
+def scaled(sigma, m, em):
+    return [[sigma * x % em for x in row] for row in m]
+
+
+def exp_g(g, logs, p):
+    return [[pow(g, x, p) for x in row] for row in logs]
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 65537])
+def test_tokens_and_keys_match_the_exponent_oracle(p):
+    g, dim, em = 3, 24, p - 1
+    rng = random.Random(dim)
+    params = FieldParams(p)
+    logs_w = [[rng.randrange(em) for _ in range(dim)] for _ in range(dim)]
+    w = Matrix.from_rows(exp_g(g, logs_w, p), p)
+    base_xu = sample_rank_deficient_base(dim, params, rng)
+    base_yv = sample_rank_deficient_base(dim, params, rng)
+    pairs = {role: [(rng.randint(1, 2**10), rng.randint(1, 2**10)) for _ in range(2)]
+             for role in ("alice", "bob")}
+    privates = {role: [(power(base_xu.to_rows(), a, em), power(base_yv.to_rows(), b, em))
+                       for a, b in pairs[role]]
+                for role in pairs}
+    for sigma in (1, 3):
+        setup = RdmpfSetup(params, w, base_xu, base_yv, 2**10, 2, sigma)
+        sessions = {role: RdmpfSession(setup, injected=pairs[role]) for role in pairs}
+        # log of each party's token per round: sigma·L·M·R mod p-1
+        token_logs = {
+            role: [mul(mul(scaled(sigma, l, em), logs_w, em), r, em) for l, r in privates[role]]
+            for role in pairs
+        }
+        keys = {}
+        for role, peer in (("alice", "bob"), ("bob", "alice")):
+            session = sessions[role]
+            for priv, (l, r) in zip(session.privates, privates[role]):
+                assert (priv.l.to_rows(), priv.r.to_rows()) == (l, r)
+            assert [t.to_rows() for t in session.tokens] == \
+                [exp_g(g, logs, p) for logs in token_logs[role]]
+            keys[role] = [k.to_rows() for k in session.round_keys(sessions[peer].tokens)]
+            want = [mul(mul(scaled(sigma, l, em), peer_logs, em), r, em)
+                    for (l, r), peer_logs in zip(privates[role], token_logs[peer])]
+            assert keys[role] == [exp_g(g, logs, p) for logs in want]
+        # both sides hold g^(sigma^2·L_a·L_b·M·R_b·R_a): the keys agree
+        assert keys["alice"] == keys["bob"]

@@ -244,50 +244,64 @@ def nilpotent_by_power(m):
     return mat_pow_mod(m, m.rows, 2) == Matrix.zeros(m.rows, m.rows, 2)
 
 
+def degenerate_by_powers(m, em):
+    """_degenerate's answer from the two oracles, each by full matrix powers."""
+    return nilpotent_by_power(m) or separate_probes(m, em)
+
+
 class TestNilpotentMod2:
     @pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 100])
     def test_shift_matrix_has_index_n(self, n):
-        # one squaring too few reaches only J**(2^(k-1)), nonzero for 2^(k-1) < n
+        # J**(n-1) != 0 == J**n mod 2: a walk one step short misses it
         shift = shift_matrix(n, 65537)
         if n > 1:
             assert mat_pow_mod(shift, n - 1, 2) != Matrix.zeros(n, n, 2)
         assert nilpotent_by_power(shift)
-        assert rdmpf_module._nilpotent_mod2(shift)
+        assert rdmpf_module._degenerate(shift, 65536)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 17])
     def test_even_on_and_below_the_diagonal(self, n):
         rng = random.Random(n)
-        upper = shift_matrix(
-            n, 2**64 - 59, lambda i, j: rng.randrange(1, 2**63) * (2 if j <= i else 1))
+        p = 2**64 - 59
+        upper = shift_matrix(n, p, lambda i, j: rng.randrange(1, 2**63) * (2 if j <= i else 1))
         assert nilpotent_by_power(upper)
-        assert rdmpf_module._nilpotent_mod2(upper)
+        assert rdmpf_module._degenerate(upper, p - 1)
         # one odd diagonal entry: trace 1 mod 2, so not nilpotent
         odd = Matrix.from_rows(
             [[3 if (i, j) == (n - 1, n - 1) else e for j, e in enumerate(row)]
-             for i, row in enumerate(upper.to_rows())], 2**64 - 59)
+             for i, row in enumerate(upper.to_rows())], p)
         assert not nilpotent_by_power(odd)
-        assert not rdmpf_module._nilpotent_mod2(odd)
+        assert rdmpf_module._degenerate(odd, p - 1) == separate_probes(odd, p - 1)
 
     def test_all_even(self):
         rng = random.Random(43)
         m = Matrix.from_rows([[2 * rng.randrange(1, 30000) for _ in range(7)] for _ in range(7)],
                              65537)
         assert nilpotent_by_power(m)
-        assert rdmpf_module._nilpotent_mod2(m)
+        assert rdmpf_module._degenerate(m, 65536)
 
     def test_matches_the_matrix_power(self):
         # small dims, where about half of the candidates are nilpotent mod 2
         rng = random.Random(44)
-        decisions = []
+        nilpotent = []
         for p in (5, 7, 65537, 2**64 - 59):
             for _ in range(50):
                 dim = rng.randrange(2, 7)
                 cand = sample_matrix(dim, dim, p, rng, mode="rank_deficient")
-                expected = nilpotent_by_power(cand)
-                assert rdmpf_module._nilpotent_mod2(cand) == expected
-                decisions.append(expected)
-        assert len(decisions) == 200
-        assert 0 < sum(decisions) < len(decisions)
+                assert rdmpf_module._degenerate(cand, p - 1) == degenerate_by_powers(cand, p - 1)
+                nilpotent.append(nilpotent_by_power(cand))
+        assert 0 < sum(nilpotent) < len(nilpotent)
+
+    def test_powers_of_a_base_even_mod_2_at_the_floor_prime(self):
+        # p-1 = 4·q: an all-even base's high powers are 0 mod 4, never 0 mod p-1
+        p = 2**64 - 59
+        rng = random.Random(46)
+        m = Matrix.from_rows([[2 * rng.randrange(1, 2**62) for _ in range(4)] for _ in range(4)], p)
+        for k in (8, 40, 9999):
+            power = mat_pow_mod(m, k, p - 1)
+            assert any(power.entries)
+            assert all(e % 4 == 0 for e in power.entries)
+        assert rdmpf_module._degenerate(m, p - 1)
 
 
 def cycle_matrix(length, dim, modulus):
@@ -314,9 +328,8 @@ class TestBaseProbe:
             for _ in range(40):
                 dim = rng.randrange(2, 6)
                 cand = sample_matrix(dim, dim, p, rng, mode="rank_deficient")
-                expected = separate_probes(cand, p - 1)
-                assert rdmpf_module._has_short_cycle(cand, p - 1) == expected
-                decisions.append(expected)
+                assert rdmpf_module._degenerate(cand, p - 1) == degenerate_by_powers(cand, p - 1)
+                decisions.append(separate_probes(cand, p - 1))
         assert len(decisions) >= 200
         assert 0 < sum(decisions) < len(decisions)
 
@@ -327,19 +340,20 @@ class TestBaseProbe:
         reduced = Matrix.from_rows(m.to_rows(), 65536)
         hits = [k for k in rdmpf_module._ORDER_PROBES if mat_pow_mod(m, k, 65536) == reduced]
         assert hits[:1] == ([first_probe] if first_probe else [])
-        assert rdmpf_module._has_short_cycle(m, 65536) == bool(first_probe)
+        assert not nilpotent_by_power(m)
+        assert rdmpf_module._degenerate(m, 65536) == bool(first_probe)
 
     def test_idempotent_projection(self):
         # zero-free, duplicate rows, and P**2 = P mod 6
         m = Matrix.from_rows([[3, 4], [3, 4]], 7)
         assert mat_pow_mod(m, 2, 6) == Matrix.from_rows(m.to_rows(), 6)
-        assert rdmpf_module._has_short_cycle(m, 6)
+        assert rdmpf_module._degenerate(m, 6)
         assert separate_probes(m, 6)
 
     @pytest.fixture
     def product_shapes(self, monkeypatch):
         # the column count of every right factor multiplied, in the one
-        # product kernel that the exact check's mat_pow_mod runs
+        # product kernel that the exact checks' mat_pow_mod runs
         shapes = []
         kernel = core.mul_rows_mod
 
@@ -361,25 +375,24 @@ class TestBaseProbe:
                 rows.append(row + [last])
         return Matrix.from_rows(rows, em + 1)
 
-    def test_screen_passes_and_the_chain_rejects(self, product_shapes):
-        # the screen passes, so the exact check runs 4-wide products and refuses
+    def test_orbit_passes_and_the_powers_reject(self, product_shapes):
+        # the orbit cannot refuse, so the exact check runs 4-wide products and refuses
         m = self.stochastic_matrix(4, 65536, random.Random(41))
         assert not separate_probes(m, 65536)
-        assert not rdmpf_module._has_short_cycle(m, 65536)
+        assert not rdmpf_module._degenerate(m, 65536)
         assert product_shapes.count(4) >= 1
 
-    def test_screen_passes_and_the_chain_accepts(self, product_shapes):
-        # the idempotent projection's rows sum to 7 = 1 mod 6, so the screen
-        # passes and the exact check finds P**2 == P; its two equal rows
-        # make a 1x1 core, which needs no matrix product at all
+    def test_orbit_passes_and_the_powers_accept(self, product_shapes):
+        # the idempotent projection's rows sum to 7 = 1 mod 6, so the orbit
+        # cannot refuse and the exact check finds P**2 == P; its two equal
+        # rows make a 1x1 core, which needs no matrix product at all
         m = Matrix.from_rows([[3, 4], [3, 4]], 7)
-        assert rdmpf_module._has_short_cycle(m, 6)
+        assert rdmpf_module._degenerate(m, 6)
         assert product_shapes == []
 
     @staticmethod
     def floor_idempotent(dim, rng):
-        # equal 64-bit rows summing to 1 mod p-1: P**2 == P, and each screen
-        # step sums dim products of nearly 2^128, which must not carry
+        # equal 64-bit rows summing to 1 mod p-1: P**2 == P
         p = 2**64 - 59
         while True:
             row = [rng.randrange(2**63, p) for _ in range(dim - 1)]
@@ -391,25 +404,25 @@ class TestBaseProbe:
         p = 2**64 - 59
         m = self.floor_idempotent(6, random.Random(45))
         assert mat_pow_mod(m, 2, p - 1) == Matrix.from_rows(m.to_rows(), p - 1)
-        assert rdmpf_module._has_short_cycle(m, p - 1)
+        assert rdmpf_module._degenerate(m, p - 1)
 
     def test_idempotent_at_the_floor(self):
-        # columns long enough that the screen packs them byte-wise
+        # rows long enough that the product kernel packs them byte-wise
         p = 2**64 - 59
         for dim in (core._JOIN_FROM, 100):
             m = self.floor_idempotent(dim, random.Random(dim))
             assert mat_pow_mod(m, 2, p - 1) == Matrix.from_rows(m.to_rows(), p - 1)
-            assert rdmpf_module._has_short_cycle(m, p - 1)
+            assert rdmpf_module._degenerate(m, p - 1)
 
-    def test_no_survivor_skips_the_chain(self, product_shapes):
+    def test_orbit_refutes_without_a_product(self, product_shapes):
         rng = random.Random(42)
         for _ in range(5):
-            cand = sample_matrix(6, 6, 2**64 - 59, rng, mode="rank_deficient")
-            assert not rdmpf_module._has_short_cycle(cand, 2**64 - 60)
-        assert 6 not in product_shapes
+            cand = sample_matrix(24, 24, 2**64 - 59, rng, mode="rank_deficient")
+            assert not rdmpf_module._degenerate(cand, 2**64 - 60)
+        assert product_shapes == []
 
     def test_sampler_skips_short_cycles(self, monkeypatch):
-        # a permutation passes the mod-2 screen, so only the probe rejects it
+        # a permutation is not nilpotent mod 2, so only the probe rejects it
         good = Matrix.from_rows([[1, 2, 3], [1, 2, 3], [4, 5, 6]], 65537)
         queue = [cycle_matrix(2, 3, 65537), good]
         monkeypatch.setattr(rdmpf_module, "sample_matrix", lambda *a, **k: queue.pop(0))
@@ -439,6 +452,19 @@ def parity_walk(m, k):
     return int.from_bytes(bytes(sum(power.row(i)) % 2 for i in range(m.rows)), "little")
 
 
+def spy_on(monkeypatch, calls, name, refuse=False):
+    """Append name to calls at each call of rdmpf's name; refuse raises instead."""
+    real = getattr(rdmpf_module, name)
+
+    def spy(*args, **kwargs):
+        if refuse:
+            raise AssertionError(f"{name} ran")
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rdmpf_module, name, spy)
+
+
 class TestParityOrbit:
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 17, 24])
     def test_orbit_is_the_power_times_ones(self, n):
@@ -448,87 +474,96 @@ class TestParityOrbit:
             assert rdmpf_module._parity_orbit(m, 20) == [parity_walk(m, k) for k in range(21)]
 
     @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        # the tier each screen reached after the orbit, in call order
-        reached = []
-        for name in ("_nilpotent_mod2_by_squaring", "_probes_return_exactly"):
-            exact = getattr(rdmpf_module, name)
+    def exact_checks(self, monkeypatch):
+        # the modulus of each mat_pow_mod that _degenerate ran, in call
+        # order: 2 for nilpotency, p-1 for the probes
+        moduli = []
+        power = rdmpf_module.mat_pow_mod
 
-            def spy(*args, exact=exact, name=name):
-                reached.append(name)
-                return exact(*args)
+        def spy(m, exps, modulus):
+            moduli.append(modulus)
+            return power(m, exps, modulus)
 
-            monkeypatch.setattr(rdmpf_module, name, spy)
-        return reached
+        monkeypatch.setattr(rdmpf_module, "mat_pow_mod", spy)
+        return moduli
 
     def test_decisions_match_the_matrix_powers(self):
         rng = random.Random(61)
+        decisions = set()
         for p in (5, 7, 65537, 2**64 - 59):
-            for dim in range(7, 25):
-                cand = sample_matrix(dim, dim, p, rng, mode="rank_deficient")
-                assert rdmpf_module._nilpotent_mod2(cand) == nilpotent_by_power(cand)
-                assert rdmpf_module._has_short_cycle(cand, p - 1) == separate_probes(cand, p - 1)
+            for dim in range(2, 25):
+                for _ in range(2):
+                    cand = sample_matrix(dim, dim, p, rng, mode="rank_deficient")
+                    expected = degenerate_by_powers(cand, p - 1)
+                    assert rdmpf_module._degenerate(cand, p - 1) == expected
+                    decisions.add(expected)
+        assert decisions == {False, True}
 
-    def test_floor_candidates_are_decided_by_the_orbit_alone(self, fallbacks):
+    def test_floor_candidates_are_decided_by_the_orbit_alone(self, monkeypatch):
         p = 2**64 - 59
         rng = random.Random(62)
         for _ in range(3):
             cand = sample_matrix(100, 100, p, rng, mode="rank_deficient")
-            assert not rdmpf_module._nilpotent_mod2(cand)
             assert not nilpotent_by_power(cand)
-            assert not rdmpf_module._has_short_cycle(cand, p - 1)
             assert not separate_probes(cand, p - 1)
-        assert fallbacks == []
+            calls = []
+            spy_on(monkeypatch, calls, "_parity_orbit")
+            spy_on(monkeypatch, calls, "mat_pow_mod", refuse=True)
+            assert not rdmpf_module._degenerate(cand, p - 1)
+            assert calls == ["_parity_orbit"]
+            monkeypatch.undo()
 
-    def test_sampled_floor_bases_run_no_exact_check(self, monkeypatch):
-        # neither the squarings, the packed screen (_reduced_rows, _pack)
-        # nor mat_pow_mod runs for a sampled dim-100 candidate
-        def refuse(*args, **kwargs):
-            raise AssertionError("an exact check ran")
-
-        for name in ("_nilpotent_mod2_by_squaring", "_probes_return_exactly", "_reduced_rows",
-                     "_pack", "mat_pow_mod"):
-            monkeypatch.setattr(rdmpf_module, name, refuse)
-        params = FieldParams(2**64 - 59)
-        for seed in (1, 2, 3):
-            base = rdmpf_module.sample_rank_deficient_base(100, params, random.Random(seed))
-            assert (base.rows, base.cols) == (100, 100)
+    def test_recorded_floor_candidates_walk_one_orbit_each(self, monkeypatch):
+        # the setup-floor benchmark's setups, seeds 1-8, sampled as
+        # `mpfkap setup --seed` samples them: every base candidate walks
+        # one orbit, and no exact check runs
+        calls = []
+        spy_on(monkeypatch, calls, "sample_matrix")
+        spy_on(monkeypatch, calls, "_parity_orbit")
+        spy_on(monkeypatch, calls, "mat_pow_mod", refuse=True)
+        for seed in range(1, 9):
+            generate_paramset("rdmpf", 2**64 - 59, random.Random(seed), dim=100,
+                              exp_max=10**4, rounds=1)
+        assert len(calls) >= 32
+        assert calls == ["sample_matrix", "_parity_orbit"] * (len(calls) // 2)
 
     @pytest.mark.parametrize("n", [2, 7, 12, 24])
-    def test_even_row_sums_go_to_the_squarings(self, n, fallbacks):
-        # B·1 = 0 mod 2, so the orbit is zero from step 1 on; one odd
-        # diagonal entry makes the trace odd, so B is still not nilpotent
+    def test_even_row_sums_reach_both_exact_checks(self, n, exact_checks):
+        # B·1 = 0 mod 2, so the orbit is zero from step 1 on and refutes
+        # neither; one odd diagonal entry makes the trace odd, so B is
+        # still not nilpotent
         rng = random.Random(63 + n)
         rows = [[2 * rng.randrange(1, 2**62) for _ in range(n)] for _ in range(n)]
         rows[0][0] += 1
         for i, row in enumerate(rows):
             row[(i + 1) % n] += sum(row) % 2
-        m = Matrix.from_rows(rows, 2**64 - 59)
+        p = 2**64 - 59
+        m = Matrix.from_rows(rows, p)
         assert rdmpf_module._parity_orbit(m, n)[1:] == [0] * n
         assert not nilpotent_by_power(m)
-        assert not rdmpf_module._nilpotent_mod2(m)
-        assert fallbacks == ["_nilpotent_mod2_by_squaring"]
+        assert rdmpf_module._degenerate(m, p - 1) == separate_probes(m, p - 1)
+        assert exact_checks[:2] == [2, p - 1]
 
     @pytest.mark.parametrize("n", [7, 12, 24])
-    def test_nilpotent_goes_to_the_squarings(self, n, fallbacks):
+    def test_nilpotent_reaches_the_mod_2_check(self, n, exact_checks):
         shift = shift_matrix(n, 65537)
-        assert rdmpf_module._nilpotent_mod2(shift)
-        assert fallbacks == ["_nilpotent_mod2_by_squaring"]
+        assert rdmpf_module._degenerate(shift, 65536)
+        assert exact_checks == [2]
 
     @pytest.mark.parametrize("n", [7, 12, 24])
-    def test_rows_summing_to_one_go_to_the_packed_screen(self, n, fallbacks):
+    def test_rows_summing_to_one_reach_the_probe_check(self, n, exact_checks):
         # B·1 = 1, so every probe's image is 1 mod 2 and the orbit cannot
-        # refuse; the exact tier finds no short cycle
+        # refuse; the exact check finds no short cycle
         m = TestBaseProbe.stochastic_matrix(n, 65536, random.Random(64 + n))
         orbit = rdmpf_module._parity_orbit(m, 17)
         assert len(set(orbit)) == 1
-        assert not separate_probes(m, 65536)
-        assert not rdmpf_module._has_short_cycle(m, 65536)
-        assert fallbacks == ["_probes_return_exactly"]
+        assert not degenerate_by_powers(m, 65536)
+        assert not rdmpf_module._degenerate(m, 65536)
+        assert exact_checks[-1:] == [65536]
 
     @pytest.mark.parametrize("length, first_probe", [(2, 3), (4, 5), (8, 9), (16, 17), (3, None)])
     @pytest.mark.parametrize("dim", [17, 24])
-    def test_real_short_cycles(self, length, first_probe, dim, fallbacks):
+    def test_real_short_cycles(self, length, first_probe, dim, exact_checks):
         # the orbit differs from step 1 at every probe before first_probe,
         # so only that probe sends it on; a 3-cycle is refused by the orbit
         m = conjugated_cycle(length, dim, 65536)
@@ -536,9 +571,10 @@ class TestParityOrbit:
         assert [k for k in rdmpf_module._ORDER_PROBES if orbit[k] == orbit[1]][:1] == \
             ([first_probe] if first_probe else [])
         assert len(set(orbit)) == length
+        assert not nilpotent_by_power(m)
         assert separate_probes(m, 65536) == bool(first_probe)
-        assert rdmpf_module._has_short_cycle(m, 65536) == bool(first_probe)
-        assert fallbacks == (["_probes_return_exactly"] if first_probe else [])
+        assert rdmpf_module._degenerate(m, 65536) == bool(first_probe)
+        assert exact_checks == ([65536] if first_probe else [])
 
 
 def drawn_round(setup, rng):

@@ -54,8 +54,18 @@ class TestTransportParsing:
             open_transport("tcp:host:not-a-number", "alice", LIMITS)
 
     def test_missing_directory(self):
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError, match="does not exist"):
             open_transport("file:/definitely/not/a/dir", "alice", LIMITS)
+
+    def test_regular_file_is_not_a_directory(self, tmp_path):
+        # exit 4 through the CLI, with a message that says what is wrong
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        r = run_cli(["handshake", "--role", "alice", "--params", params,
+                     "--transport", f"file:{params}", "--out", str(tmp_path / "k"),
+                     "--test-mode", "--timeout", "1"])
+        assert r.returncode == 4
+        assert f"transport directory {params!r} is not a directory" in r.stderr
+        assert not (tmp_path / "k").exists()
 
 
 class TestTcpFraming:
@@ -437,6 +447,30 @@ class TestSetupCommand:
         monkeypatch.setattr(cli, "generate_paramset", None)  # no draw before the check
         assert cli.main(["setup", "--protocol", "rdmpf", "--dim", "2", "--out", str(out)]) == 2
 
+    def test_missing_out_directory_refused_before_sampling(self, tmp_path, monkeypatch):
+        out = tmp_path / "missing" / "a.json"
+        r = run_cli(["setup", "--protocol", "rdmpf", "--p", "65537", "--dim", "2",
+                     "--seed", "1", "--out", str(out)])
+        assert r.returncode == 2
+        assert f"parameter error: --out {out}: no directory {out.parent}" in r.stderr
+        assert ".tmp" not in r.stderr
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(cli, "generate_paramset", None)  # no draw before the check
+        assert cli.main(["setup", "--protocol", "rdmpf", "--dim", "2", "--out", str(out)]) == 2
+
+    def test_failed_write_names_out(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "a.json"
+
+        def refuse(ps, path):
+            raise PermissionError(13, "Permission denied", path[:-len(".json")] + ".bin.tmp")
+
+        monkeypatch.setattr(cli, "save_paramset", refuse)
+        assert cli.main(["setup", "--protocol", "rdmpf", "--dim", "2", "--seed", "1",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"parameter error: cannot write --out {out}: Permission denied" in err
+        assert ".tmp" not in err
+
     def test_setup_loadable(self, tmp_path):
         out = tmp_path / "p.json"
         r = run_cli(["setup", "--protocol", "rdmpf", "--dim", "3", "--rounds", "2",
@@ -569,6 +603,23 @@ class TestHandshakeCommand:
             "--test-mode", "--timeout", "0.3",
         ])
         assert r.returncode == 4
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("command", ("handshake", "kem"))
+    def test_pipe_as_params_exits_2_at_once(self, tmp_path, command):
+        # a blocking open of a pipe waits for a writer before --timeout
+        # applies; run_cli's own timeout fails a regression instead of hanging
+        fifo = tmp_path / "params.json"
+        os.mkfifo(fifo)
+        eta0 = tmp_path / "eta0"
+        eta0.write_bytes(bytes(64))
+        extra = {"handshake": [], "kem": ["--eta0", str(eta0), "--auth-a", "a", "--auth-b", "b"]}
+        r = run_cli([command, "--role", "alice", "--params", str(fifo), *extra[command],
+                     "--transport", f"file:{tmp_path}", "--out", str(tmp_path / "k"),
+                     "--timeout", "1"], timeout=10)
+        assert r.returncode == 2
+        assert f"parameter error: parameter file {fifo} is not a regular file" in r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eta0", "params.json"]
 
     def test_unwritable_out_sends_no_frame(self, tmp_path):
         params, _ = write_known_rmpf_params(tmp_path / "params.json")
