@@ -11,8 +11,8 @@ def run() -> None:
     the cycle collection at interpreter shutdown skips; that collection
     is most of a short process's teardown.  Nothing is left to finalize:
     main returns only after every file and socket it opened is closed
-    (the key file in cli._key_file, both parameter files in
-    wire.save_paramset, the transport in its close()).  cli.main itself,
+    (every file written in a wire.replacing block, every file read in a
+    with block, the transport in its close()).  cli.main itself,
     which tests call in process, leaves the collector alone.
     """
     code = main()

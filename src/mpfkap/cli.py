@@ -41,7 +41,9 @@ from .wire import (
     encode_token_list,
     generate_paramset,
     load_paramset,
+    open_regular,
     payload_limits,
+    replacing,
     save_paramset,
 )
 
@@ -209,10 +211,16 @@ def _session_rng(args, ps) -> random.Random:
 def _exchange(args, setup, what: str, steps) -> int:
     """Open --out, then the transport; run steps(transport) and write the key it returns.
 
-    Callers check their own arguments first, so a bad value sends no
-    frame; a ProtocolError sends the peer an error frame and propagates.
+    The key replaces --out only when the run succeeds.  Callers check
+    their own arguments first, so a bad value sends no frame; a
+    ProtocolError sends the peer an error frame and propagates.
     """
-    with _key_file(args.out) as out:
+    _check_out(args.out)
+    with contextlib.ExitStack() as stack:
+        try:
+            out = stack.enter_context(replacing(args.out))
+        except OSError as exc:
+            raise ParameterError(f"cannot write the key to {args.out}: {exc.strerror}") from exc
         transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
         try:
             key = steps(transport)
@@ -275,8 +283,8 @@ def _cmd_kem(args) -> int:
         raise ParameterError("the KEM runs over rdmpf parameter sets")
     setup = ps.build_setup()
     rng = _session_rng(args, ps)
-    with open(args.eta0, "rb") as fh:
-        eta0 = fh.read()
+    with open_regular(args.eta0, ParameterError, "--eta0") as fh:
+        eta0 = fh.read(NONCE_BYTES + 1)  # one byte more is enough to refuse a longer file
     ctx = KemContext(eta0, auth_tag(args.auth_a), auth_tag(args.auth_b))
 
     def steps(transport) -> bytes:
@@ -302,30 +310,6 @@ def _parse_encap_payload(payload: bytes) -> KemMessage:
     )
 
 
-@contextlib.contextmanager
-def _key_file(path: str):
-    """The key output, opened before the exchange so that a bad --out sends no frame.
-
-    The key goes to <path>.tmp and replaces path only when the run
-    succeeds; a failed run removes the temporary file and leaves path
-    as it was.
-    """
-    _check_out(path)
-    tmp = path + ".tmp"
-    try:
-        fh = open(tmp, "wb")
-    except OSError as exc:
-        raise ParameterError(f"cannot write the key to {path}: {exc.strerror}") from exc
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _report_error(transport, exc: Exception) -> None:
     try:
         transport.send("error", str(exc).encode()[:ERROR_PAYLOAD_MAX])
@@ -334,6 +318,8 @@ def _report_error(transport, exc: Exception) -> None:
 
 
 def _cmd_bench(args) -> int:
+    if args.out:
+        _check_out(args.out)
     from . import bench as bench_mod  # only this command pays for its imports
     if args.point:
         points = []
@@ -350,8 +336,11 @@ def _cmd_bench(args) -> int:
     csv_text, summary = bench_mod.bench_report(records, baseline)
     print(summary)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        try:
+            with replacing(args.out) as fh:
+                fh.write(csv_text.encode("utf-8"))
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {args.out}: {exc.strerror}") from exc
         print(f"wrote {args.out}")
     else:
         print(csv_text, end="")

@@ -45,19 +45,18 @@ _CHUNK = 16
 
 
 def _window(n: int, outs: int, bits: int) -> int:
-    """Straus window width for outs n-term products per base set; 0 = per-term pow.
+    """Straus window width for outs n-term products per base set.
 
     Per base set, window c costs n*2^c table products plus, per output,
     ceil(bits/c) steps of c squarings and about n table products.
     """
     mul = _MUL_NS + _DIGIT_NS * -(-bits // 30)
-    best, best_cost = 0, outs * n * bits * mul
-    for c in range(1, _MAX_WINDOW + 1):
+
+    def cost(c: int) -> float:
         step = _STEP_NS + c * mul + 0.4 * n * mul
-        cost = (n << c) * mul + outs * -(-bits // c) * step
-        if cost < best_cost:
-            best, best_cost = c, cost
-    return best
+        return (n << c) * mul + outs * -(-bits // c) * step
+
+    return min(range(1, _MAX_WINDOW + 1), key=cost)
 
 
 def _multi_exp(base_sets, exps, p: int) -> list[list[int]]:
@@ -69,17 +68,11 @@ def _multi_exp(base_sets, exps, p: int) -> list[list[int]]:
     table b**d for d < 2^c is built once per set and shared by all its
     outputs, the c-bit window digits are extracted once for all sets,
     and each output runs Horner over the windows, c squarings and one
-    table product per window.  Where _window finds per-term pow cheaper
-    (tiny n), that is what runs.  0 ** 0 is 1, as with pow.
+    table product per window.  0 ** 0 is 1, as with pow.
     """
     n = len(exps[0])
     bits = max(e.bit_length() for ev in exps for e in ev)
     c = _window(n, len(exps), bits)
-    if c == 0:
-        return [
-            [math.prod(pow(b, e, p) for b, e in zip(bases, ev)) % p for ev in exps]
-            for bases in base_sets
-        ]
     size = 1 << c
     mask = size - 1
     shifts = range(c * (-(-bits // c) - 1), -1, -c)

@@ -1,17 +1,17 @@
 """Frame exchange between two processes: shared directory or TCP.
 
 The file transport drops each frame into the shared directory under
-"<role>.<kind>.frame" (written atomically) and polls for the peer's
+"<role>.<kind>.frame" (through wire.replacing) and polls for the peer's
 file; it refuses a directory that already holds a frame of its role's,
 left by an earlier session.  The TCP transport is a minimal length-prefixed exchange: bob
 listens, alice connects, one peer at a time, no retries beyond the
-connect deadline.  Both refuse a peer frame longer than the payload
-limits they are given (wire.payload_limits) before buffering it, and
-the file transport reads a peer frame only from a regular file.
+connect deadline.  Both read a frame through _read_frame, which refuses
+one longer than the payload limits they are given (wire.payload_limits)
+before buffering it; the file transport reads only a regular file.
 
-A poll (the file transport waiting for a frame, alice retrying her
-connect) sleeps FIRST_POLL, then twice as long each time up to
-POLL_INTERVAL: 1, 2, 4, 4, 4, ... ms.  A frame is seen at most ~4 ms
+One poll schedule, _polls, serves the file transport waiting for a frame
+and alice retrying her connect: FIRST_POLL, then twice as long each time
+up to POLL_INTERVAL: 1, 2, 4, 4, 4, ... ms.  A frame is seen at most ~4 ms
 after it lands, and a long wait costs one check per 4 ms, a stat call or
 a refused connect each.  Only a tcp: transport imports socket.
 """
@@ -19,12 +19,11 @@ a refused connect each.  Only a tcp: transport imports socket.
 from __future__ import annotations
 
 import os
-import stat
 import time
 from typing import TYPE_CHECKING
 
 from .errors import FrameError, ProtocolError, TransportError
-from .wire import HEADER_LEN, check_header, decode_frame, encode_frame
+from .wire import HEADER_LEN, check_header, decode_frame, encode_frame, open_regular, replacing
 
 if TYPE_CHECKING:
     import socket
@@ -70,42 +69,27 @@ class FileTransport:
 
     def send(self, kind: str, payload: bytes) -> None:
         final = os.path.join(self.directory, f"{self.role}.{kind}.frame")
-        tmp = final + ".tmp"
         try:
-            with open(tmp, "wb") as fh:
+            with replacing(final) as fh:
                 fh.write(encode_frame(kind, payload))
-            os.replace(tmp, final)
         except OSError as exc:
             raise TransportError(f"cannot write {final}: {exc}") from exc
 
     def recv(self, kind: str) -> bytes:
         path = os.path.join(self.directory, f"{self.peer}.{kind}.frame")
         err_path = os.path.join(self.directory, f"{self.peer}.error.frame")
-        deadline = time.monotonic() + self.timeout
-        delay = FIRST_POLL
-        while not os.path.exists(path):
-            if os.path.exists(err_path):
-                return _expect_kind(self._read(err_path), kind)
-            if time.monotonic() > deadline:
-                raise TransportError(f"timed out waiting for {path}")
-            time.sleep(delay)
-            delay = min(2 * delay, POLL_INTERVAL)
-        return _expect_kind(self._read(path), kind)
+        for _ in _polls(self.timeout):
+            for found in (path, err_path):
+                if os.path.exists(found):
+                    return _expect_kind(self._read(found), kind)
+        raise TransportError(f"timed out waiting for {path}")
 
     def _read(self, path: str) -> bytes:
-        # O_NONBLOCK: opening a pipe must not wait for a writer.  Only a
-        # regular file is read, and its header's length field bounds the
-        # read: one byte past it is enough for decode_frame to refuse a
-        # longer file, and a file that grows is never buffered whole
+        # one byte past the header's length is enough for decode_frame to
+        # refuse a longer file, and a file that grows is never buffered whole
         try:
-            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
-                os.close(fd)
-                raise FrameError(f"peer frame {path} is not a regular file")
-            with open(fd, "rb") as fh:
-                header = fh.read(HEADER_LEN)
-                length = check_header(header, self.limits)
-                return header + fh.read(length + 1)
+            with open_regular(path, FrameError, "peer frame") as fh:
+                return _read_frame(fh.read, self.limits, 1)
         except OSError as exc:
             raise TransportError(f"cannot read {path}: {exc}") from exc
 
@@ -142,19 +126,14 @@ class TcpTransport:
             except OSError as exc:
                 raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         elif role == "alice":
-            deadline = time.monotonic() + timeout
-            delay = FIRST_POLL
-            while True:
+            for _ in _polls(timeout):
                 try:
                     self._sock = socket.create_connection((host, port), timeout=timeout)
                     break
                 except OSError as exc:
-                    if time.monotonic() > deadline:
-                        raise TransportError(
-                            f"cannot connect to {host}:{port}: {exc}"
-                        ) from exc
-                    time.sleep(delay)
-                    delay = min(2 * delay, POLL_INTERVAL)
+                    refused = exc
+            else:
+                raise TransportError(f"cannot connect to {host}:{port}: {refused}") from refused
             self._sock.settimeout(timeout)
         else:
             raise TransportError(f"unknown role {role!r}")
@@ -178,9 +157,7 @@ class TcpTransport:
     def recv(self, kind: str) -> bytes:
         conn = self._conn()
         try:
-            header = _read_exact(conn, HEADER_LEN)
-            length = check_header(header, self.limits)
-            data = bytes(header + _read_exact(conn, length))
+            data = _read_frame(lambda n: _read_exact(conn, n), self.limits, 0)
         except TimeoutError as exc:
             raise TransportError("timed out waiting for a frame") from exc
         except OSError as exc:
@@ -196,6 +173,25 @@ class TcpTransport:
                     pass
         self._sock = None
         self._listener = None
+
+
+def _polls(timeout: float):
+    """Yield at once, then after waits of 1, 2, 4, 4, ... ms, until timeout seconds pass."""
+    deadline = time.monotonic() + timeout
+    delay = FIRST_POLL
+    while True:
+        yield
+        if time.monotonic() > deadline:
+            return
+        time.sleep(delay)
+        delay = min(2 * delay, POLL_INTERVAL)
+
+
+def _read_frame(read, limits: dict[str, int], slack: int) -> bytes:
+    """A peer frame from read(n): its header, which check_header validates before
+    any payload byte is read, then at most the payload length plus slack bytes."""
+    header = bytes(read(HEADER_LEN))
+    return header + read(check_header(header, limits) + slack)
 
 
 def _read_exact(conn: socket.socket, n: int) -> bytearray:

@@ -411,42 +411,56 @@ def generate_setup(
     )[1]
 
 
+@contextlib.contextmanager
+def replacing(path: str):
+    """Open <path>.tmp for writing; it replaces path only when the block succeeds.
+
+    A failed block or replace removes the temporary file and leaves
+    path as it was.
+    """
+    tmp = path + ".tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def open_regular(path: str, error: type[Exception], what: str):
+    """Open path for reading only if it is a regular file; else raise error naming what.
+
+    O_NONBLOCK: opening a pipe must not wait for a writer.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise error(f"{what} {path} is not a regular file")
+    return open(fd, "rb")
+
+
 def save_paramset(ps: ParamSet, path: str) -> tuple[str, str]:
     """Write the JSON document plus its binary mirror; returns both paths.
 
-    Both forms are encoded and written to their temporary files before
-    either replaces its target, the mirror first, so a failed write or
-    mirror replace leaves an existing pair as it was, and the JSON is
-    never newer than its mirror.  A failure removes the temporary files.
+    Both forms are written to their temporary files before either
+    replaces its target, the mirror first, so a failed write or mirror
+    replace leaves an existing pair as it was, and the JSON is never
+    newer than its mirror.  A failure removes the temporary files.
     """
     json_path = path
     bin_path = path + ".bin" if not path.endswith(".json") else path[: -len(".json")] + ".bin"
-    forms = ((bin_path, ps.to_frame()), (json_path, ps.to_json().encode("utf-8")))
-    written = []
-    try:
-        for target, data in forms:
-            written.append((target + ".tmp", target))
-            with open(target + ".tmp", "wb") as fh:
-                fh.write(data)
-        for tmp, target in written:
-            os.replace(tmp, target)
-    except BaseException:
-        for tmp, _ in written:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        raise
+    with replacing(json_path) as j, replacing(bin_path) as b:
+        b.write(ps.to_frame())
+        j.write(ps.to_json().encode("utf-8"))
     return json_path, bin_path
 
 
 def load_paramset(path: str) -> ParamSet:
-    """Load either form; the binary mirror is detected by its magic.
-
-    O_NONBLOCK: opening a pipe must not wait for a writer, and only a
-    regular file is read.
-    """
-    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise ParameterError(f"parameter file {path} is not a regular file")
+    """Load either form, from a regular file only; the binary mirror is detected by its magic."""
+    with open_regular(path, ParameterError, "parameter file") as fh:
         raw = fh.read()
     if raw[:4] == MAGIC:
         return ParamSet.from_frame(raw)

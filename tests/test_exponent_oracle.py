@@ -1,4 +1,4 @@
-"""The rdmpf kernel at full width, against an oracle in exponent space.
+"""Both kernels at full width, against an oracle in exponent space.
 
 The nucleus is W = g^M entrywise, for a random exponent matrix M that the
 test keeps.  A token is then prod_{k,l} W[k][l] ** (sigma·L[i][k]·R[l][j])
@@ -6,6 +6,7 @@ test keeps.  A token is then prod_{k,l} W[k][l] ** (sigma·L[i][k]·R[l][j])
 whose log is known the same way, is g^(sigma·L_a·(log T_b)·R_a mod p-1):
 matrix products mod p-1 and one pow per entry, with no discrete log, at
 sizes where the direct O(n^4) reference (tests/test_rdmpf.py) is too slow.
+rmpf's Base = g^M is read the same way, on its top n x n blocks.
 """
 
 import random
@@ -13,7 +14,9 @@ import random
 import pytest
 
 from mpfkap import FieldParams, Matrix, RdmpfSession, RdmpfSetup
+from mpfkap.core import sample_matrix
 from mpfkap.rdmpf import sample_rank_deficient_base
+from mpfkap.rmpf import RmpfSetup, derive_key, keygen
 
 
 def mul(a, b, em):
@@ -77,3 +80,32 @@ def test_tokens_and_keys_match_the_exponent_oracle(p):
             assert keys[role] == [exp_g(g, logs, p) for logs in want]
         # both sides hold g^(sigma^2·L_a·L_b·M·R_b·R_a): the keys agree
         assert keys["alice"] == keys["bob"]
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 65537])
+def test_rmpf_tokens_and_keys_match_the_exponent_oracle(p):
+    # the rmpf-smallp shape; the action reads the top n x n blocks of
+    # Base and Y, so a token is g^(lambda·omega·X·M_n·Y_n mod p-1) and a
+    # key is the same with the peer token's log in place of M
+    g, rows, n, em = 3, 96, 8, p - 1
+    rng = random.Random(rows)
+    logs_base = [[rng.randrange(em) for _ in range(n)] for _ in range(rows)]
+    x, y = (sample_matrix(rows, n, p, rng, mode="unit_entries") for _ in range(2))
+    setup = RmpfSetup(FieldParams(p), Matrix.from_rows(exp_g(g, logs_base, p), p), x, y)
+    xr, yn = x.to_rows(), y.to_rows()[:n]
+
+    def action_log(scale, logs):
+        return scaled(scale, mul(mul(xr, logs[:n], em), yn, em), em)
+
+    scales, parties, token_logs = {}, {}, {}
+    for role in ("alice", "bob"):
+        lam, omega = rng.randrange(1, em), rng.randrange(1, em)
+        scales[role] = lam * omega
+        parties[role] = keygen(setup, rng, lam, omega)
+        token_logs[role] = action_log(scales[role], logs_base)
+        assert parties[role][1].to_rows() == exp_g(g, token_logs[role], p)
+    keys = {}
+    for role, peer in (("alice", "bob"), ("bob", "alice")):
+        keys[role] = derive_key(parties[role][0], parties[peer][1], setup).to_rows()
+        assert keys[role] == exp_g(g, action_log(scales[role], token_logs[peer]), p)
+    assert keys["alice"] == keys["bob"]

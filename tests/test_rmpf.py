@@ -253,14 +253,13 @@ class TestMultiExp:
     """The shared-table kernel against per-term pow and mpf_double."""
 
     def test_cost_model_switch(self):
-        # per-term pow below the switch, a window above it
-        assert _window(1, 1, 64) == 0
-        assert _window(2, 2, 64) == 0
-        assert _window(1, 1, 16) == 0
-        assert _window(8, 8, 64) > 0
-        assert _window(8, 96, 16) > 0
-        assert _window(100, 100, 64) > 0
-        assert _window(8, 8, 0) == 0
+        # every shape gets a window, the tiny and the exponent-free ones
+        # too; at 64 bits the nanosecond model picks 4 at dim 8 and 6 at
+        # dim 100, where a bare product count would pick 5 and 8
+        for shape in ((1, 1, 64), (2, 2, 64), (1, 1, 16), (8, 96, 16), (8, 8, 0)):
+            assert 1 <= _window(*shape) <= _MAX_WINDOW
+        assert _window(8, 8, 64) == 4
+        assert _window(100, 100, 64) == 6
 
     @pytest.mark.parametrize("c", range(1, _MAX_WINDOW + 1))
     def test_every_window_width(self, c, monkeypatch):
@@ -444,7 +443,9 @@ class TestDistinctRows:
         # a dim-2 base repeats its row, and so does every private power and
         # token: round_keygen runs no double action, and round_key raises
         # the peer token's row product once per key column.  The kernel on
-        # the same token action still makes 4 pows, one per merged term.
+        # the same token action runs Straus' 4-bit windows, one squaring pow
+        # per window of each output: 16 for its left pass's one output and
+        # 2 x 16 for its right pass's two.
         setup = generate_setup(2, P64, 2**63, 1, random.Random(1))
         actions, pows = [], []
 
@@ -466,7 +467,7 @@ class TestDistinctRows:
         pows.clear()
         kernel = double_action(
             mat_scalar_mul_mod(setup.sigma, priv.l, P64 - 1), setup.w, priv.r, P64)
-        assert len(pows) == 4
+        assert len(pows) == 48 and {e for _, e, _ in pows} == {16}
         monkeypatch.undo()
         assert token == kernel == rdmpf(priv.l, setup.w, priv.r, P64, setup.sigma)
         assert key == rdmpf(priv.l, peer, priv.r, P64, setup.sigma)

@@ -989,6 +989,35 @@ class TestKemCommand:
         assert "parameter error: eta0 must be 64 bytes, got 10" in r.stderr
         assert list(xch.iterdir()) == []
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_as_eta0_exits_2_at_once(self, tmp_path):
+        # a blocking open of the pipe would wait for a writer past
+        # --timeout; run_cli's own timeout fails a regression instead of hanging
+        params, _ = self._setup_files(tmp_path)
+        fifo = tmp_path / "eta0.fifo"
+        os.mkfifo(fifo)
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        r = run_cli(["kem", "--role", "bob", "--params", str(params), "--eta0", str(fifo),
+                     "--auth-a", "a", "--auth-b", "b", "--transport", f"file:{xch}",
+                     "--out", str(tmp_path / "k"), "--timeout", "1"], timeout=10)
+        assert r.returncode == 2
+        assert f"parameter error: --eta0 {fifo} is not a regular file" in r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "eta0.bin", "eta0.fifo", "p.bin", "p.json", "xch"]
+        assert list(xch.iterdir()) == []
+
+    def test_oversized_eta0_read_one_byte_past_its_size(self, tmp_path, capsys):
+        params, eta0 = self._setup_files(tmp_path, bytes(10 << 20))
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        code = cli.main(["kem", "--role", "alice", "--params", str(params),
+                         "--eta0", str(eta0), "--auth-a", "a", "--auth-b", "b",
+                         "--transport", f"file:{xch}", "--out", str(tmp_path / "k")])
+        assert code == cli.EXIT_PARAMETER
+        assert "parameter error: eta0 must be 64 bytes, got 65" in capsys.readouterr().err
+        assert list(xch.iterdir()) == [] and not (tmp_path / "k").exists()
+
     def test_kem_has_no_inject_option(self, tmp_path):
         params, eta0 = self._setup_files(tmp_path)
         r = run_cli(["kem", "--role", "alice", "--params", str(params),
@@ -1094,6 +1123,39 @@ class TestBenchCommand:
         assert cli.main(["bench", *argv]) == 2
         assert f"parameter error: {cause}" in capsys.readouterr().err
 
+
+    def test_missing_out_directory_exits_2_before_anything_is_timed(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        from mpfkap import bench
+
+        def no_workload(*args, **kwargs):
+            raise AssertionError("a grid point was sampled")
+
+        monkeypatch.setattr(bench, "_Workload", no_workload)
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main(["bench", "--point", "2:7:10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"parameter error: --out {out}: no directory {out.parent}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_names_out_and_leaves_no_temporary_file(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        from mpfkap import bench, wire
+
+        def no_room(src, dst):
+            raise OSError(28, "No space left on device", dst)
+
+        monkeypatch.setattr(bench, "bench_rdmpf",
+                            lambda points, trials: [bench.BenchRecord(2, 7, 10, trials, 1e-3)])
+        monkeypatch.setattr(wire.os, "replace", no_room)
+        out = tmp_path / "x.csv"
+        out.write_text("earlier table\n")
+        assert cli.main(["bench", "--point", "2:7:10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"parameter error: cannot write --out {out}: No space left on device" in err
+        assert ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        assert out.read_text() == "earlier table\n"
 
 class TestVectorsCommand:
     def test_only_vectors_imports_known_answers(self):

@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import struct
+import threading
 
 import pytest
 
@@ -19,6 +21,8 @@ from mpfkap.wire import (
     encode_token_list,
     generate_paramset,
     load_paramset,
+    open_regular,
+    replacing,
     save_paramset,
 )
 
@@ -386,3 +390,84 @@ def test_malformed_parameter_file(tmp_path, build, error, cause, code):
     assert cause in r.stderr
     assert "Traceback" not in r.stderr
     assert [p.name for p in tmp_path.iterdir()] == [name]  # no frame, no key
+
+
+class TestReplacing:
+    """replacing(path): <path>.tmp replaces path only when its block succeeds."""
+
+    def test_success_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with replacing(str(path)) as fh:
+            fh.write(b"new")
+            assert path.read_bytes() == b"old"
+        assert path.read_bytes() == b"new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_exception_in_the_block_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with pytest.raises(KeyError):
+            with replacing(str(path)) as fh:
+                fh.write(b"half")
+                raise KeyError("stop")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_failed_replace_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+
+        def no_room(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(wire.os, "replace", no_room)
+        with pytest.raises(OSError, match="No space left"):
+            with replacing(str(path)) as fh:
+                fh.write(b"new")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_failed_open_creates_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with replacing(str(tmp_path / "missing" / "out")):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOpenRegular:
+    """open_regular refuses whatever is not a regular file, without waiting on it."""
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(FrameError, match=f"peer frame {tmp_path} is not a regular file"):
+            open_regular(str(tmp_path), FrameError, "peer frame")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_device_refused(self):
+        with pytest.raises(ParameterError, match="--eta0 /dev/null is not a regular file"):
+            open_regular("/dev/null", ParameterError, "--eta0")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_without_writer_refused_at_once(self, tmp_path):
+        # a blocking open would wait for a writer: the open runs on a
+        # thread, and a writer end opened after 10 s releases a regression
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        raised = []
+
+        def attempt():
+            try:
+                open_regular(str(fifo), ParameterError, "parameter file").close()
+            except Exception as exc:
+                raised.append(exc)
+
+        t = threading.Thread(target=attempt, daemon=True)
+        t.start()
+        t.join(10)
+        blocked = t.is_alive()
+        if blocked:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            t.join(10)
+        assert not blocked
+        assert isinstance(raised[0], ParameterError)
+        assert f"parameter file {fifo} is not a regular file" in str(raised[0])
