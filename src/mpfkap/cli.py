@@ -41,7 +41,9 @@ from .wire import (
     encode_token_list,
     generate_paramset,
     load_paramset,
+    mirror_path,
     open_regular,
+    paramset_files,
     payload_limits,
     replacing,
     save_paramset,
@@ -148,28 +150,36 @@ def _check_out(path: str) -> None:
         raise ParameterError(f"--out {path}: no directory {folder}")
 
 
-def _cmd_setup(args) -> int:
-    _check_out(args.out)
-    rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
-    ps, setup = generate_paramset(
-        args.protocol,
-        args.p,
-        rng,
-        rows=args.rows,
-        cols=args.cols,
-        dim=args.dim,
-        exp_max=args.exp_max,
-        rounds=args.rounds,
-        sigma=args.sigma,
-        seed=args.seed,
-    )
-    for warning in setup.floor_warnings():
-        print(f"warning: {warning}", file=sys.stderr)
+@contextlib.contextmanager
+def _writing_out(path: str, files):
+    """Open files(--out), the temporary files, before the work they save; an OSError names --out."""
+    _check_out(path)
     try:
-        json_path, bin_path = save_paramset(ps, args.out)
+        with files(path) as opened:
+            yield opened
     except OSError as exc:
-        raise ParameterError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-    print(f"wrote {json_path} and {bin_path}")
+        raise ParameterError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
+def _cmd_setup(args) -> int:
+    with _writing_out(args.out, paramset_files) as files:
+        rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
+        ps, setup = generate_paramset(
+            args.protocol,
+            args.p,
+            rng,
+            rows=args.rows,
+            cols=args.cols,
+            dim=args.dim,
+            exp_max=args.exp_max,
+            rounds=args.rounds,
+            sigma=args.sigma,
+            seed=args.seed,
+        )
+        for warning in setup.params.floor_warnings():
+            print(f"warning: {warning}", file=sys.stderr)
+        save_paramset(ps, files)
+    print(f"wrote {args.out} and {mirror_path(args.out)}")
     return EXIT_OK
 
 
@@ -318,29 +328,25 @@ def _report_error(transport, exc: Exception) -> None:
 
 
 def _cmd_bench(args) -> int:
-    if args.out:
-        _check_out(args.out)
-    from . import bench as bench_mod  # only this command pays for its imports
-    if args.point:
-        points = []
-        for spec in args.point:
-            try:
-                dim, p, exp_max = (int(v) for v in spec.split(":"))
-            except ValueError as exc:
-                raise ParameterError(f"bad grid point {spec!r}, need DIM:P:EXPMAX") from exc
-            points.append((dim, p, exp_max))
-    else:
-        points = list(bench_mod.TABLE_GRID)
-    records = bench_mod.bench_rdmpf(points, trials=args.trials)
-    baseline = bench_mod.BASELINE_POINT if bench_mod.BASELINE_POINT in points else None
-    csv_text, summary = bench_mod.bench_report(records, baseline)
+    with _writing_out(args.out, replacing) if args.out else contextlib.nullcontext() as out:
+        from . import bench as bench_mod  # only this command pays for its imports
+        if args.point:
+            points = []
+            for spec in args.point:
+                try:
+                    dim, p, exp_max = (int(v) for v in spec.split(":"))
+                except ValueError as exc:
+                    raise ParameterError(f"bad grid point {spec!r}, need DIM:P:EXPMAX") from exc
+                points.append((dim, p, exp_max))
+        else:
+            points = list(bench_mod.TABLE_GRID)
+        records = bench_mod.bench_rdmpf(points, trials=args.trials)
+        baseline = bench_mod.BASELINE_POINT if bench_mod.BASELINE_POINT in points else None
+        csv_text, summary = bench_mod.bench_report(records, baseline)
+        if args.out:
+            out.write(csv_text.encode("utf-8"))
     print(summary)
     if args.out:
-        try:
-            with replacing(args.out) as fh:
-                fh.write(csv_text.encode("utf-8"))
-        except OSError as exc:
-            raise ParameterError(f"cannot write --out {args.out}: {exc.strerror}") from exc
         print(f"wrote {args.out}")
     else:
         print(csv_text, end="")

@@ -122,11 +122,13 @@ class FieldParams(Record):
         self._set(p, p - 1)
 
     def floor_warnings(self) -> list[str]:
-        """Advisory warnings on p that every protocol's setup shares."""
+        """Every setup's warnings: both protocols fall to discrete logs mod p, at any shape."""
         out = [f"p={self.p} is below the recommended 2^64 floor"] if self.p < 2**64 else []
         if not is_probable_prime(self.p // 2):
             out.append(f"(p-1)/2 = {self.p // 2} is not prime, so Pohlig-Hellman reduces "
                        "each discrete log mod p to the prime factors of p-1")
+        out.append("an eavesdropper who can take discrete logarithms mod p recovers every key by "
+                   "linear algebra, at any dimension and exp_max, so dimension adds no security")
         return out
 
 

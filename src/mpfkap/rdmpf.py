@@ -105,18 +105,6 @@ class RdmpfSetup(Record):
     def dim(self) -> int:
         return self.w.rows
 
-    def floor_warnings(self) -> list[str]:
-        out = self.params.floor_warnings()
-        if self.dim < 100:
-            out.append(f"dimension {self.dim} is below the recommended order of 100")
-        if self.dim <= 2:
-            out.append(
-                f"at dimension {self.dim} a sampled base repeats its one row, so every "
-                "private power is a scalar multiple of its base and each round is "
-                "one discrete log mod p"
-            )
-        return out
-
 
 def _parity_orbit(m: Matrix, steps: int) -> list[int]:
     """The vectors m**k·1 mod 2 for k = 0 .. steps, square m, one byte per row.

@@ -229,19 +229,6 @@ class RmpfSetup(Record):
     def cols(self) -> int:
         return self.base.cols
 
-    def floor_warnings(self) -> list[str]:
-        """Advisory warnings when parameters sit below real-life floors."""
-        out = self.params.floor_warnings()
-        if self.cols < 100:
-            out.append(
-                f"matrix rank bound {self.cols} is below the recommended order of 100"
-            )
-        out.append(
-            "rmpf security is one discrete log mod p whatever the dimension: every "
-            "token entry is T[i][j]^(lambda*omega) for the public T = mpf_double(X, Base, Y)"
-        )
-        return out
-
 
 class RmpfPrivate(Record):
     """One party's private scalars and derived exponent matrices:

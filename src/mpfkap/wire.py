@@ -442,20 +442,30 @@ def open_regular(path: str, error: type[Exception], what: str):
     return open(fd, "rb")
 
 
-def save_paramset(ps: ParamSet, path: str) -> tuple[str, str]:
-    """Write the JSON document plus its binary mirror; returns both paths.
+def mirror_path(path: str) -> str:
+    """Where the binary mirror of the JSON document at path goes."""
+    return (path[: -len(".json")] if path.endswith(".json") else path) + ".bin"
 
-    Both forms are written to their temporary files before either
-    replaces its target, the mirror first, so a failed write or mirror
-    replace leaves an existing pair as it was, and the JSON is never
-    newer than its mirror.  A failure removes the temporary files.
+
+@contextlib.contextmanager
+def paramset_files(path: str):
+    """Open the temporary files of path's JSON document and its mirror; yields the pair.
+
+    Entered before the set is drawn, so a path that cannot be written
+    fails first.  Both forms are written to their temporary files before
+    either replaces its target, the mirror first, so a failed write or
+    mirror replace leaves an existing pair as it was, and the JSON is
+    never newer than its mirror.  A failure removes the temporary files.
     """
-    json_path = path
-    bin_path = path + ".bin" if not path.endswith(".json") else path[: -len(".json")] + ".bin"
-    with replacing(json_path) as j, replacing(bin_path) as b:
-        b.write(ps.to_frame())
-        j.write(ps.to_json().encode("utf-8"))
-    return json_path, bin_path
+    with replacing(path) as json_fh, replacing(mirror_path(path)) as bin_fh:
+        yield json_fh, bin_fh
+
+
+def save_paramset(ps: ParamSet, files) -> None:
+    """Write the JSON document and its binary mirror into the pair paramset_files yielded."""
+    json_fh, bin_fh = files
+    bin_fh.write(ps.to_frame())
+    json_fh.write(ps.to_json().encode("utf-8"))
 
 
 def load_paramset(path: str) -> ParamSet:

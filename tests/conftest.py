@@ -3,7 +3,7 @@ import sys
 
 from mpfkap import Matrix
 from mpfkap import known_answers as ka
-from mpfkap.wire import ParamSet, save_paramset
+from mpfkap.wire import ParamSet, mirror_path, paramset_files, save_paramset
 
 
 def run_cli(args, timeout=60, env=None):
@@ -33,6 +33,13 @@ def wait_cli(proc, timeout=60):
     return proc.returncode
 
 
+def save_params(ps, path):
+    """Save ps as `mpfkap setup --out path` does; returns the JSON and mirror paths."""
+    with paramset_files(path) as files:
+        save_paramset(ps, files)
+    return path, mirror_path(path)
+
+
 def write_known_rmpf_params(path, seed=None):
     ps = ParamSet(
         protocol="rmpf",
@@ -45,4 +52,4 @@ def write_known_rmpf_params(path, seed=None):
         },
         seed=seed,
     )
-    return save_paramset(ps, str(path))
+    return save_params(ps, str(path))

@@ -217,16 +217,18 @@ class TestSetupValidation:
             generate_setup(3, 65537, 500, 1, random.Random(9), sigma=sigma)
 
     def test_floor_warnings(self):
-        warnings = ka.rdmpf_setup().floor_warnings()
+        # the field decides, whatever the dimension: dim 2 and dim 3 read alike
+        warnings = ka.rdmpf_setup().params.floor_warnings()
         assert any("2^64" in w for w in warnings)
-        assert any("order of 100" in w for w in warnings)
-        assert not any("scalar multiple" in w for w in warnings)
-        small = generate_setup(2, 65537, 100, 1, random.Random(2)).floor_warnings()
-        assert any("scalar multiple" in w and "discrete log" in w for w in small)
+        assert any("dimension adds no security" in w for w in warnings)
+        assert not any("order of 100" in w or "scalar multiple" in w for w in warnings)
+        small = generate_setup(2, 65537, 100, 1, random.Random(2))
+        assert small.params.floor_warnings() == warnings
+        assert not hasattr(small, "floor_warnings")
 
     @pytest.mark.parametrize("p, safe", [(65537, False), (2**64 - 59, False), (1019, True)])
     def test_pohlig_hellman_warning(self, p, safe):
-        warnings = generate_setup(3, p, 100, 1, random.Random(3)).floor_warnings()
+        warnings = generate_setup(3, p, 100, 1, random.Random(3)).params.floor_warnings()
         hits = [w for w in warnings if "Pohlig-Hellman" in w]
         assert len(hits) == (0 if safe else 1)
         if not safe:

@@ -12,12 +12,12 @@ import time
 
 import pytest
 
-from conftest import run_cli, spawn_cli, wait_cli, write_known_rmpf_params
+from conftest import run_cli, save_params, spawn_cli, wait_cli, write_known_rmpf_params
 from mpfkap import FrameError, Matrix, ProtocolError, TransportError
 from mpfkap import known_answers as ka
 from mpfkap.transport import POLL_INTERVAL, FileTransport, TcpTransport, open_transport
 from mpfkap import __main__ as entry
-from mpfkap import cli, rdmpf
+from mpfkap import cli, rdmpf, wire
 from mpfkap.wire import (
     ERROR_PAYLOAD_MAX,
     FRAME_KINDS,
@@ -29,7 +29,6 @@ from mpfkap.wire import (
     generate_paramset,
     load_paramset,
     payload_limits,
-    save_paramset,
 )
 
 # the known 5x3 rmpf setup: one token list of 4 + 8 + 15*8 = 132 bytes
@@ -362,8 +361,24 @@ class TestSetupCommand:
         r = run_cli(["setup", "--protocol", "rdmpf", "--dim", "5", "--p", "65537",
                      "--rounds", "1", "--out", str(tmp_path / "p.json")])
         assert r.returncode == 0
-        assert "order of 100" in r.stderr
+        assert "dimension adds no security" in r.stderr
         assert "2^64" in r.stderr
+
+    @pytest.mark.parametrize("p", [1019, 65537, 2**64 - 59])
+    def test_both_protocols_print_the_same_warnings(self, tmp_path, capsys, p):
+        # what makes a setup weak is p's alone: no line names a dimension
+        printed = {}
+        for protocol, shape in (("rmpf", ["--rows", "6", "--cols", "3"]),
+                                ("rdmpf", ["--dim", "3"])):
+            assert cli.main(["setup", "--protocol", protocol, "--p", str(p), *shape, "--seed",
+                             "1", "--out", str(tmp_path / f"{protocol}.json")]) == 0
+            printed[protocol] = capsys.readouterr().err.splitlines()
+        assert printed["rmpf"] == printed["rdmpf"]
+        lines = printed["rmpf"]
+        assert all(line.startswith("warning: ") for line in lines)
+        assert any("discrete logarithms mod p" in line for line in lines)
+        assert not any(words in line for line in lines
+                       for words in ("dimension 3", "rank bound 3", "order of 100", "scalar"))
 
     def test_setup_bytes_pinned(self, tmp_path):
         # SHA-256 of both output files for fixed seeds: setup sampling and
@@ -461,8 +476,8 @@ class TestSetupCommand:
     def test_failed_write_names_out(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "a.json"
 
-        def refuse(ps, path):
-            raise PermissionError(13, "Permission denied", path[:-len(".json")] + ".bin.tmp")
+        def refuse(ps, files):
+            raise PermissionError(13, "Permission denied", files[1].name)
 
         monkeypatch.setattr(cli, "save_paramset", refuse)
         assert cli.main(["setup", "--protocol", "rdmpf", "--dim", "2", "--seed", "1",
@@ -470,6 +485,25 @@ class TestSetupCommand:
         err = capsys.readouterr().err
         assert f"parameter error: cannot write --out {out}: Permission denied" in err
         assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("blocked", ["a.json.tmp", "a.bin.tmp"])
+    def test_uncreatable_temporary_file_refused_before_sampling(self, tmp_path, monkeypatch,
+                                                                capsys, blocked):
+        # both temporary files are opened before the first matrix is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a matrix was sampled")
+
+        monkeypatch.setattr(wire, "sample_matrix", no_draw)
+        monkeypatch.setattr(rdmpf, "sample_matrix", no_draw)
+        (tmp_path / blocked).mkdir()
+        out = tmp_path / "a.json"
+        assert cli.main(["setup", "--protocol", "rdmpf", "--p", "18446744073709551557",
+                         "--dim", "100", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parameter error: cannot write --out {out}: ")
+        assert "warning" not in err and ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
     def test_setup_loadable(self, tmp_path):
         out = tmp_path / "p.json"
@@ -770,7 +804,7 @@ class TestHandshakeCommand:
         ps = ParamSet(protocol="rdmpf", p=7,
                       fields={"dim": 2, "exp_max": 12, "rounds": 2, "sigma": 1}, seed=5,
                       matrices={k: Matrix.from_rows(v, 7) for k, v in rows.items()})
-        params, _ = save_paramset(ps, str(tmp_path / "p.json"))
+        params, _ = save_params(ps, str(tmp_path / "p.json"))
         xch = tmp_path / "xch"
         xch.mkdir()
         for role in ("bob", "alice"):
@@ -788,7 +822,7 @@ class TestHandshakeCommand:
         ps, _ = generate_paramset("rdmpf", 65537, random.Random(1), dim=3, exp_max=100,
                                   rounds=1)
         ps = ParamSet("rdmpf", 65537, {**ps.fields, "sigma": 0}, ps.matrices)
-        params, _ = save_paramset(ps, str(tmp_path / "p.json"))
+        params, _ = save_params(ps, str(tmp_path / "p.json"))
         xch = tmp_path / "xch"
         xch.mkdir()
         for role in ("bob", "alice"):
@@ -1137,6 +1171,22 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert f"parameter error: --out {out}: no directory {out.parent}" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_uncreatable_temporary_file_exits_2_before_anything_is_timed(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        from mpfkap import bench
+
+        def no_workload(*args, **kwargs):
+            raise AssertionError("a grid point was sampled")
+
+        monkeypatch.setattr(bench, "_Workload", no_workload)
+        (tmp_path / "x.csv.tmp").mkdir()
+        out = tmp_path / "x.csv"
+        assert cli.main(["bench", "--point", "2:7:10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parameter error: cannot write --out {out}: ")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv.tmp"]
 
     def test_failed_write_names_out_and_leaves_no_temporary_file(self, tmp_path,
                                                                   monkeypatch, capsys):

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, save_params
 from mpfkap import FrameError, Matrix, ParameterError
 from mpfkap import known_answers as ka
 from mpfkap import wire
@@ -23,7 +23,6 @@ from mpfkap.wire import (
     load_paramset,
     open_regular,
     replacing,
-    save_paramset,
 )
 
 
@@ -179,7 +178,7 @@ class TestParamSet:
     def test_save_and_sniff_both_forms(self, tmp_path):
         rng = random.Random(55)
         ps, _ = generate_paramset("rdmpf", 65537, rng, dim=3, exp_max=500, rounds=1)
-        json_path, bin_path = save_paramset(ps, str(tmp_path / "params.json"))
+        json_path, bin_path = save_params(ps, str(tmp_path / "params.json"))
         from_json = load_paramset(json_path)
         from_bin = load_paramset(bin_path)
         assert from_json.matrices == from_bin.matrices == ps.matrices
@@ -195,10 +194,10 @@ class TestParamSet:
                                   rounds=1)
         (tmp_path / "a").mkdir()
         with pytest.raises(OSError):
-            save_paramset(ps, str(tmp_path / "a"))
+            save_params(ps, str(tmp_path / "a"))
         (tmp_path / "b.bin").mkdir()
         with pytest.raises(OSError):
-            save_paramset(ps, str(tmp_path / "b.json"))
+            save_params(ps, str(tmp_path / "b.json"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "a.bin", "b.bin"]
         assert load_paramset(str(tmp_path / "a.bin")).matrices == ps.matrices
 
@@ -206,7 +205,7 @@ class TestParamSet:
         rng = random.Random(58)
         old, _ = generate_paramset("rdmpf", 65537, rng, dim=2, exp_max=50, rounds=1)
         new, _ = generate_paramset("rdmpf", 65537, rng, dim=2, exp_max=50, rounds=1)
-        json_path, bin_path = save_paramset(old, str(tmp_path / "c.json"))
+        json_path, bin_path = save_params(old, str(tmp_path / "c.json"))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         replace = wire.os.replace
 
@@ -217,7 +216,7 @@ class TestParamSet:
 
         monkeypatch.setattr(wire.os, "replace", failing_mirror)
         with pytest.raises(OSError, match="no room"):
-            save_paramset(new, json_path)
+            save_params(new, json_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert load_paramset(json_path).matrices == old.matrices != new.matrices
 
