@@ -58,7 +58,10 @@ class _Workload:
     def __init__(self, dim: int, p: int, exp_max: int, rng: random.Random):
         self.point = (dim, p, exp_max)
         self.p = p
-        setup = generate_setup(dim, p, exp_max, rounds=1, rng=rng)
+        try:
+            setup = generate_setup(dim, p, exp_max, rounds=1, rng=rng)
+        except ParameterError as exc:
+            raise ParameterError(f"grid point {dim}:{p}:{exp_max}: {exc}") from exc
         em = p - 1
         self.w = setup.w
         self.xe = mat_pow_mod(setup.base_xu, rng.randint(1, exp_max), em)

@@ -1,7 +1,8 @@
 """Command-line surface: setup, handshake, kem, bench, vectors.
 
-Exit codes: 0 success, 2 parameter error, 3 protocol error, 4 transport
-error.  Test mode (--test-mode) enables deterministic seeding (from the
+Exit codes: 0 on success; a failure exits with the code its error class
+declares (mpfkap.errors), and an OSError no command mapped exits 2.
+Test mode (--test-mode) enables deterministic seeding (from the
 MPFKAP_SEED environment variable or the parameter file) and accepts
 injected private values for transcript replays; production runs refuse
 both.
@@ -16,12 +17,7 @@ import random
 import sys
 
 from . import rmpf  # keygen, derive_key: looked up at each call, as perfbench's trace wraps them
-from .errors import (
-    ParameterError,
-    ProtocolError,
-    SerializationError,
-    TransportError,
-)
+from .errors import MpfKapError, ParameterError, ProtocolError
 from .kem import (
     KEY_BYTES,
     NONCE_BYTES,
@@ -50,9 +46,6 @@ from .wire import (
 )
 
 EXIT_OK = 0
-EXIT_PARAMETER = 2
-EXIT_PROTOCOL = 3
-EXIT_TRANSPORT = 4
 
 SEED_ENV = "MPFKAP_SEED"
 # the known-answer vectors' prime (known_answers.P); that module loads
@@ -141,19 +134,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(path: str) -> None:
-    """Refuse an --out that is a directory or is in no directory, before any work is done for it."""
-    if os.path.isdir(path):
-        raise ParameterError(f"--out {path} is a directory")
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        raise ParameterError(f"--out {path}: no directory {folder}")
-
-
 @contextlib.contextmanager
 def _writing_out(path: str, files):
-    """Open files(--out), the temporary files, before the work they save; an OSError names --out."""
-    _check_out(path)
+    """Open files(--out), the temporary files, before the work they save; an OSError names --out.
+
+    An --out that is a directory, names no file or is in no directory is
+    refused first.
+    """
+    if os.path.isdir(path):
+        raise ParameterError(f"--out {path} is a directory")
+    folder, name = os.path.split(path)
+    if not name:
+        raise ParameterError(f"--out {path!r} names no file")
+    if not os.path.isdir(folder or "."):
+        raise ParameterError(f"--out {path}: no directory {folder or '.'}")
     try:
         with files(path) as opened:
             yield opened
@@ -225,12 +219,7 @@ def _exchange(args, setup, what: str, steps) -> int:
     their own arguments first, so a bad value sends no frame; a
     ProtocolError sends the peer an error frame and propagates.
     """
-    _check_out(args.out)
-    with contextlib.ExitStack() as stack:
-        try:
-            out = stack.enter_context(replacing(args.out))
-        except OSError as exc:
-            raise ParameterError(f"cannot write the key to {args.out}: {exc.strerror}") from exc
+    with _writing_out(args.out, replacing) as out:
         transport = open_transport(args.transport, args.role, payload_limits(setup), args.timeout)
         try:
             key = steps(transport)
@@ -295,7 +284,9 @@ def _cmd_kem(args) -> int:
     rng = _session_rng(args, ps)
     with open_regular(args.eta0, ParameterError, "--eta0") as fh:
         eta0 = fh.read(NONCE_BYTES + 1)  # one byte more is enough to refuse a longer file
-    ctx = KemContext(eta0, auth_tag(args.auth_a), auth_tag(args.auth_b))
+    # an identity is its argument's bytes, also when they are not UTF-8
+    tags = (auth_tag(os.fsencode(identity)) for identity in (args.auth_a, args.auth_b))
+    ctx = KemContext(eta0, *tags)
 
     def steps(transport) -> bytes:
         session = RdmpfSession(setup, rng)  # while the peer generates its own
@@ -328,7 +319,8 @@ def _report_error(transport, exc: Exception) -> None:
 
 
 def _cmd_bench(args) -> int:
-    with _writing_out(args.out, replacing) if args.out else contextlib.nullcontext() as out:
+    to_file = args.out is not None
+    with _writing_out(args.out, replacing) if to_file else contextlib.nullcontext() as out:
         from . import bench as bench_mod  # only this command pays for its imports
         if args.point:
             points = []
@@ -343,10 +335,10 @@ def _cmd_bench(args) -> int:
         records = bench_mod.bench_rdmpf(points, trials=args.trials)
         baseline = bench_mod.BASELINE_POINT if bench_mod.BASELINE_POINT in points else None
         csv_text, summary = bench_mod.bench_report(records, baseline)
-        if args.out:
+        if to_file:
             out.write(csv_text.encode("utf-8"))
     print(summary)
-    if args.out:
+    if to_file:
         print(f"wrote {args.out}")
     else:
         print(csv_text, end="")
@@ -362,7 +354,7 @@ def _cmd_vectors(args) -> int:
         print(f"{label:<{width}}  {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1
     print(f"{len(results) - failures}/{len(results)} vectors passed")
-    return EXIT_OK if failures == 0 else EXIT_PROTOCOL
+    return EXIT_OK if failures == 0 else ProtocolError.exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -370,18 +362,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, SerializationError) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except TransportError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+    except MpfKapError as exc:
+        failure = exc
     except OSError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
+        failure = ParameterError(exc)
+    print(f"{failure.kind} error: {failure}", file=sys.stderr)
+    return failure.exit_code
 
 
 if __name__ == "__main__":

@@ -155,8 +155,8 @@ class TcpTransport:
             raise TransportError(f"send failed: {exc}") from exc
 
     def recv(self, kind: str) -> bytes:
-        conn = self._conn()
         try:
+            conn = self._conn()
             data = _read_frame(lambda n: _read_exact(conn, n), self.limits, 0)
         except TimeoutError as exc:
             raise TransportError("timed out waiting for a frame") from exc

@@ -30,7 +30,7 @@ from .core import (
     rank_mod_p,
     sample_matrix,
 )
-from .errors import FrameError, ParameterError
+from .errors import FrameError, MpfKapError, ParameterError
 from .kem import KEY_BYTES, NONCE_BYTES
 from .rdmpf import RdmpfSetup, sample_rank_deficient_base
 from .rmpf import RmpfSetup
@@ -96,16 +96,30 @@ def payload_limits(setup: RmpfSetup | RdmpfSetup) -> dict[str, int]:
     matrices; an error frame carries at most ERROR_PAYLOAD_MAX bytes of
     text.  Setup frames never come from a peer, so they have no entry.
     """
-    if isinstance(setup, RmpfSetup):
-        count, entries = 1, setup.rows * setup.cols
+    protocol = "rmpf" if isinstance(setup, RmpfSetup) else "rdmpf"
+    sizes = _payloads(protocol, {n: getattr(setup, n) for n, _ in _LAYOUTS[protocol].fields})
+    del sizes["setup"]
+    return {**sizes, "error": ERROR_PAYLOAD_MAX}
+
+
+def _payloads(protocol: str, scalars: dict[str, int]) -> dict[str, int]:
+    """The payload size of a seeded setup frame and of each session frame, from a set's scalars.
+
+    Every matrix of a set, public or token, is rows x cols (rmpf) or dim x
+    dim (rdmpf); a session sends one rmpf token, or one rdmpf token per round.
+    """
+    if protocol == "rmpf":
+        count, entries = 1, scalars["rows"] * scalars["cols"]
     else:
-        count, entries = setup.rounds, setup.dim * setup.dim
+        count, entries = scalars["rounds"], scalars["dim"] ** 2
+    layout = _LAYOUTS[protocol]
+    matrix = 8 + entries * WORD_BYTES
     tokens = count * entries * WORD_BYTES
     return {
-        "token-list": 4 + count * 8 + tokens,
+        "setup": struct.calcsize(_scalar_format(layout)) + 8 + len(layout.matrices) * matrix,
+        "token-list": 4 + count * matrix,
         "kem-close-b": tokens,
         "kem-encap-msg": KEY_BYTES + NONCE_BYTES + tokens,
-        "error": ERROR_PAYLOAD_MAX,
     }
 
 
@@ -200,7 +214,8 @@ def _scalars(protocol, p, given: dict, seed) -> tuple[_Layout, dict[str, int]]:
 
     A scalar given lacks takes the layout's default, or None.  Each one,
     p and a seed that is not None must be an int its setup-frame field
-    holds.
+    holds, and no frame of a set with these scalars may outgrow its
+    length field: that is known before any matrix is drawn.
     """
     layout = _LAYOUTS.get(protocol) if isinstance(protocol, str) else None
     if layout is None:
@@ -218,6 +233,12 @@ def _scalars(protocol, p, given: dict, seed) -> tuple[_Layout, dict[str, int]]:
             raise ParameterError(
                 f"{name}={value} does not fit the setup frame's {size}-byte field"
             )
+    sizes = _payloads(protocol, fields)
+    kind = max(sizes, key=sizes.get)
+    if sizes[kind] > MAX_PAYLOAD:
+        shape = ", ".join(f"{n}={v}" for n, v in fields.items())
+        raise ParameterError(f"{shape} make a {sizes[kind]}-byte {kind} payload, "
+                             "over the 4-byte length field")
     return layout, fields
 
 
@@ -315,7 +336,7 @@ class ParamSet(Record):
     def from_json(cls, text: str) -> "ParamSet":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ParameterError(f"parameter file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != PARAMSET_FORMAT:
             raise ParameterError("not a parameter-set document")
@@ -375,20 +396,25 @@ def generate_paramset(
 
     The protocol's scalars are taken from fields (any others are ignored)
     and checked, with p and seed, before anything is sampled: against
-    their frame fields, and for rdmpf by every RdmpfSetup check that
-    needs no matrix.  Returns the parameter set and the setup that
-    validated it.
+    their frame fields and frame sizes, for rmpf's shape, and for rdmpf
+    by every RdmpfSetup check that needs no matrix.  Returns the
+    parameter set and the setup that validated it.
     """
     layout, fields = _scalars(protocol, p, fields, seed)
     params = FieldParams(p)
     if protocol == "rmpf":
+        rows, cols = fields["rows"], fields["cols"]
+        if not rows > cols >= 1:
+            raise ParameterError(f"rmpf needs rows > cols >= 1, got rows={rows}, cols={cols}")
         matrices = {
-            name: sample_matrix(fields["rows"], fields["cols"], p, rng, mode="unit_entries")
+            name: sample_matrix(rows, cols, p, rng, mode="unit_entries")
             for name in layout.matrices
         }
     else:
         RdmpfSetup.check_scalars(params, fields["exp_max"], fields["rounds"], fields["sigma"])
         dim = fields["dim"]
+        if dim < 2:  # a rank-deficient base needs two rows
+            raise ParameterError(f"rdmpf needs dim >= 2, got dim={dim}")
         while True:
             w = sample_matrix(dim, dim, p, rng, mode="unit_entries")
             if rank_mod_p(w, p) == dim:
@@ -469,15 +495,17 @@ def save_paramset(ps: ParamSet, files) -> None:
 
 
 def load_paramset(path: str) -> ParamSet:
-    """Load either form, from a regular file only; the binary mirror is detected by its magic."""
+    """Load either form, from a regular file only; the binary mirror is detected by its magic.
+
+    Any failure to decode either form is a ParameterError that names path.
+    """
     with open_regular(path, ParameterError, "parameter file") as fh:
         raw = fh.read()
-    if raw[:4] == MAGIC:
-        return ParamSet.from_frame(raw)
     try:
-        text = raw.decode("utf-8")
+        return ParamSet.from_frame(raw) if raw[:4] == MAGIC else ParamSet.from_json(raw.decode())
     except UnicodeDecodeError as exc:
         raise ParameterError(
             f"parameter file {path} is neither a setup frame nor UTF-8 text: {exc}"
         ) from exc
-    return ParamSet.from_json(text)
+    except MpfKapError as exc:
+        raise ParameterError(f"parameter file {path}: {exc}") from exc

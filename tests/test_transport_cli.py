@@ -13,7 +13,7 @@ import time
 import pytest
 
 from conftest import run_cli, save_params, spawn_cli, wait_cli, write_known_rmpf_params
-from mpfkap import FrameError, Matrix, ProtocolError, TransportError
+from mpfkap import FrameError, Matrix, ParameterError, ProtocolError, TransportError
 from mpfkap import known_answers as ka
 from mpfkap.transport import POLL_INTERVAL, FileTransport, TcpTransport, open_transport
 from mpfkap import __main__ as entry
@@ -285,7 +285,7 @@ class TestPollSchedule:
             "--transport", f"file:{tmp_path}", "--out", str(tmp_path / "k"),
             "--test-mode", "--timeout", "0.2",
         ])
-        assert code == cli.EXIT_TRANSPORT == 4
+        assert code == TransportError.exit_code == 4
         assert len(sleeps) >= len(SCHEDULE)
         assert_schedule(sleeps)
 
@@ -1048,7 +1048,7 @@ class TestKemCommand:
         code = cli.main(["kem", "--role", "alice", "--params", str(params),
                          "--eta0", str(eta0), "--auth-a", "a", "--auth-b", "b",
                          "--transport", f"file:{xch}", "--out", str(tmp_path / "k")])
-        assert code == cli.EXIT_PARAMETER
+        assert code == ParameterError.exit_code == 2
         assert "parameter error: eta0 must be 64 bytes, got 65" in capsys.readouterr().err
         assert list(xch.iterdir()) == [] and not (tmp_path / "k").exists()
 

@@ -360,7 +360,8 @@ def frame_with_tag(tag):
                      "needs an integer 'p', got 'x'", 2, id="p-string"),
         pytest.param(json_edit(lambda d: d.update(dim="3")), ParameterError,
                      "needs an integer 'dim', got '3'", 2, id="dim-string"),
-        pytest.param(frame_with_tag(9), FrameError, "unknown protocol tag 9", 3, id="bin-tag-9"),
+        pytest.param(frame_with_tag(9), ParameterError, "params.bin: unknown protocol tag 9", 2,
+                     id="bin-tag-9"),
         pytest.param(json_edit(lambda d: d.update(seed="x")), ParameterError,
                      "needs an integer 'seed', got 'x'", 2, id="seed-string"),
         pytest.param(json_edit(lambda d: d["w"][0].__setitem__(0, d["p"] + 1)), ParameterError,
@@ -369,7 +370,7 @@ def frame_with_tag(tag):
                      "matrix 'w': matrix entry out of", 2, id="w-entry-negative"),
         pytest.param(json_edit(lambda d: d["w"][1].pop()), ParameterError,
                      "matrix 'w': rows are missing or ragged", 2, id="w-ragged"),
-        pytest.param(frame_with_seed_flag(7), FrameError, "unknown seed flag 7", 3,
+        pytest.param(frame_with_seed_flag(7), ParameterError, "params.bin: unknown seed flag 7", 2,
                      id="bin-seed-flag-7"),
         pytest.param(json_edit(lambda d: d.update(protocol=["rdmpf"])), ParameterError,
                      "unknown protocol", 2, id="protocol-list"),
