@@ -28,7 +28,6 @@ from .errors import (
 )
 from .kem import (
     KemContext,
-    KemMessage,
     auth_tag,
     hmac512,
     kem_decapsulate,
@@ -47,6 +46,7 @@ from .rdmpf import (
 )
 from .rmpf import (
     RmpfPrivate,
+    RmpfSession,
     RmpfSetup,
     derive_key,
     keygen,
@@ -60,7 +60,6 @@ __all__ = [
     "FieldParams",
     "FrameError",
     "KemContext",
-    "KemMessage",
     "Matrix",
     "MpfKapError",
     "ParameterError",
@@ -69,6 +68,7 @@ __all__ = [
     "RdmpfSession",
     "RdmpfSetup",
     "RmpfPrivate",
+    "RmpfSession",
     "RmpfSetup",
     "SerializationError",
     "TransportError",

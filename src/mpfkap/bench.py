@@ -24,6 +24,9 @@ BASELINE_POINT = (5, 997, 1000)
 # Each trial repeats the evaluation until it spans at least this long, so
 # sub-millisecond points are not drowned in timer noise.
 _MIN_TRIAL_SECONDS = 0.02
+# One sweep of TABLE_GRID takes ~0.3 s on a 2-vCPU Xeon VM, so 1,000 trials
+# run ~5 minutes, more than a stable median needs; more could run for days.
+MAX_TRIALS = 1000
 
 REPORT_HEADER = (
     "timed operation: one rank-deficient double-action evaluation "
@@ -87,7 +90,7 @@ def bench_rdmpf(
     trials: int = 10,
     rng: random.Random | None = None,
 ) -> list[BenchRecord]:
-    """Time every (dim, p, exp_max) point; trials must be >= 10.
+    """Time every (dim, p, exp_max) point; trials must lie in [10, MAX_TRIALS].
 
     Trials are interleaved across the grid in sweeps, so clock-speed
     drift over the run biases every point alike and cancels out of the
@@ -102,6 +105,8 @@ def bench_rdmpf(
         raise ParameterError("benchmark grid is empty")
     if trials < 10:
         raise ParameterError(f"need at least 10 trials, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ParameterError(f"need at most {MAX_TRIALS} trials, got {trials}")
     repeated = next((pt for i, pt in enumerate(points) if pt in points[:i]), None)
     if repeated is not None:
         # ratios key on the point, so a repeat would hide one of its rows

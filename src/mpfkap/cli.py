@@ -1,5 +1,6 @@
 """Command-line surface: setup, handshake, kem, bench, vectors.
 
+handshake drives an RmpfSession or an RdmpfSession through one path.
 Exit codes: 0 on success; a failure exits with the code its error class
 declares (mpfkap.errors), and an OSError no command mapped exits 2.
 Test mode (--test-mode) enables deterministic seeding (from the
@@ -16,24 +17,15 @@ import os
 import random
 import sys
 
-from . import rmpf  # keygen, derive_key: looked up at each call, as perfbench's trace wraps them
 from .errors import MpfKapError, ParameterError, ProtocolError
-from .kem import (
-    KEY_BYTES,
-    NONCE_BYTES,
-    KemContext,
-    KemMessage,
-    auth_tag,
-    kem_decapsulate,
-    kem_encapsulate,
-    kem_initiate,
-)
-from .rdmpf import RdmpfSession, RdmpfSetup
+from .kem import NONCE_BYTES, KemContext, auth_tag, kem_decapsulate, kem_encapsulate, kem_initiate
+from .rdmpf import RdmpfSession
+from .rmpf import RmpfSession
 from .transport import DEFAULT_TIMEOUT, open_transport
 from .wire import (
     ERROR_PAYLOAD_MAX,
     decode_token_list,
-    encode_matrix,
+    encode_matrix,  # not called here: a perfbench boundary, until the benchmark drops it
     encode_token_list,
     generate_paramset,
     load_paramset,
@@ -54,6 +46,11 @@ DEFAULT_P = 65537
 # the longest --timeout in seconds; socket.settimeout refuses values of
 # about 1e10 s and more, so tcp: needs a bound that file: does not
 MAX_TIMEOUT = 10**6
+# each protocol's party, and the --inject names of its private (first, second) pairs
+PARTIES = {
+    "rmpf": (RmpfSession, ("lambda", "omega")),
+    "rdmpf": (RdmpfSession, ("rand_l", "rand_r")),
+}
 
 
 def _timeout(text: str) -> float:
@@ -106,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="inject private values (test mode only); rmpf: lambda=, omega=; "
+        help="inject private values (test mode only), both names; rmpf: lambda=, omega=; "
         "rdmpf: rand_l=v1,v2,..., rand_r=v1,v2,...",
     )
     p_hs.set_defaults(func=_cmd_handshake)
@@ -155,6 +152,15 @@ def _writing_out(path: str, files):
         raise ParameterError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
+@contextlib.contextmanager
+def _reading(option: str, path: str):
+    """Name option and path in an OSError raised while path is read, as _writing_out does."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot read {option} {path!r}: {exc.strerror}") from exc
+
+
 def _cmd_setup(args) -> int:
     with _writing_out(args.out, paramset_files) as files:
         rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
@@ -177,25 +183,26 @@ def _cmd_setup(args) -> int:
     return EXIT_OK
 
 
-def _parse_injections(args, protocol: str) -> dict:
-    if args.inject and not args.test_mode:
+def _parse_injections(args, protocol: str) -> list[tuple[int, int]] | None:
+    """The injected private pairs, one per round: zipped lists of the protocol's two names."""
+    if not args.inject:
+        return None
+    if not args.test_mode:
         raise ParameterError("--inject requires --test-mode")
-    out: dict = {}
-    allowed = {"rmpf": ("lambda", "omega"), "rdmpf": ("rand_l", "rand_r")}[protocol]
+    names = PARTIES[protocol][1]
+    lists: dict = {}
     for item in args.inject:
         name, sep, value = item.partition("=")
-        if not sep or name not in allowed:
-            raise ParameterError(
-                f"bad injection {item!r}; {protocol} accepts {', '.join(allowed)}"
-            )
+        if not sep or name not in names:
+            raise ParameterError(f"bad injection {item!r}; {protocol} accepts {', '.join(names)}")
         try:
-            if protocol == "rmpf":
-                out[name] = int(value)
-            else:
-                out[name] = [int(v) for v in value.split(",")]
+            lists[name] = [int(v) for v in value.split(",")]
         except ValueError as exc:
             raise ParameterError(f"bad injection value in {item!r}") from exc
-    return out
+    firsts, seconds = (lists.get(name, ()) for name in names)
+    if not firsts or len(firsts) != len(seconds):
+        raise ParameterError(f"--inject needs {names[0]}= and {names[1]}= with as many values")
+    return list(zip(firsts, seconds))
 
 
 def _session_rng(args, ps) -> random.Random:
@@ -234,55 +241,38 @@ def _exchange(args, setup, what: str, steps) -> int:
 
 
 def _cmd_handshake(args) -> int:
-    ps = load_paramset(args.params)
+    with _reading("--params", args.params):
+        ps = load_paramset(args.params)
     setup = ps.build_setup()
     inject = _parse_injections(args, ps.protocol)
     rng = _session_rng(args, ps)
+    party = PARTIES[ps.protocol][0]
     return _exchange(
-        args, setup, "key", lambda transport: _handshake(setup, rng, transport, args.role, inject)
+        args, setup, "key",
+        lambda transport: _handshake(party(setup, rng, inject), transport, args.role),
     )
 
 
-def _handshake(
-    setup: rmpf.RmpfSetup | RdmpfSetup, rng, transport, role: str, inject: dict
-) -> bytes:
-    """Exchange one token list (alice sends first) and return the key bytes."""
-    if isinstance(setup, rmpf.RmpfSetup):
-        priv, token = rmpf.keygen(setup, rng, inject.get("lambda"), inject.get("omega"))
-        tokens = [token]
-    else:
-        injected = None
-        if inject:
-            ls, rs = inject.get("rand_l"), inject.get("rand_r")
-            if ls is None or rs is None or len(ls) != len(rs):
-                raise ParameterError("rdmpf injection needs matching rand_l and rand_r lists")
-            injected = list(zip(ls, rs))
-        session = RdmpfSession(setup, rng, injected)
-        tokens = session.tokens
-    payload = encode_token_list(tokens)
+def _handshake(session, transport, role: str) -> bytes:
+    """Exchange token lists (alice sends first); return the key bytes session derives."""
+    payload = encode_token_list(session.tokens)
     if role == "alice":
         transport.send("token-list", payload)
         peer_payload = transport.recv("token-list")
     else:
         peer_payload = transport.recv("token-list")
         transport.send("token-list", payload)
-    peer_mats = decode_token_list(peer_payload, setup.params.p)
-    if len(peer_mats) != len(tokens):
-        raise ProtocolError(
-            f"peer sent {len(peer_mats)} token matrices, expected {len(tokens)}"
-        )
-    if isinstance(setup, rmpf.RmpfSetup):
-        return encode_matrix(rmpf.derive_key(priv, peer_mats[0], setup))
-    return session.derive(peer_mats)
+    return session.derive(decode_token_list(peer_payload, session.setup.params.p))
 
 
 def _cmd_kem(args) -> int:
-    ps = load_paramset(args.params)
+    with _reading("--params", args.params):
+        ps = load_paramset(args.params)
     if ps.protocol != "rdmpf":
-        raise ParameterError("the KEM runs over rdmpf parameter sets")
+        raise ParameterError(f"--params {args.params!r}: the KEM runs over rdmpf parameter sets")
     setup = ps.build_setup()
     rng = _session_rng(args, ps)
-    with open_regular(args.eta0, ParameterError, "--eta0") as fh:
+    with _reading("--eta0", args.eta0), open_regular(args.eta0, ParameterError, "--eta0") as fh:
         eta0 = fh.read(NONCE_BYTES + 1)  # one byte more is enough to refuse a longer file
     # an identity is its argument's bytes, also when they are not UTF-8
     tags = (auth_tag(os.fsencode(identity)) for identity in (args.auth_a, args.auth_b))
@@ -292,23 +282,12 @@ def _cmd_kem(args) -> int:
         session = RdmpfSession(setup, rng)  # while the peer generates its own
         if args.role == "bob":
             transport.send("kem-close-b", kem_initiate(ctx, session))
-            payload = transport.recv("kem-encap-msg")
-            return kem_decapsulate(ctx, session, _parse_encap_payload(payload))
-        k, msg = kem_encapsulate(ctx, session, transport.recv("kem-close-b"), rng)
-        transport.send("kem-encap-msg", msg.encap + msg.eta_m + msg.close_a)
+            return kem_decapsulate(ctx, session, transport.recv("kem-encap-msg"))
+        k, message = kem_encapsulate(ctx, session, transport.recv("kem-close-b"), rng)
+        transport.send("kem-encap-msg", message)
         return k
 
     return _exchange(args, setup, "encapsulated key", steps)
-
-
-def _parse_encap_payload(payload: bytes) -> KemMessage:
-    if len(payload) < KEY_BYTES + NONCE_BYTES:
-        raise ProtocolError(f"encapsulation message truncated at {len(payload)} bytes")
-    return KemMessage(
-        encap=payload[:KEY_BYTES],
-        eta_m=payload[KEY_BYTES : KEY_BYTES + NONCE_BYTES],
-        close_a=payload[KEY_BYTES + NONCE_BYTES :],
-    )
 
 
 def _report_error(transport, exc: Exception) -> None:

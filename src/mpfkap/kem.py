@@ -3,10 +3,12 @@
 All otherwise-public token traffic is masked with an HMAC-SHA3-512
 keystream keyed by a 512-bit shared root nonce, and the encapsulated
 512-bit key K is masked with an HMAC keyed by the agreed session digest.
-Bob initiates (CloseB), Alice encapsulates ({Encap, CloseA, eta_m}), Bob
-decapsulates.  Each party builds one RdmpfSession, which generates its
-rounds, before it waits for the peer, since neither side's rounds need
-anything from the other; every move takes that session.
+Bob initiates (CloseB), Alice encapsulates, Bob decapsulates.  Alice's
+message is encap || eta_m || close_a: two fixed 64-byte fields, then her
+masked token list; kem_encapsulate builds it and kem_decapsulate splits
+it.  Each party builds one RdmpfSession, which generates its rounds,
+before it waits for the peer, since neither side's rounds need anything
+from the other; every move takes that session.
 """
 
 from __future__ import annotations
@@ -83,19 +85,6 @@ class KemContext(Record):
         return self.auth_a + self.auth_b
 
 
-class KemMessage(Record):
-    """The encapsulation message Alice sends to Bob."""
-
-    __slots__ = ("encap", "close_a", "eta_m")
-
-    def __init__(self, encap: bytes, close_a: bytes, eta_m: bytes):
-        if len(encap) != KEY_BYTES:
-            raise ProtocolError(f"encap must be {KEY_BYTES} bytes, got {len(encap)}")
-        if len(eta_m) != NONCE_BYTES:
-            raise ProtocolError(f"eta_m must be {NONCE_BYTES} bytes, got {len(eta_m)}")
-        self._set(encap, close_a, eta_m)
-
-
 def _unmask_tokens(name: str, masked: bytes, key: bytes, context: bytes, setup: RdmpfSetup):
     """The peer's round tokens from its masked list, which must be exactly their size."""
     expected = setup.rounds * setup.dim * setup.dim * WORD_BYTES
@@ -115,8 +104,8 @@ def kem_initiate(ctx: KemContext, session: RdmpfSession) -> bytes:
 
 def kem_encapsulate(
     ctx: KemContext, session: RdmpfSession, close_b: bytes, rng: random.Random
-) -> tuple[bytes, KemMessage]:
-    """Alice's move: agree on the session key and encapsulate a fresh K.
+) -> tuple[bytes, bytes]:
+    """Alice's move: agree on the session key, encapsulate a fresh K; returns K and her message.
 
     session holds her rounds, which need nothing from close_b; eta_m and
     then K come from rng, which the CLI also drew her exponents from.
@@ -130,12 +119,16 @@ def kem_encapsulate(
     bound_context = xor_bytes(ctx.auth_pair, eta_m)
     close_a = _mask(canonical_bytes(matrix_values(session.tokens)), ctx.eta0, bound_context)
     encap = xor_bytes(k, hmac512(shared, bound_context))
-    return k, KemMessage(encap, close_a, eta_m)
+    return k, encap + eta_m + close_a
 
 
-def kem_decapsulate(ctx: KemContext, session: RdmpfSession, msg: KemMessage) -> bytes:
-    """Bob's closing move: recover the peer tokens and unmask K."""
-    bound_context = xor_bytes(ctx.auth_pair, msg.eta_m)
-    peer_tokens = _unmask_tokens("close_a", msg.close_a, ctx.eta0, bound_context, session.setup)
+def kem_decapsulate(ctx: KemContext, session: RdmpfSession, message: bytes) -> bytes:
+    """Bob's closing move: split alice's message, recover her tokens and unmask K."""
+    head = KEY_BYTES + NONCE_BYTES
+    if len(message) < head:
+        raise ProtocolError(f"encapsulation message truncated at {len(message)} bytes")
+    encap, eta_m, close_a = message[:KEY_BYTES], message[KEY_BYTES:head], message[head:]
+    bound_context = xor_bytes(ctx.auth_pair, eta_m)
+    peer_tokens = _unmask_tokens("close_a", close_a, ctx.eta0, bound_context, session.setup)
     shared = session.derive(peer_tokens)
-    return xor_bytes(msg.encap, hmac512(shared, bound_context))
+    return xor_bytes(encap, hmac512(shared, bound_context))

@@ -12,9 +12,9 @@ pin rather than an externally published value.
 
 from __future__ import annotations
 
-from .core import FieldParams, Matrix, Record, mat_pow_mod, mat_scalar_mul_mod, matrix_values
+from .core import FieldParams, Matrix, Record, encode_matrix, mat_pow_mod, matrix_values
 from .rdmpf import RdmpfSession, RdmpfSetup, session_digest
-from .rmpf import RmpfSetup, derive_key, keygen, mpf_double
+from .rmpf import RmpfSession, RmpfSetup, mpf_double
 
 P = 65537
 
@@ -294,25 +294,22 @@ def rdmpf_setup(sigma: int = 1) -> RdmpfSetup:
 def check_rmpf_vectors() -> list[tuple[str, bool]]:
     """Replay the rectangular transcript; one (label, ok) entry per value."""
     setup = rmpf_setup()
-    em = setup.params.exp_modulus
+    alice = RmpfSession(setup, injected=[(RMPF_LAMBDA_A, RMPF_OMEGA_A)])
+    bob = RmpfSession(setup, injected=[(RMPF_LAMBDA_B, RMPF_OMEGA_B)])
+    a1, b1 = alice.private.a, alice.private.b
     results = []
 
-    a1 = mat_scalar_mul_mod(RMPF_LAMBDA_A, setup.x, em)
-    b1 = mat_scalar_mul_mod(RMPF_OMEGA_A, setup.y, em)
     results.append(("rmpf scaled exponent matrix A1", a1.to_rows() == RMPF_A1))
     results.append(("rmpf scaled exponent matrix B1", b1.to_rows() == RMPF_B1))
+    results.append(("rmpf scaled exponent matrix A2", bob.private.a.to_rows() == RMPF_A2))
+    results.append(("rmpf scaled exponent matrix B2", bob.private.b.to_rows() == RMPF_B2))
+    results.append(("rmpf token A", alice.tokens[0].to_rows() == RMPF_TOKEN_A))
+    results.append(("rmpf token B", bob.tokens[0].to_rows() == RMPF_TOKEN_B))
 
-    priv_a, token_a = keygen(setup, _NoRng(), RMPF_LAMBDA_A, RMPF_OMEGA_A)
-    priv_b, token_b = keygen(setup, _NoRng(), RMPF_LAMBDA_B, RMPF_OMEGA_B)
-    results.append(("rmpf scaled exponent matrix A2", priv_b.a.to_rows() == RMPF_A2))
-    results.append(("rmpf scaled exponent matrix B2", priv_b.b.to_rows() == RMPF_B2))
-    results.append(("rmpf token A", token_a.to_rows() == RMPF_TOKEN_A))
-    results.append(("rmpf token B", token_b.to_rows() == RMPF_TOKEN_B))
-
-    key_a = derive_key(priv_a, token_b, setup)
-    key_b = derive_key(priv_b, token_a, setup)
-    results.append(("rmpf key A", key_a.to_rows() == RMPF_KEY))
-    results.append(("rmpf key B", key_b.to_rows() == RMPF_KEY))
+    key_a, key_b = alice.derive(bob.tokens), bob.derive(alice.tokens)
+    expected = encode_matrix(Matrix.from_rows(RMPF_KEY, P))
+    results.append(("rmpf key A", key_a == expected))
+    results.append(("rmpf key B", key_b == expected))
     results.append(("rmpf key agreement", key_a == key_b))
 
     double = mpf_double(a1, setup.base, b1, P)
@@ -378,10 +375,3 @@ def check_rdmpf_vectors() -> list[tuple[str, bool]]:
 
 def check_all() -> list[tuple[str, bool]]:
     return check_rmpf_vectors() + check_rdmpf_vectors()
-
-
-class _NoRng:
-    """Randomness source that must never be consulted (injected replays)."""
-
-    def randrange(self, *args):  # pragma: no cover - defensive
-        raise AssertionError("replay paths must not draw randomness")

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
-from .core import FieldParams, Matrix, Record, mat_scalar_mul_mod
+from .core import FieldParams, Matrix, Record, encode_matrix, mat_scalar_mul_mod
 from .errors import ParameterError, ProtocolError
 
 Token = Matrix
@@ -248,7 +249,8 @@ def keygen(
 ) -> tuple[RmpfPrivate, Token]:
     """Draw private scalars and produce the public token.
 
-    Explicit lam/omega values replay a known transcript.
+    Explicit lam/omega values replay a known transcript; like drawn ones
+    they lie in [1, p-2], as a multiple of p-1 would zero a private matrix.
     """
     p = setup.params.p
     em = setup.params.exp_modulus
@@ -256,6 +258,8 @@ def keygen(
         lam = rng.randrange(1, p - 1)
     if omega is None:
         omega = rng.randrange(1, p - 1)
+    if not (0 < lam < em and 0 < omega < em):
+        raise ParameterError(f"lambda and omega must lie in [1, p-2], got {lam} and {omega}")
     priv = RmpfPrivate(
         lam,
         omega,
@@ -279,3 +283,30 @@ def derive_key(priv: RmpfPrivate, peer_token: Token, setup: RmpfSetup) -> Matrix
     """Apply the private action to the peer token; equals the peer's key."""
     _check_peer_token(peer_token, setup.rows, setup.cols, setup.params.p)
     return double_action(priv.a, peer_token, priv.b, setup.params.p)
+
+
+class RmpfSession(Record):
+    """One party, as an RdmpfSession is: keygen's private and its token as a one-token list.
+
+    rng draws the scalars, or one injected (lambda, omega) pair replays a transcript.
+    """
+
+    __slots__ = ("setup", "private", "tokens")
+
+    def __init__(
+        self, setup: RmpfSetup, rng: random.Random | None = None,
+        injected: Sequence[tuple[int, int]] | None = None
+    ):
+        if injected is None:
+            injected = [(None, None)]  # keygen draws both
+        elif len(injected) != 1:
+            raise ParameterError(f"need 1 injected (lambda, omega) pair, got {len(injected)}")
+        rng = rng if rng is not None else random.SystemRandom()
+        private, token = keygen(setup, rng, *injected[0])
+        self._set(setup, private, (token,))
+
+    def derive(self, peer_tokens: Sequence[Token]) -> bytes:
+        """The key file's bytes: encode_matrix of the private action on the peer's token."""
+        if len(peer_tokens) != 1:
+            raise ProtocolError(f"peer sent {len(peer_tokens)} token matrices, expected 1")
+        return encode_matrix(derive_key(self.private, peer_tokens[0], self.setup))

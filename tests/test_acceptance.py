@@ -13,7 +13,6 @@ from conftest import run_cli, spawn_cli, wait_cli
 from mpfkap import (
     FieldParams,
     KemContext,
-    KemMessage,
     Matrix,
     MpfKapError,
     RdmpfSession,
@@ -248,7 +247,9 @@ def test_criterion_6_kem_round_trips_and_tampering():
             assert kem_decapsulate(ctx, bob, msg) == k
 
         # tampering: flip one bit in each wire field, every trial must
-        # yield a mismatched K or a protocol error
+        # yield a mismatched K or a protocol error; alice's message is
+        # encap (64 bytes), eta_m (64) and close_a, the rest
+        ranges = {"encap": (0, 64), "eta_m": (64, 128), "close_a": (128, None)}
         for trial in range(100):
             field = ("close_b", "encap", "close_a", "eta_m")[trial % 4]
             setup = generate_setup(3, 65537, 500, 1, rng)
@@ -258,9 +259,9 @@ def test_criterion_6_kem_round_trips_and_tampering():
             bob = RdmpfSession(setup, rng)
             close_b = kem_initiate(ctx, bob)
 
-            def flip(data):
+            def flip(data, start=0, stop=None):
                 out = bytearray(data)
-                out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+                out[rng.randrange(start, stop or len(out))] ^= 1 << rng.randrange(8)
                 return bytes(out)
 
             try:
@@ -268,11 +269,7 @@ def test_criterion_6_kem_round_trips_and_tampering():
                     k, msg = kem_encapsulate(ctx, RdmpfSession(setup, rng), flip(close_b), rng)
                 else:
                     k, msg = kem_encapsulate(ctx, RdmpfSession(setup, rng), close_b, rng)
-                    msg = KemMessage(
-                        flip(msg.encap) if field == "encap" else msg.encap,
-                        flip(msg.close_a) if field == "close_a" else msg.close_a,
-                        flip(msg.eta_m) if field == "eta_m" else msg.eta_m,
-                    )
+                    msg = flip(msg, *ranges[field])
                 assert kem_decapsulate(ctx, bob, msg) != k
             except MpfKapError:
                 pass

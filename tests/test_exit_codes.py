@@ -131,7 +131,7 @@ CASES = [
       for command in TWO_PARTY for value in NUMBERS),
     *(case("bench", "--trials", value,
            ARGPARSE if value in ("", "nan", "inf", "text") else ParameterError)
-      for value in NUMBERS if value != BIG),  # 10^400 trials is a run as long as asked for
+      for value in NUMBERS),
     *(case("bench", "--point", value, ParameterError, named="grid point")
       for value in (*NUMBERS, "2:7", "2:7:10:1", "1:7:10", "2:4:10", "2:2:10", "2:7:1",
                     f"{BIG}:7:10", f"2:7:{BIG}", f"2:{2**64 - 59}:{2**64}")),
@@ -200,6 +200,48 @@ def test_read_only_out(shared, tmp_path, capsys, monkeypatch, command):
     out = str(tmp_path / "k")
     code = cli.main(argv_for(command, [("--out", out)], shared, tmp_path))
     check_failure(code, capsys.readouterr().err, ParameterError, out, "--out")
+    assert listing(tmp_path) == ["xch"]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("handshake", "--params", "{s}/missing"), ("kem", "--params", "{s}/missing/p.json"),
+    ("kem", "--params", "{s}/rmpf.json"), ("kem", "--eta0", "{s}/missing"),
+    ("kem", "--eta0", "{s}/afile/eta0")])
+def test_unreadable_file_names_its_option_and_path(shared, tmp_path, capsys, command, option,
+                                                   value):
+    (tmp_path / "xch").mkdir()
+    code = cli.main(argv_for(command, [(option, value)], shared, tmp_path))
+    err = capsys.readouterr().err
+    path = value.replace("{s}", str(shared))
+    check_failure(code, err, ParameterError, path, option)
+    assert f"{option} {path!r}" in err
+    assert listing(tmp_path) == ["xch"]
+
+
+def inject_argv(shared, work, *items):
+    """The handshake on the known rmpf set, with one --inject per item."""
+    return argv_for("handshake", [], shared, work) + [a for item in items for a in ("--inject", item)]
+
+
+@pytest.mark.parametrize("lam, omega", [(0, 5), (5, 0), (5, 65536), (65536, 5)])
+def test_injected_scalar_outside_1_to_p_minus_2_sends_nothing(shared, tmp_path, capsys, lam,
+                                                              omega):
+    # 0 or p-1 makes a private matrix zero: its token would carry no secret
+    (tmp_path / "xch").mkdir()
+    code = cli.main(inject_argv(shared, tmp_path, f"lambda={lam}", f"omega={omega}"))
+    err = capsys.readouterr().err
+    check_failure(code, err, ParameterError, "lambda", "--inject")
+    assert "lambda and omega must lie in [1, p-2]" in err
+    assert listing(tmp_path) == ["xch"]
+
+
+@pytest.mark.parametrize("items", [("lambda=5",), ("omega=5",), ("lambda=5,6", "omega=7")])
+def test_rmpf_injection_needs_both_names(shared, tmp_path, capsys, items):
+    (tmp_path / "xch").mkdir()
+    code = cli.main(inject_argv(shared, tmp_path, *items))
+    err = capsys.readouterr().err
+    check_failure(code, err, ParameterError, "--inject", "--inject")
+    assert "lambda=" in err and "omega=" in err
     assert listing(tmp_path) == ["xch"]
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mpfkap import (
     KemContext,
-    KemMessage,
     MpfKapError,
     ParameterError,
     ProtocolError,
@@ -39,6 +38,11 @@ def manual_hmac_sha3_512(key: bytes, msg: bytes) -> bytes:
 def make_ctx(rng: random.Random) -> KemContext:
     eta0 = rng.getrandbits(512).to_bytes(64, "big")
     return KemContext(eta0, auth_tag("party-a"), auth_tag("party-b"))
+
+
+def fields(message):
+    """Alice's message split by byte range: encap (64 bytes), eta_m (64), close_a (the rest)."""
+    return message[:64], message[64:128], message[128:]
 
 
 def encapsulate(ctx, setup, rng, close_b):
@@ -143,12 +147,6 @@ class TestContextValidation:
         with pytest.raises(ParameterError):
             KemContext(b"\x00" * 64, b"\x00" * 31, b"\x00" * 32)
 
-    def test_message_sizes_enforced(self):
-        with pytest.raises(ProtocolError):
-            KemMessage(encap=b"\x00" * 63, close_a=b"", eta_m=b"\x00" * 64)
-        with pytest.raises(ProtocolError):
-            KemMessage(encap=b"\x00" * 64, close_a=b"", eta_m=b"\x00" * 10)
-
 
 class TestRoundTrip:
     def test_loopback_recovers_k(self):
@@ -181,7 +179,7 @@ class TestRoundTrip:
         close_b = kem_initiate(ctx, bob)
         k, msg = encapsulate(ctx, setup, random.Random(2), close_b)
         assert kem_decapsulate(ctx, bob, msg) == k
-        wire = close_b + k + msg.encap + msg.eta_m + msg.close_a
+        wire = close_b + k + msg
         assert hashlib.sha256(wire).hexdigest() == digest
 
     def test_close_b_is_xor_recoverable(self):
@@ -225,7 +223,7 @@ class TestRoundTrip:
         bob = RdmpfSession(setup, random.Random(9))
         close_b = kem_initiate(ctx, bob)
         k, msg = encapsulate(ctx, setup, ZeroNonceRng(), close_b)
-        assert msg.eta_m == b"\x00" * 64
+        assert fields(msg)[1] == b"\x00" * 64
         assert kem_decapsulate(ctx, bob, msg) == k
 
     def test_nonce_and_key_come_from_the_rng_passed(self):
@@ -238,7 +236,7 @@ class TestRoundTrip:
         source, twin = random.Random(5), random.Random(5)
         k, msg = kem_encapsulate(ctx, RdmpfSession(setup, random.Random(2)),
                                  kem_initiate(ctx, bob), source)
-        assert msg.eta_m == twin.getrandbits(512).to_bytes(64, "big")
+        assert fields(msg)[1] == twin.getrandbits(512).to_bytes(64, "big")
         assert k == twin.getrandbits(512).to_bytes(64, "big")
         assert source.getstate() == twin.getstate()
         assert kem_decapsulate(ctx, bob, msg) == k
@@ -275,7 +273,7 @@ class TestRoundTrip:
         bound = xor_bytes(ctx.auth_pair, eta_m)
         close_a = xor_bytes(tokens, mask_stream(ctx.eta0, bound, len(tokens)))
         with pytest.raises(ProtocolError, match=r"peer token value out of \[0, p\) range"):
-            kem_decapsulate(ctx, bob, KemMessage(bytes(64), close_a, eta_m))
+            kem_decapsulate(ctx, bob, bytes(64) + eta_m + close_a)
 
     def test_truncated_close_a_rejected(self):
         rng = random.Random(46)
@@ -284,9 +282,18 @@ class TestRoundTrip:
         bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
         k, msg = encapsulate(ctx, setup, random.Random(2), close_b)
-        truncated = KemMessage(msg.encap, msg.close_a[:-8], msg.eta_m)
-        with pytest.raises(ProtocolError):
-            kem_decapsulate(ctx, bob, truncated)
+        with pytest.raises(ProtocolError, match="close_a is"):
+            kem_decapsulate(ctx, bob, msg[:-8])
+
+    @pytest.mark.parametrize("length", [0, 63, 64, 127])
+    def test_message_shorter_than_its_fixed_fields_rejected(self, length):
+        rng = random.Random(46)
+        setup = generate_setup(3, 65537, 500, 1, rng)
+        ctx = make_ctx(rng)
+        bob = RdmpfSession(setup, random.Random(1))
+        _, msg = encapsulate(ctx, setup, random.Random(2), kem_initiate(ctx, bob))
+        with pytest.raises(ProtocolError, match=f"truncated at {length} bytes"):
+            kem_decapsulate(ctx, bob, msg[:length])
 
     def test_zero_entry_in_close_a_rejected(self):
         rng = random.Random(49)
@@ -295,13 +302,14 @@ class TestRoundTrip:
         bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
         _, msg = encapsulate(ctx, setup, random.Random(2), close_b)
-        bound = bytes(a ^ b for a, b in zip(ctx.auth_pair, msg.eta_m))
-        keystream = mask_stream(ctx.eta0, bound, len(msg.close_a))
-        plain = bytearray(a ^ b for a, b in zip(msg.close_a, keystream))
+        encap, eta_m, close_a = fields(msg)
+        bound = bytes(a ^ b for a, b in zip(ctx.auth_pair, eta_m))
+        keystream = mask_stream(ctx.eta0, bound, len(close_a))
+        plain = bytearray(a ^ b for a, b in zip(close_a, keystream))
         plain[8 * 13 : 8 * 14] = bytes(8)  # second round token, entry (1, 1)
         close_a = bytes(a ^ b for a, b in zip(plain, keystream))
         with pytest.raises(ProtocolError, match="zero"):
-            kem_decapsulate(ctx, bob, KemMessage(msg.encap, close_a, msg.eta_m))
+            kem_decapsulate(ctx, bob, encap + eta_m + close_a)
 
     def test_tampered_close_b_breaks_agreement(self):
         rng = random.Random(47)
@@ -324,7 +332,8 @@ class TestRoundTrip:
         bob = RdmpfSession(setup, random.Random(1))
         close_b = kem_initiate(ctx, bob)
         k, msg = encapsulate(ctx, setup, random.Random(2), close_b)
-        swapped = KemMessage(msg.encap, msg.close_a, bytes(64))
+        encap, _, close_a = fields(msg)
+        swapped = encap + bytes(64) + close_a
         try:
             assert kem_decapsulate(ctx, bob, swapped) != k
         except MpfKapError:

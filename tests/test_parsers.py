@@ -16,10 +16,20 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpfkap import MpfKapError
-from mpfkap.cli import _parse_encap_payload
+from mpfkap import MpfKapError, RdmpfSession
 from mpfkap.core import canonical_bytes, matrix_values
-from mpfkap.kem import KEY_BYTES, NONCE_BYTES, _mask, _unmask_tokens
+from mpfkap.kem import (
+    KEY_BYTES,
+    NONCE_BYTES,
+    KemContext,
+    _mask,
+    _unmask_tokens,
+    hmac512,
+    kem_decapsulate,
+    kem_encapsulate,
+    kem_initiate,
+    xor_bytes,
+)
 from mpfkap.wire import (
     HEADER_LEN,
     MAGIC,
@@ -41,6 +51,10 @@ RDMPF, _ = generate_paramset("rdmpf", P, _RNG, dim=2, exp_max=100, rounds=2, sig
 SETUP = generate_setup(2, P, 100, 2, _RNG)
 TOKENS = [RDMPF.matrices["w"], RDMPF.matrices["base_xu"]]
 MASK_KEY, MASK_CONTEXT = bytes(range(64)), b"context"
+KEM_CTX = KemContext(MASK_KEY, bytes(32), bytes(range(32)))
+BOB = RdmpfSession(SETUP, random.Random(1))
+KEM_K, KEM_MESSAGE = kem_encapsulate(KEM_CTX, RdmpfSession(SETUP, random.Random(2)),
+                                     kem_initiate(KEM_CTX, BOB), random.Random(3))
 
 
 def near(*valid: bytes):
@@ -115,11 +129,18 @@ def test_paramset_from_json(data):
 
 
 @BOUNDED
-@given(near(bytes(range(KEY_BYTES + NONCE_BYTES)) + canonical_bytes(matrix_values(TOKENS))))
-def test_parse_encap_payload(data):
-    value = parsed(_parse_encap_payload, data)
+@given(near(KEM_MESSAGE))
+def test_kem_decapsulate(data):
+    # whatever decapsulates is K unmasked by the fixed fields encap and
+    # eta_m, with the shared key from the tokens masked in the rest
+    value = parsed(lambda d: kem_decapsulate(KEM_CTX, BOB, d), data)
     if value is not None:
-        assert value.encap + value.eta_m + value.close_a == data
+        head = KEY_BYTES + NONCE_BYTES
+        bound = xor_bytes(KEM_CTX.auth_pair, data[KEY_BYTES:head])
+        tokens = _unmask_tokens("close_a", data[head:], KEM_CTX.eta0, bound, SETUP)
+        assert value == xor_bytes(data[:KEY_BYTES], hmac512(BOB.derive(tokens), bound))
+    if data == KEM_MESSAGE:
+        assert value == KEM_K
 
 
 @BOUNDED

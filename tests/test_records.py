@@ -12,14 +12,13 @@ import mpfkap
 from mpfkap import (
     FieldParams,
     KemContext,
-    KemMessage,
     Matrix,
     ParameterError,
-    ProtocolError,
     RdmpfRoundPrivate,
     RdmpfSession,
     RdmpfSetup,
     RmpfPrivate,
+    RmpfSession,
     RmpfSetup,
 )
 from mpfkap import known_answers as ka
@@ -65,10 +64,12 @@ RECORDS = {
     ),
     RmpfSetup: (("params", "base", "x", "y"), lambda: ((FieldParams(P), TALL, TALL, TALL), {})),
     RmpfPrivate: (("lam", "omega", "a", "b"), lambda: ((5, 6, M, LOW), {})),
+    RmpfSession: (
+        ("setup", "private", "tokens"), lambda: ((ka.rmpf_setup(),), {"injected": [(5, 6)]})
+    ),
     KemContext: (
         ("eta0", "auth_a", "auth_b"), lambda: ((bytes(64), bytes(32), bytes(range(32))), {})
     ),
-    KemMessage: (("encap", "close_a", "eta_m"), lambda: ((bytes(64), b"close", bytes(64)), {})),
     ParamSet: (
         ("protocol", "p", "fields", "matrices", "seed"),
         lambda: (rmpf_paramset_args(), {"seed": 9}),
@@ -206,8 +207,6 @@ REFUSALS = [
      ParameterError, "x must have entries"),
     (lambda: KemContext(bytes(63), bytes(32), bytes(32)), ParameterError, "eta0 must be 64"),
     (lambda: KemContext(bytes(64), bytes(31), bytes(32)), ParameterError, "auth tags"),
-    (lambda: KemMessage(bytes(63), b"", bytes(64)), ProtocolError, "encap must be 64"),
-    (lambda: KemMessage(bytes(64), b"", bytes(65)), ProtocolError, "eta_m must be 64"),
     (lambda: _paramset(fields={**RMPF_FIELDS, "dim": 3}), ParameterError, "exactly the scalars"),
     (lambda: _paramset(fields={"rows": 5}), ParameterError, "needs an integer 'cols'"),
     (lambda: _paramset(matrices={}), ParameterError, "exactly the scalars"),

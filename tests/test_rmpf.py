@@ -8,6 +8,7 @@ from mpfkap import (
     Matrix,
     ParameterError,
     ProtocolError,
+    RmpfSession,
     RmpfSetup,
     derive_key,
     generate_setup,
@@ -22,6 +23,7 @@ from mpfkap import (
 from mpfkap import known_answers as ka
 from mpfkap import rdmpf as rdmpf_mod
 from mpfkap import rmpf as rmpf_mod
+from mpfkap.core import encode_matrix
 from mpfkap.rdmpf import rdmpf
 from mpfkap.rmpf import _MAX_WINDOW, _multi_exp, _window, double_action
 from one_sided import mpf_left, mpf_right, transpose
@@ -636,6 +638,48 @@ class TestProtocolRun:
             pa, ta = keygen(setup, rng)
             pb, tb = keygen(setup, rng)
             assert derive_key(pa, tb, setup) == derive_key(pb, ta, setup)
+
+    @pytest.mark.parametrize("lam, omega", [(0, 5), (5, 0), (65536, 5), (5, 65536), (-1, 5),
+                                            (5, 2 * 65536 + 3)])
+    def test_injected_scalar_outside_1_to_p_minus_2_refused(self, lam, omega):
+        # 0 or a multiple of p-1 makes a private matrix zero and the token all ones
+        with pytest.raises(ParameterError, match=r"lambda and omega must lie in \[1, p-2\]"):
+            keygen(ka.rmpf_setup(), random.Random(0), lam, omega)
+
+    def test_injected_scalars_at_the_ends_of_the_range_accepted(self):
+        setup = ka.rmpf_setup()
+        for lam, omega in ((1, 65535), (65535, 1)):
+            priv, token = keygen(setup, random.Random(0), lam, omega)
+            assert (priv.lam, priv.omega) == (lam, omega)
+            assert not token.has_zero_entry()
+
+
+class TestRmpfSession:
+    def test_replays_the_known_answer_transcript(self):
+        setup = ka.rmpf_setup()
+        alice = RmpfSession(setup, injected=[(ka.RMPF_LAMBDA_A, ka.RMPF_OMEGA_A)])
+        bob = RmpfSession(setup, injected=[(ka.RMPF_LAMBDA_B, ka.RMPF_OMEGA_B)])
+        assert [t.to_rows() for t in alice.tokens] == [ka.RMPF_TOKEN_A]
+        assert [t.to_rows() for t in bob.tokens] == [ka.RMPF_TOKEN_B]
+        key = encode_matrix(Matrix.from_rows(ka.RMPF_KEY, ka.P))
+        assert alice.derive(bob.tokens) == bob.derive(alice.tokens) == key
+
+    def test_drawn_session_is_keygen_on_the_same_rng(self):
+        setup = rand_setup(3, 2, 7, random.Random(18))
+        priv, token = keygen(setup, random.Random(5))
+        session = RmpfSession(setup, random.Random(5))
+        assert (session.private, session.tokens) == (priv, (token,))
+
+    @pytest.mark.parametrize("pairs", [[], [(5, 6), (7, 8)]])
+    def test_injected_pair_count_other_than_one_refused(self, pairs):
+        with pytest.raises(ParameterError, match=f"need 1 injected .* pair, got {len(pairs)}"):
+            RmpfSession(ka.rmpf_setup(), injected=pairs)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_peer_list_length_other_than_one_refused(self, count):
+        session = RmpfSession(ka.rmpf_setup(), random.Random(1))
+        with pytest.raises(ProtocolError, match=f"peer sent {count} token matrices, expected 1"):
+            session.derive(session.tokens * count)
 
 
 class TestAlgebraicIdentities:
