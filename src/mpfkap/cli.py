@@ -25,7 +25,7 @@ from .transport import DEFAULT_TIMEOUT, open_transport
 from .wire import (
     ERROR_PAYLOAD_MAX,
     decode_token_list,
-    encode_matrix,  # not called here: a perfbench boundary, until the benchmark drops it
+    encode_matrix,
     encode_token_list,
     generate_paramset,
     load_paramset,
@@ -46,10 +46,12 @@ DEFAULT_P = 65537
 # the longest --timeout in seconds; socket.settimeout refuses values of
 # about 1e10 s and more, so tcp: needs a bound that file: does not
 MAX_TIMEOUT = 10**6
-# each protocol's party, and the --inject names of its private (first, second) pairs
+# each protocol's party, its (first, second) --inject names, and its key
+# file's bytes from the key the party derives; the lambda looks encode_matrix
+# up when called, so perfbench's trace of cli.encode_matrix counts the rmpf key
 PARTIES = {
-    "rmpf": (RmpfSession, ("lambda", "omega")),
-    "rdmpf": (RdmpfSession, ("rand_l", "rand_r")),
+    "rmpf": (RmpfSession, ("lambda", "omega"), lambda key: encode_matrix(key)),
+    "rdmpf": (RdmpfSession, ("rand_l", "rand_r"), bytes),
 }
 
 
@@ -246,15 +248,15 @@ def _cmd_handshake(args) -> int:
     setup = ps.build_setup()
     inject = _parse_injections(args, ps.protocol)
     rng = _session_rng(args, ps)
-    party = PARTIES[ps.protocol][0]
+    party, _, key_file = PARTIES[ps.protocol]
     return _exchange(
         args, setup, "key",
-        lambda transport: _handshake(party(setup, rng, inject), transport, args.role),
+        lambda transport: key_file(_handshake(party(setup, rng, inject), transport, args.role)),
     )
 
 
-def _handshake(session, transport, role: str) -> bytes:
-    """Exchange token lists (alice sends first); return the key bytes session derives."""
+def _handshake(session, transport, role: str):
+    """Exchange token lists (alice sends first); return the key session derives."""
     payload = encode_token_list(session.tokens)
     if role == "alice":
         transport.send("token-list", payload)

@@ -529,11 +529,6 @@ def canonical_bytes(values: Iterable[int]) -> bytes:
     return struct.pack(f">{len(values)}Q", *values)
 
 
-def encode_matrix(m: Matrix) -> bytes:
-    """m's 4-byte big-endian rows and cols, then its entries as canonical_bytes."""
-    return struct.pack(">II", m.rows, m.cols) + canonical_bytes(m.entries)
-
-
 def canonical_values(data: bytes) -> tuple[int, ...]:
     """The integers canonical_bytes encoded; len(data) must be a multiple of WORD_BYTES."""
     return struct.unpack(f">{len(data) // WORD_BYTES}Q", data)

@@ -14,7 +14,7 @@ import math
 import random
 from typing import Sequence
 
-from .core import FieldParams, Matrix, Record, encode_matrix, mat_scalar_mul_mod
+from .core import FieldParams, Matrix, Record, mat_scalar_mul_mod
 from .errors import ParameterError, ProtocolError
 
 Token = Matrix
@@ -305,8 +305,8 @@ class RmpfSession(Record):
         private, token = keygen(setup, rng, *injected[0])
         self._set(setup, private, (token,))
 
-    def derive(self, peer_tokens: Sequence[Token]) -> bytes:
-        """The key file's bytes: encode_matrix of the private action on the peer's token."""
+    def derive(self, peer_tokens: Sequence[Token]) -> Matrix:
+        """The key matrix: the private action on the peer's one token."""
         if len(peer_tokens) != 1:
             raise ProtocolError(f"peer sent {len(peer_tokens)} token matrices, expected 1")
-        return encode_matrix(derive_key(self.private, peer_tokens[0], self.setup))
+        return derive_key(self.private, peer_tokens[0], self.setup)

@@ -25,8 +25,8 @@ from .core import (
     Matrix,
     Record,
     WORD_BYTES,
+    canonical_bytes,
     canonical_values,
-    encode_matrix,
     rank_mod_p,
     sample_matrix,
 )
@@ -139,6 +139,10 @@ def check_header(header: bytes, limits: dict[str, int]) -> int:
     return length
 
 
+def encode_matrix(m: Matrix) -> bytes:
+    return struct.pack(">II", m.rows, m.cols) + canonical_bytes(m.entries)
+
+
 def decode_matrix(data: bytes, modulus: int) -> tuple[Matrix, bytes]:
     """Decode one matrix from the head of data; returns (matrix, rest)."""
     if len(data) < 8:
@@ -156,7 +160,10 @@ def decode_matrix(data: bytes, modulus: int) -> tuple[Matrix, bytes]:
 
 
 def encode_token_list(mats: Sequence[Matrix]) -> bytes:
-    return struct.pack(">I", len(mats)) + b"".join(map(encode_matrix, mats))
+    out = struct.pack(">I", len(mats))
+    for m in mats:
+        out += encode_matrix(m)
+    return out
 
 
 def decode_token_list(data: bytes, modulus: int) -> list[Matrix]:

@@ -23,7 +23,6 @@ from mpfkap import (
 from mpfkap import known_answers as ka
 from mpfkap import rdmpf as rdmpf_mod
 from mpfkap import rmpf as rmpf_mod
-from mpfkap.core import encode_matrix
 from mpfkap.rdmpf import rdmpf
 from mpfkap.rmpf import _MAX_WINDOW, _multi_exp, _window, double_action
 from one_sided import mpf_left, mpf_right, transpose
@@ -661,7 +660,7 @@ class TestRmpfSession:
         bob = RmpfSession(setup, injected=[(ka.RMPF_LAMBDA_B, ka.RMPF_OMEGA_B)])
         assert [t.to_rows() for t in alice.tokens] == [ka.RMPF_TOKEN_A]
         assert [t.to_rows() for t in bob.tokens] == [ka.RMPF_TOKEN_B]
-        key = encode_matrix(Matrix.from_rows(ka.RMPF_KEY, ka.P))
+        key = Matrix.from_rows(ka.RMPF_KEY, ka.P)
         assert alice.derive(bob.tokens) == bob.derive(alice.tokens) == key
 
     def test_drawn_session_is_keygen_on_the_same_rng(self):

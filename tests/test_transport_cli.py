@@ -573,6 +573,29 @@ class TestHandshakeCommand:
         assert (tmp_path / "alice.key").read_bytes() == expected
         assert (tmp_path / "bob.key").read_bytes() == expected
 
+    def test_rmpf_key_file_is_encoded_through_cli_encode_matrix(self, tmp_path, monkeypatch):
+        # perfbench's wire.encode_s and wire.payload_bytes trace that name
+        params, _ = write_known_rmpf_params(tmp_path / "params.json")
+        xch = tmp_path / "xch"
+        xch.mkdir()
+        encoded = []
+        monkeypatch.setattr(cli, "encode_matrix",
+                            lambda m: encoded.append(m) or wire.encode_matrix(m))
+
+        def argv(role, lam, omega):
+            return ["handshake", "--role", role, "--params", params,
+                    "--transport", f"file:{xch}", "--out", str(tmp_path / f"{role}.key"),
+                    "--test-mode", "--inject", f"lambda={lam}", "--inject", f"omega={omega}"]
+
+        codes = []
+        bob = threading.Thread(
+            target=lambda: codes.append(cli.main(argv("bob", ka.RMPF_LAMBDA_B, ka.RMPF_OMEGA_B))))
+        bob.start()
+        codes.append(cli.main(argv("alice", ka.RMPF_LAMBDA_A, ka.RMPF_OMEGA_A)))
+        bob.join(60)
+        assert codes == [0, 0]
+        assert encoded == [Matrix.from_rows(ka.RMPF_KEY, ka.P)] * 2
+
     def test_reused_exchange_directory_exits_4_on_both_sides(self, tmp_path):
         # a completed session leaves both roles' frames; a second session
         # run one side at a time in the same directory used to read the
